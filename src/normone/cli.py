@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import __version__
 from .cohomology import sha2_omega
 from .errors import CapExceeded, InternalCheckError, NormOneError, SpecParseError
+from .intmat import AbelianInvariants
 from .perms import (
     PermGroup, Permutation, SUBGROUP_CLASS_CAP, alternating,
     are_conjugate_subgroups, cyclic, dihedral, product_of_cyclics,
@@ -169,6 +170,11 @@ def _subgroup_text(H):
     return H.describe()
 
 
+RECORD_KEYS = frozenset({"group", "subgroup", "j_rank", "flasque_rank", "h1",
+                         "verdict", "ms", "version"})
+_DECIMAL = re.compile(r"[1-9][0-9]*")
+
+
 def _record(spec_text, H, result, elapsed_ms, v: Verdict):
     return {
         "group": spec_text,
@@ -195,6 +201,25 @@ def _cache_key(spec_text, H):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _record_problem(record):
+    """Why a cached record cannot be served, or None if it can: it must
+    have the record key set, an h1 of decimal strings > 1 in divisibility
+    order, and the verdict that h1 implies."""
+    if not isinstance(record, dict) or set(record) != RECORD_KEYS:
+        return "wrong record keys"
+    h1 = record["h1"]
+    if not (isinstance(h1, list)
+            and all(isinstance(t, str) and _DECIMAL.fullmatch(t) for t in h1)):
+        return "h1 is not a list of decimal strings"
+    try:
+        inv = AbelianInvariants(0, tuple(int(t) for t in h1))
+    except ValueError as exc:
+        return str(exc)
+    if record["verdict"] != Verdict.of(inv).to_dict():
+        return "verdict does not match h1"
+    return None
+
+
 def _cache_read(directory, key):
     path = os.path.join(directory, key + ".json")
     if not os.path.exists(path):
@@ -202,11 +227,16 @@ def _cache_read(directory, key):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-        return blob["record"]
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"warning: unreadable cache entry {path} ({exc}); recomputing",
-              file=sys.stderr)
-        return None
+    except (OSError, ValueError) as exc:
+        problem = str(exc)
+    else:
+        record = blob.get("record") if isinstance(blob, dict) else None
+        problem = _record_problem(record)
+        if problem is None:
+            return record
+    print(f"warning: unreadable cache entry {path} ({problem}); recomputing",
+          file=sys.stderr)
+    return None
 
 
 def _cache_write(directory, key, record, resolution):
@@ -236,10 +266,7 @@ def _compute_record(spec_text, G, H, args):
     result = _pipeline(G, H, max_rank=getattr(args, "max_rank", None) or DEFAULT_MAX_RANK,
                        class_cap=getattr(args, "max_order", None) or SUBGROUP_CLASS_CAP)
     ms = int((time.monotonic() - t0) * 1000)
-    inv = result.invariants
-    v = (Verdict(inv, "holds", "holds") if inv.is_trivial()
-         else Verdict(inv, "undetermined", "undetermined"))
-    record = _record(spec_text, H, result, ms, v)
+    record = _record(spec_text, H, result, ms, Verdict.of(result.invariants))
     if directory:
         _cache_write(directory, key, record, result.resolution)
     return record

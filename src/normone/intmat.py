@@ -306,8 +306,12 @@ def _hnf_np(rows, ncols, track):
 
 
 def _hnf_rows(rows, ncols, track):
-    total = len(rows) * ncols
-    if total and max((abs(x) for row in rows for x in row), default=0) < _NP_CAP:
+    if not rows or not ncols:
+        # nothing to eliminate: H is the input, U the identity
+        m = len(rows)
+        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
+        return [list(r) for r in rows], U
+    if max(abs(x) for row in rows for x in row) < _NP_CAP:
         try:
             return _hnf_np(rows, ncols, track)
         except _Overflow:
@@ -375,24 +379,32 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix([row for row in K if any(row)], ncols=A.nrows)
 
 
-def solve_left(A: IntMatrix, b):
-    """One integer solution x of x*A = b, or None if there is none."""
-    b = [int(x) for x in b]
-    if len(b) != A.ncols:
-        raise ValueError("vector length does not match column count")
+def solve_left(A: IntMatrix, B):
+    """Integer solutions of X*A = B, or None if some row of B has none.
+
+    B is an IntMatrix of right-hand sides, one per row, and the result is
+    an IntMatrix; a single vector b is the one-row case and gives a list.
+    One Hermite form of A serves every row: each row is back-substituted
+    against it, and the coefficients are mapped through its transform in
+    one product.  When A has full row rank the solution is unique.
+    """
+    single = not isinstance(B, IntMatrix)
+    if single:
+        B = IntMatrix([B])
+    if B.ncols != A.ncols:
+        raise ValueError("right-hand side length does not match column count")
     H, U = _hnf_rows(A.tolist(), A.ncols, track=True)
-    hrows = [row for row in H if any(row)]
-    coef = _solve_hnf(hrows, _pivot_cols(hrows), b)
-    if coef is None:
-        return None
     nz = [i for i, row in enumerate(H) if any(row)]
-    x = [0] * A.nrows
-    for k, i in enumerate(nz):
-        q = coef[k]
-        if q:
-            for j in range(A.nrows):
-                x[j] += q * U[i][j]
-    return x
+    hrows = [H[i] for i in nz]
+    pivcols = _pivot_cols(hrows)
+    coefs = []
+    for b in B.data:
+        coef = _solve_hnf(hrows, pivcols, b)
+        if coef is None:
+            return None
+        coefs.append(coef)
+    X = _matmul(coefs, [U[i] for i in nz], A.nrows)
+    return X[0] if single else IntMatrix(X, ncols=A.nrows)
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:

@@ -71,10 +71,6 @@ class GLattice:
             self._matrix_cache[p] = got
         return got
 
-    def same_action(self, other):
-        return (self.group is other.group and self.rank == other.rank
-                and self.action == other.action)
-
     def to_dict(self):
         return {
             "group": self.group.label,

@@ -139,9 +139,9 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         return _identity_resolution(L)
     G = L.group
     classes = subgroup_classes(G, cap=class_cap)
+    fixed = [fixed_sublattice(L, cls) for cls in classes]
     summands = []
-    for cls in classes:
-        F = fixed_sublattice(L, cls)
+    for cls, F in zip(classes, fixed):
         if F.nrows == 0:
             continue
         if summands:
@@ -158,8 +158,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
                     f"cover rank {so_far} exceeds --max-rank {max_rank}")
     # recheck every class against the final middle term; this is the
     # condition that makes the kernel coflasque, so a failure is a bug
-    for cls in classes:
-        F = fixed_sublattice(L, cls)
+    for cls, F in zip(classes, fixed):
         if F.nrows == 0:
             continue
         vecs = []
@@ -199,18 +198,18 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
 
 
 def _restricted_action(K: IntMatrix, Q: GLattice):
-    """Action on the sublattice spanned by the rows of K (must be stable)."""
-    mats = []
-    for a in Q.action:
-        M = K * a
-        rows = []
-        for row in M.data:
-            x = solve_left(K, row)
-            if x is None:
-                raise InternalCheckError("kernel is not stable under the action")
-            rows.append(x)
-        mats.append(IntMatrix(rows, ncols=K.nrows))
-    return mats
+    """Action on the sublattice spanned by the rows of K (must be stable).
+
+    K*a for every generator a is stacked into one right-hand side, so a
+    single Hermite form of K serves all rows; K has full row rank, so the
+    solution is unique.  The result is split into one matrix per generator.
+    """
+    r = K.nrows
+    images = IntMatrix([row for a in Q.action for row in (K * a).data], ncols=K.ncols)
+    X = solve_left(K, images)
+    if X is None:
+        raise InternalCheckError("kernel is not stable under the action")
+    return [IntMatrix(X.data[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
 
 
 def flasque_resolution(L: GLattice, check=True, class_cap=SUBGROUP_CLASS_CAP,
@@ -299,6 +298,12 @@ class Verdict:
     hnp: str
     wa: str
 
+    @classmethod
+    def of(cls, inv):
+        if inv.is_trivial():
+            return cls(inv, "holds", "holds")
+        return cls(inv, "undetermined", "undetermined")
+
     def to_dict(self):
         return {
             "hnp": self.hnp,
@@ -308,7 +313,4 @@ class Verdict:
 
 
 def verdict(G, H) -> Verdict:
-    inv = norm_one_invariant(G, H)
-    if inv.is_trivial():
-        return Verdict(inv, "holds", "holds")
-    return Verdict(inv, "undetermined", "undetermined")
+    return Verdict.of(norm_one_invariant(G, H))

@@ -154,6 +154,26 @@ class TestCache:
         assert "unreadable cache" in out.err
         assert json.loads(out.out)["h1"] == []
 
+    @pytest.mark.parametrize("bad", [{}, {"h1": "oops"}])
+    def test_invalid_cached_record_recomputes(self, tmp_path, capsys, bad):
+        args = ["compute", "A4", "--point-stabilizer", "4",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        (name,) = os.listdir(tmp_path)
+        with open(tmp_path / name) as fh:
+            blob = json.load(fh)
+        blob["record"] = bad
+        with open(tmp_path / name, "w") as fh:
+            json.dump(blob, fh)
+        assert main(args) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert set(record) == RECORD_KEYS and record["h1"] == ["2"]
+        assert "unreadable cache" in out.err and "Traceback" not in out.err
+
     def test_cache_stores_resolution(self, tmp_path, capsys):
         main(["compute", "A4", "--point-stabilizer", "4",
               "--cache-dir", str(tmp_path)])

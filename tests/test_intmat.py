@@ -82,6 +82,20 @@ class TestHNF:
             return
         assert hp == hn and up == un
 
+    def test_empty_input_skips_overflow_fallback(self, monkeypatch):
+        import normone.intmat as intmat
+
+        def fail(*args):
+            raise AssertionError("fallback ran without an overflow")
+
+        monkeypatch.setattr(intmat, "_hnf_py", fail)
+        H, U = hnf(mat([], ncols=3))
+        assert H == mat([], ncols=3) and U == mat([], ncols=0)
+        H, U = hnf(IntMatrix.zeros(2, 0))
+        assert H == IntMatrix.zeros(2, 0) and U == IntMatrix.identity(2)
+        assert kernel_basis(IntMatrix.zeros(2, 0)) == IntMatrix.identity(2)
+        assert solve_left(mat([], ncols=2), mat([[0, 0]])) == mat([[]])
+
     def test_python_fallback_on_huge_entries(self):
         big = 1 << 70
         A = mat([[big, 1], [1, big]])
@@ -212,6 +226,35 @@ class TestSolveInverse:
         sol = solve_left(A, b.data[0])
         assert sol is not None
         assert IntMatrix([sol]) * A == b
+
+    @given(small_matrices, st.integers(0, 2 ** 30))
+    def test_matrix_form_agrees_with_vector_form(self, rows, seed):
+        rng = random.Random(seed)
+        A = mat(rows)
+        B = []
+        for _ in range(rng.randint(1, 4)):
+            b = (mat([[rng.randint(-3, 3) for _ in range(A.nrows)]]) * A).row(0)
+            if rng.random() < 0.3:
+                b[rng.randrange(A.ncols)] += 1
+            B.append(b)
+        X = solve_left(A, mat(B))
+        each = [solve_left(A, b) for b in B]
+        if any(x is None for x in each):
+            assert X is None
+        else:
+            assert X == mat(each, ncols=A.nrows)
+            assert X * A == mat(B)
+
+    def test_matrix_form_none_if_any_row_unsolvable(self):
+        A = mat([[2, 0], [0, 3]])
+        assert solve_left(A, mat([[4, 3], [2, 6]])) == mat([[2, 1], [1, 2]])
+        assert solve_left(A, mat([[4, 3], [1, 0], [2, 6]])) is None
+
+    def test_matrix_form_zero_rows(self):
+        A = mat([[2, 0, 1], [0, 3, 0]])
+        assert solve_left(A, mat([], ncols=3)) == mat([], ncols=2)
+        with pytest.raises(ValueError):
+            solve_left(A, mat([], ncols=2))
 
     def test_inverse_unimodular(self):
         rng = random.Random(7)

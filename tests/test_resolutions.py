@@ -2,8 +2,9 @@ import warnings
 
 import pytest
 
+import normone.resolutions as resolutions
 from normone.cohomology import presentation_catalog, h1
-from normone.errors import CapExceeded
+from normone.errors import CapExceeded, InternalCheckError
 from normone.intmat import AbelianInvariants, IntMatrix, snf_invariants
 from normone.lattices import (
     GLattice, augmentation_ideal, chevalley_module, dual, perm_lattice,
@@ -57,6 +58,36 @@ class TestCoflasqueCover:
         assert snf_invariants(res.project.matrix) == [1] * res.base.rank
         if res.side.rank:
             assert snf_invariants(res.inject.matrix) == [1] * res.side.rank
+
+    def test_restricted_action_rejects_unstable_kernel(self):
+        # the swap of C2 moves the first basis vector off the line it spans
+        G = cyclic(2)
+        Q = perm_lattice(G, G.trivial_subgroup())
+        with pytest.raises(InternalCheckError, match="not stable"):
+            resolutions._restricted_action(IntMatrix([[1, 0]]), Q)
+        assert resolutions._restricted_action(IntMatrix([[1, 1]]), Q) == [IntMatrix([[1]])]
+
+    def test_one_elimination_per_cover(self, monkeypatch):
+        # one solve_left for the whole restricted action, and one fixed
+        # sublattice per class shared by the greedy pass and the recheck
+        calls = {"solve_left": 0, "fixed_sublattice": 0}
+
+        def counted(name):
+            fn = getattr(resolutions, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(resolutions, name, wrapper)
+
+        counted("solve_left")
+        counted("fixed_sublattice")
+        G = alternating(4)
+        L = dual(chevalley_module(G, G.point_stabilizer(4)))
+        res = coflasque_cover(L)
+        assert res.side.rank > 0
+        assert calls == {"solve_left": 1,
+                         "fixed_sublattice": len(subgroup_classes(G))}
 
 
 class TestFlasqueResolution:
