@@ -239,10 +239,10 @@ def _cache_read(directory, key):
     return None
 
 
-def _cache_write(directory, key, record, resolution):
+def _cache_write(directory, key, record):
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
-    blob = {"record": record, "resolution": resolution.to_dict()}
+    blob = {"record": record}
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -268,7 +268,7 @@ def _compute_record(spec_text, G, H, args):
     ms = int((time.monotonic() - t0) * 1000)
     record = _record(spec_text, H, result, ms, Verdict.of(result.invariants))
     if directory:
-        _cache_write(directory, key, record, result.resolution)
+        _cache_write(directory, key, record)
     return record
 
 

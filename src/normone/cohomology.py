@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, InternalCheckError, NormOneError
 from .intmat import (
     AbelianInvariants, IntMatrix, _pivot_cols, _solve_hnf, hnf_basis, hstack,
-    inverse_unimodular, kernel_basis, quotient_invariants, snf,
+    inverse_unimodular, kernel_basis, quotient_invariants, row_times,
     snf_invariants, vstack,
 )
 from .lattices import GLattice, LatticeMap, chevalley_module, induced
@@ -205,25 +205,14 @@ class _H1Data:
             j = abs(letter) - 1
             if letter > 0:
                 m = self.mats[j]
-                acc = _row_times(acc, m)
+                acc = row_times(acc, m)
                 cv = values[j]
                 acc = [a + b for a, b in zip(acc, cv)]
             else:
                 cv = values[j]
                 acc = [a - b for a, b in zip(acc, cv)]
-                acc = _row_times(acc, self.invs[j])
+                acc = row_times(acc, self.invs[j])
         return acc
-
-
-def _row_times(row, mat: IntMatrix):
-    out = [0] * mat.ncols
-    for i, x in enumerate(row):
-        if x:
-            mrow = mat.data[i]
-            for j, y in enumerate(mrow):
-                if y:
-                    out[j] += x * y
-    return out
 
 
 def _relator_blocks(word, mats, invs, R):
@@ -351,17 +340,19 @@ class ShiftData:
 
 
 def dimension_shift(L: GLattice) -> ShiftData:
-    """Cokernel of the split embedding L -> Ind(L); shifts Tate degree by one."""
+    """Cokernel of the split embedding L -> Ind(L); shifts Tate degree by one.
+
+    The embedding sends v to sum_x x (x) v, so its rows and the basis
+    vectors x (x) e_j with x past the first element x0 form a basis of
+    Ind(L).  In it, the coordinate of w on x (x) e_j is w[x, j] - w[x0, j]:
+    that is the projection onto the cokernel, and the vectors x (x) e_j
+    themselves are the section.
+    """
     I, emb = induced(L)
     R, N = L.rank, I.rank
-    dec = snf(emb.matrix)
-    if dec.rank != R or any(dec.D.data[i][i] != 1 for i in range(R)):
-        raise InternalCheckError("induced embedding is not split")
-    Vinv = inverse_unimodular(dec.V)
-    proj = IntMatrix([[row[j] for j in range(R, N)] for row in dec.V.data],
-                     ncols=N - R)
-    wlast = IntMatrix([Vinv.data[i] for i in range(R, N)], ncols=N)
-    mats = [wlast * I.action[k] * proj for k in range(len(I.action))]
+    proj = IntMatrix([[int(k == c + R) - int(k < R and c % R == k) for c in range(N - R)]
+                      for k in range(N)], ncols=N - R)
+    mats = [IntMatrix(a.data[R:], ncols=N) * proj for a in I.action]
     shifted = GLattice(L.group, N - R, mats,
                        label=f"shift({L.label})" if L.label else None)
     if not (emb.matrix * proj).is_zero():

@@ -1,13 +1,14 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
 and finite abelian quotients.
 
-Everything here is exact over arbitrary-precision integers.  The hot
-loops (Hermite elimination, Smith pivoting) run on int64 numpy arrays
-whenever the entries are small enough; every destructive step is guarded
-by a worst-case bound, and on a would-be overflow the whole computation
-restarts on the pure-Python path.  Both paths follow the same pivot rule
-(minimal nonzero absolute value, ties broken by position), so the output
-is identical regardless of which one ran.
+Everything here is exact over arbitrary-precision integers.  Each
+elimination (Hermite, Smith) is written once, over a NumPy array.  It
+runs on int64 whenever the entries are small enough; every destructive
+step is then guarded by a worst-case bound, and on a would-be overflow
+the same routine reruns from the start on a dtype=object array of Python
+ints.  The arithmetic and the pivot rule (minimal nonzero absolute value,
+ties broken by position) do not depend on the dtype, so neither does the
+output.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -18,20 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-# Magnitude ceiling for the int64 fast path.  An elimination step can at
-# most add |q|*|pivot row| to an entry; the guards in the loops keep every
-# intermediate strictly below 2**62.
+# Magnitude ceiling for int64 arrays.  An elimination step can at most add
+# |q|*|pivot line| to an entry; the guards keep every intermediate strictly
+# below 2**62, and a product runs on int64 only if its bound stays below.
 _NP_CAP = 1 << 59
 
 
 class _Overflow(Exception):
-    """Internal: int64 fast path would overflow; redo in pure Python."""
+    """Internal: an int64 step would overflow; rerun on Python ints."""
 
 
 class IntMatrix:
     """Dense integer matrix with unbounded entries.
 
-    Immutable; algorithms copy the data into plain lists internally.
+    Immutable; algorithms copy the data into arrays internally.
     An explicit column count disambiguates matrices with zero rows.
     """
 
@@ -86,7 +87,7 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        return IntMatrix(_matmul(self.tolist(), other.tolist(), other.ncols), ncols=other.ncols)
+        return IntMatrix(_matmul(self.data, other.data, other.ncols), ncols=other.ncols)
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -168,155 +169,104 @@ class AbelianInvariants:
 TRIVIAL_GROUP = AbelianInvariants(0, ())
 
 
+def _max_abs(rows):
+    return max((abs(x) for row in rows for x in row), default=0)
+
+
 def _matmul(A, B, bcols):
-    """Exact product of two list-of-lists matrices."""
+    """Exact product of two row-sequence matrices: on int64 while the entry
+    bound inner * max|A| * max|B| stays below _NP_CAP, else on Python ints."""
     if not A or not B:
         return [[0] * bcols for _ in A]
-    inner = len(B)
-    amax = max((abs(x) for row in A for x in row), default=0)
-    bmax = max((abs(x) for row in B for x in row), default=0)
-    if amax and bmax and inner * amax * bmax < (1 << 62):
-        return (np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)).tolist()
-    Bcols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in A]
+    dtype = np.int64 if len(B) * _max_abs(A) * _max_abs(B) < _NP_CAP else object
+    return (np.array(A, dtype=dtype) @ np.array(B, dtype=dtype)).tolist()
 
 
-def _hnf_py(rows, ncols, track):
-    """Row Hermite form, pure Python.  Returns (H rows, U rows or None).
+def row_times(row, mat: IntMatrix):
+    """row * mat for one row vector, skipping zero entries."""
+    out = [0] * mat.ncols
+    for i, x in enumerate(row):
+        if x:
+            for j, y in enumerate(mat.data[i]):
+                if y:
+                    out[j] += x * y
+    return out
 
-    Entries above the pivots are reduced in one bottom-up pass at the
-    end; doing it eagerly lets intermediate entries snowball.
+
+def _eliminate(elim, rows, width, *args):
+    """elim(W, *args) with W the rows as an int64 array; rerun on exact
+    Python ints (dtype=object) when an entry already reaches _NP_CAP or a
+    guard raises _Overflow."""
+    if _max_abs(rows) < _NP_CAP:
+        try:
+            return elim(np.array(rows, dtype=np.int64).reshape(len(rows), width), *args)
+        except _Overflow:
+            pass
+    return elim(np.array(rows, dtype=object).reshape(len(rows), width), *args)
+
+
+def _guard(q, line, rest):
+    """On int64, raise _Overflow unless rest - q * line stays below _NP_CAP."""
+    if line.dtype != object and (int(np.abs(q).max()) * int(np.abs(line).max())
+                                 + int(np.abs(rest).max()) >= _NP_CAP):
+        raise _Overflow
+
+
+def _smallest(v):
+    """Index of the smallest nonzero |entry| of v, the first one on ties."""
+    nz = np.nonzero(v)[0]
+    return int(nz[np.argmin(np.abs(v[nz]))])
+
+
+def _hermite(W, ncols, track):
+    """Row Hermite elimination of the m x ncols array W, on [W | I_m] when
+    track.  Returns (H rows, U rows or None) as lists of Python ints.
+
+    Each column's pivot is its smallest nonzero |entry|.  Entries above the
+    pivots are reduced in one bottom-up pass at the end; doing it eagerly
+    lets intermediate entries snowball.
     """
-    m = len(rows)
-    W = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        while True:
-            best = -1
-            bestval = 0
-            for i in range(r, m):
-                v = W[i][c]
-                if v and (best < 0 or abs(v) < bestval):
-                    best, bestval = i, abs(v)
-            if best < 0:
-                break
-            if best != r:
-                W[r], W[best] = W[best], W[r]
-                if track:
-                    U[r], U[best] = U[best], U[r]
-            piv = W[r][c]
-            dirty = False
-            wr = W[r]
-            for i in range(r + 1, m):
-                v = W[i][c]
-                if v:
-                    q = v // piv
-                    if q:
-                        wi = W[i]
-                        for j in range(ncols):
-                            wi[j] -= q * wr[j]
-                        if track:
-                            ui, ur = U[i], U[r]
-                            for j in range(m):
-                                ui[j] -= q * ur[j]
-                    if W[i][c]:
-                        dirty = True
-            if not dirty:
-                break
-        if best < 0:
-            continue
-        if W[r][c] < 0:
-            W[r] = [-x for x in W[r]]
-            if track:
-                U[r] = [-x for x in U[r]]
-        pivots.append((r, c))
-        r += 1
-    for r, c in pivots:
-        piv = W[r][c]
-        wr = W[r]
-        for i in range(r):
-            q = W[i][c] // piv
-            if q:
-                wi = W[i]
-                for j in range(c, ncols):
-                    wi[j] -= q * wr[j]
-                if track:
-                    ui, ur = U[i], U[r]
-                    for j in range(m):
-                        ui[j] -= q * ur[j]
-    return W, U
-
-
-def _hnf_np(rows, ncols, track):
-    """Same elimination as _hnf_py on int64, with overflow guards."""
-    m = len(rows)
-    A = np.array(rows, dtype=np.int64).reshape(m, ncols)
+    m = W.shape[0]
     if track:
-        W = np.hstack([A, np.eye(m, dtype=np.int64)])
-    else:
-        W = A
+        W = np.hstack([W, np.eye(m, dtype=W.dtype)])
     pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        found = False
+        col = W[r:, c]
+        if not col.any():
+            continue
         while True:
-            col = W[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                break
-            found = True
-            k = int(nz[np.argmin(np.abs(col[nz]))])
+            k = _smallest(col)
             if k:
                 W[[r, r + k]] = W[[r + k, r]]
-            piv = int(W[r, c])
-            below = W[r + 1 :, c]
+            below = W[r + 1:, c]
             if not below.any():
                 break
-            q = below // piv
-            qmax = int(np.abs(q).max())
-            if qmax:
-                bound = qmax * int(np.abs(W[r]).max()) + int(np.abs(W[r + 1 :]).max())
-                if bound >= _NP_CAP:
-                    raise _Overflow
-                W[r + 1 :] -= q[:, None] * W[r][None, :]
-        if not found:
-            continue
+            q = below // W[r, c]
+            _guard(q, W[r], W[r + 1:])
+            W[r + 1:] -= q[:, None] * W[r]
         if W[r, c] < 0:
             W[r] = -W[r]
         pivots.append((r, c))
         r += 1
     for r, c in pivots:
-        piv = int(W[r, c])
         if r:
-            q = W[:r, c] // piv
+            q = W[:r, c] // W[r, c]
             if q.any():
-                bound = int(np.abs(q).max()) * int(np.abs(W[r]).max()) + int(np.abs(W[:r]).max())
-                if bound >= _NP_CAP:
-                    raise _Overflow
-                W[:r] -= q[:, None] * W[r][None, :]
-    H = [[int(x) for x in row[:ncols]] for row in W]
-    U = [[int(x) for x in row[ncols:]] for row in W] if track else None
-    return H, U
+                _guard(q, W[r], W[:r])
+                W[:r] -= q[:, None] * W[r]
+    return W[:, :ncols].tolist(), (W[:, ncols:].tolist() if track else None)
 
 
 def _hnf_rows(rows, ncols, track):
     if not rows or not ncols:
         # nothing to eliminate: H is the input, U the identity
         m = len(rows)
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
+        U = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
         return [list(r) for r in rows], U
-    if max(abs(x) for row in rows for x in row) < _NP_CAP:
-        try:
-            return _hnf_np(rows, ncols, track)
-        except _Overflow:
-            pass
-    return _hnf_py(rows, ncols, track)
+    return _eliminate(_hermite, rows, ncols, ncols, track)
 
 
 def hnf(A: IntMatrix):
@@ -326,13 +276,13 @@ def hnf(A: IntMatrix):
     positive pivots and the entries above each pivot reduced into
     [0, pivot).  H is unique for this convention.
     """
-    H, U = _hnf_rows(A.tolist(), A.ncols, track=True)
+    H, U = _hnf_rows(A.data, A.ncols, track=True)
     return IntMatrix(H, ncols=A.ncols), IntMatrix(U, ncols=A.nrows)
 
 
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
-    H, _ = _hnf_rows(A.tolist(), A.ncols, track=False)
+    H, _ = _hnf_rows(A.data, A.ncols, track=False)
     rows = [row for row in H if any(row)]
     return IntMatrix(rows, ncols=A.ncols)
 
@@ -371,7 +321,7 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     The basis is saturated: every integer solution is an integer
     combination of the rows.  Rows are HNF-canonicalized.
     """
-    H, U = _hnf_rows(A.tolist(), A.ncols, track=True)
+    H, U = _hnf_rows(A.data, A.ncols, track=True)
     ker = [U[i] for i in range(len(H)) if not any(H[i])]
     if not ker:
         return IntMatrix([], ncols=A.nrows)
@@ -393,7 +343,7 @@ def solve_left(A: IntMatrix, B):
         B = IntMatrix([B])
     if B.ncols != A.ncols:
         raise ValueError("right-hand side length does not match column count")
-    H, U = _hnf_rows(A.tolist(), A.ncols, track=True)
+    H, U = _hnf_rows(A.data, A.ncols, track=True)
     nz = [i for i, row in enumerate(H) if any(row)]
     hrows = [H[i] for i in nz]
     pivcols = _pivot_cols(hrows)
@@ -411,7 +361,7 @@ def inverse_unimodular(A: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular square matrix."""
     if A.nrows != A.ncols:
         raise ValueError("not square")
-    H, U = _hnf_rows(A.tolist(), A.ncols, track=True)
+    H, U = _hnf_rows(A.data, A.ncols, track=True)
     n = A.nrows
     for i in range(n):
         if any(H[i][j] != (1 if i == j else 0) for j in range(n)):
@@ -419,272 +369,83 @@ def inverse_unimodular(A: IntMatrix) -> IntMatrix:
     return IntMatrix(U, ncols=n)
 
 
-def _snf_invariants_py(rows, ncols):
-    D = [list(r) for r in rows]
-    m = len(D)
-    invs = []
-    t = 0
-    while True:
-        best = None
-        bestval = 0
-        for i in range(t, m):
-            di = D[i]
-            for j in range(t, ncols):
-                v = di[j]
-                if v and (best is None or abs(v) < bestval):
-                    best, bestval = (i, j), abs(v)
-                    if bestval == 1:
-                        break
-            if bestval == 1 and best is not None:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            D[t], D[bi] = D[bi], D[t]
-        if bj != t:
-            for row in D:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            piv = D[t][t]
-            dt = D[t]
-            col_dirty = False
-            for i in range(t + 1, m):
-                v = D[i][t]
-                if v:
-                    q = v // piv
-                    if q:
-                        di = D[i]
-                        for j in range(t, ncols):
-                            di[j] -= q * dt[j]
-                    if D[i][t]:
-                        col_dirty = True
-            if col_dirty:
-                # smaller residue appeared in the column; re-pivot on it
-                best = min(
-                    (i for i in range(t, m) if D[i][t]),
-                    key=lambda i: abs(D[i][t]),
-                )
-                if best != t:
-                    D[t], D[best] = D[best], D[t]
-                continue
-            row_dirty = False
-            piv = D[t][t]
-            dt = D[t]
-            for j in range(t + 1, ncols):
-                v = dt[j]
-                if v:
-                    q = v // piv
-                    if q:
-                        for row in D:
-                            row[j] -= q * row[t]
-                    if dt[j]:
-                        row_dirty = True
-            if row_dirty:
-                best = min(
-                    (j for j in range(t, ncols) if dt[j]),
-                    key=lambda j: abs(dt[j]),
-                )
-                if best != t:
-                    for row in D:
-                        row[t], row[best] = row[best], row[t]
-                continue
-            # pivot must divide the remaining submatrix for the chain
-            piv = D[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                di = D[i]
-                for j in range(t + 1, ncols):
-                    if di[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            dt2, do = D[t], D[offender]
-            for j in range(t, ncols):
-                dt2[j] += do[j]
-        invs.append(abs(D[t][t]))
-        t += 1
-        if t == m or t == ncols:
-            break
-    return invs
+def _smith(W, m, n):
+    """Smith elimination on the leading m x n block of W, in place.
 
-
-def _snf_invariants_np(rows, ncols):
-    D = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    m = len(rows)
-    invs = []
+    Row operations act on whole rows and column operations on whole
+    columns, so a border [[A, I_m], [I_n, 0]] around A collects U in its
+    top right block and V in its bottom left one.  Each pivot is the
+    smallest nonzero |entry| of the remaining block, the first in row-major
+    order on ties.  Returns (W, rank); W[i, i] for i < rank are the
+    invariant factors d1 | d2 | ..., all positive.
+    """
     t = 0
-    while t < m and t < ncols:
-        sub = D[t:, t:]
+    while t < m and t < n:
+        sub = W[t:m, t:n]
         nz = np.nonzero(sub)
         if nz[0].size == 0:
             break
         k = int(np.argmin(np.abs(sub[nz])))
         bi, bj = int(nz[0][k]) + t, int(nz[1][k]) + t
         if bi != t:
-            D[[t, bi]] = D[[bi, t]]
+            W[[t, bi]] = W[[bi, t]]
         if bj != t:
-            D[:, [t, bj]] = D[:, [bj, t]]
+            W[:, [t, bj]] = W[:, [bj, t]]
         while True:
-            piv = int(D[t, t])
-            col = D[t + 1 :, t]
+            col = W[t + 1:m, t]
             if col.any():
-                q = col // piv
-                if q.any():
-                    bound = int(np.abs(q).max()) * int(np.abs(D[t]).max()) + int(
-                        np.abs(D[t + 1 :]).max()
-                    )
-                    if bound >= _NP_CAP:
-                        raise _Overflow
-                    D[t + 1 :] -= q[:, None] * D[t][None, :]
-                col = D[t + 1 :, t]
+                q = col // W[t, t]
+                _guard(q, W[t], W[t + 1:m])
+                W[t + 1:m] -= q[:, None] * W[t]
                 if col.any():
-                    i = int(np.argmin(np.where(col != 0, np.abs(col), np.iinfo(np.int64).max)))
-                    D[[t, t + 1 + i]] = D[[t + 1 + i, t]]
+                    # a smaller remainder appeared in the column; pivot on it
+                    i = t + 1 + _smallest(col)
+                    W[[t, i]] = W[[i, t]]
                     continue
-            piv = int(D[t, t])
-            rowr = D[t, t + 1 :]
-            if rowr.any():
-                q = rowr // piv
-                if q.any():
-                    bound = int(np.abs(q).max()) * int(np.abs(D[:, t]).max()) + int(
-                        np.abs(D[:, t + 1 :]).max()
-                    )
-                    if bound >= _NP_CAP:
-                        raise _Overflow
-                    D[:, t + 1 :] -= D[:, t][:, None] * q[None, :]
-                rowr = D[t, t + 1 :]
-                if rowr.any():
-                    j = int(np.argmin(np.where(rowr != 0, np.abs(rowr), np.iinfo(np.int64).max)))
-                    D[:, [t, t + 1 + j]] = D[:, [t + 1 + j, t]]
+            row = W[t, t + 1:n]
+            if row.any():
+                q = row // W[t, t]
+                _guard(q, W[:, t], W[:, t + 1:n])
+                W[:, t + 1:n] -= W[:, t][:, None] * q
+                if row.any():
+                    j = t + 1 + _smallest(row)
+                    W[:, [t, j]] = W[:, [j, t]]
                     continue
-            piv = int(D[t, t])
-            rem = D[t + 1 :, t + 1 :]
-            if rem.size:
-                bad = np.nonzero(rem % piv)
-                if bad[0].size:
-                    i = int(bad[0][0]) + t + 1
-                    if int(np.abs(D[t]).max()) + int(np.abs(D[i]).max()) >= _NP_CAP:
-                        raise _Overflow
-                    D[t] += D[i]
-                    continue
-            break
-        invs.append(abs(int(D[t, t])))
+            # the pivot must divide the rest of the block for the chain
+            bad = np.nonzero(W[t + 1:m, t + 1:n] % W[t, t])[0]
+            if not bad.size:
+                break
+            i = t + 1 + int(bad[0])
+            _guard(1, W[t], W[i])
+            W[t] += W[i]
+        if W[t, t] < 0:
+            W[t] = -W[t]
         t += 1
-    return invs
+    return W, t
 
 
 def snf_invariants(A: IntMatrix):
     """Invariant factors d1 | d2 | ... of A's row lattice (no transforms)."""
-    rows = A.tolist()
-    if not rows or not A.ncols:
+    if not A.nrows or not A.ncols:
         return []
-    if max((abs(x) for row in rows for x in row), default=0) < _NP_CAP:
-        try:
-            return _snf_invariants_np(rows, A.ncols)
-        except _Overflow:
-            pass
-    return _snf_invariants_py(rows, A.ncols)
+    W, rank = _eliminate(_smith, A.data, A.ncols, A.nrows, A.ncols)
+    return [int(W[i, i]) for i in range(rank)]
 
 
 def snf(A: IntMatrix) -> SmithDecomposition:
     """Full Smith decomposition U*A*V = D with transforms.
 
-    Pure Python; intended for moderate sizes.  The invariant-only variant
-    `snf_invariants` is the fast path for large quotients.
+    The same elimination as `snf_invariants`, run on the bordered array
+    [[A, I_m], [I_n, 0]]: its row operations build U and its column
+    operations build V in the same pass.
     """
     m, n = A.nrows, A.ncols
-    D = A.tolist()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    t = 0
-    while t < m and t < n:
-        best = None
-        bestval = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v and (best is None or abs(v) < bestval):
-                    best, bestval = (i, j), abs(v)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            D[t], D[bi] = D[bi], D[t]
-            U[t], U[bi] = U[bi], U[t]
-        if bj != t:
-            for row in D:
-                row[t], row[bj] = row[bj], row[t]
-            for row in V:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            piv = D[t][t]
-            col_dirty = False
-            for i in range(t + 1, m):
-                v = D[i][t]
-                if v:
-                    q = v // piv
-                    if q:
-                        for j in range(n):
-                            D[i][j] -= q * D[t][j]
-                        for j in range(m):
-                            U[i][j] -= q * U[t][j]
-                    if D[i][t]:
-                        col_dirty = True
-            if col_dirty:
-                bi = min((i for i in range(t, m) if D[i][t]), key=lambda i: abs(D[i][t]))
-                if bi != t:
-                    D[t], D[bi] = D[bi], D[t]
-                    U[t], U[bi] = U[bi], U[t]
-                continue
-            piv = D[t][t]
-            row_dirty = False
-            for j in range(t + 1, n):
-                v = D[t][j]
-                if v:
-                    q = v // piv
-                    if q:
-                        for row in D:
-                            row[j] -= q * row[t]
-                        for row in V:
-                            row[j] -= q * row[t]
-                    if D[t][j]:
-                        row_dirty = True
-            if row_dirty:
-                bj = min((j for j in range(t, n) if D[t][j]), key=lambda j: abs(D[t][j]))
-                if bj != t:
-                    for row in D:
-                        row[t], row[bj] = row[bj], row[t]
-                    for row in V:
-                        row[t], row[bj] = row[bj], row[t]
-                continue
-            piv = D[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(n):
-                D[t][j] += D[offender][j]
-            for j in range(m):
-                U[t][j] += U[offender][j]
-        if D[t][t] < 0:
-            for j in range(n):
-                D[t][j] = -D[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
+    border = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(A.data)]
+    border += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    W, rank = _eliminate(_smith, border, n + m, m, n)
     return SmithDecomposition(
-        IntMatrix(U, ncols=m), IntMatrix(D, ncols=n), IntMatrix(V, ncols=n), rank=t
-    )
+        IntMatrix(W[:m, n:].tolist(), ncols=m), IntMatrix(W[:m, :n].tolist(), ncols=n),
+        IntMatrix(W[m:, :n].tolist(), ncols=n), rank=rank)
 
 
 def quotient_invariants(Z: IntMatrix, B: IntMatrix) -> AbelianInvariants:

@@ -46,9 +46,15 @@ class GLattice:
         raise AttributeError("GLattice is immutable; caches are internal")
 
     def inverse_action(self, j):
+        """rho(g_j)^-1: the transpose when the lattice is a permutation
+        lattice and rho(g_j) a permutation matrix, else a Hermite inverse."""
         got = self._inv_action[j]
         if got is None:
-            got = inverse_unimodular(self.action[j])
+            m = self.action[j]
+            if self.perm_summands is not None and _is_permutation(m):
+                got = m.transpose()
+            else:
+                got = inverse_unimodular(m)
             self._inv_action[j] = got
         return got
 
@@ -71,16 +77,16 @@ class GLattice:
             self._matrix_cache[p] = got
         return got
 
-    def to_dict(self):
-        return {
-            "group": self.group.label,
-            "rank": self.rank,
-            "action": [m.tolist() for m in self.action],
-        }
-
     def __repr__(self):
         name = self.label or "GLattice"
         return f"{name}(rank={self.rank} over {self.group.label})"
+
+
+def _is_permutation(m: IntMatrix):
+    """One entry 1 in each row, all others 0, in pairwise distinct columns."""
+    n = m.ncols
+    return (all(row.count(1) == 1 and row.count(0) == n - 1 for row in m.data)
+            and len({row.index(1) for row in m.data}) == n)
 
 
 class LatticeMap:

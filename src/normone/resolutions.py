@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .cohomology import h1, presentation_catalog, tate_minus1
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
-    IntMatrix, kernel_basis, lattice_contains, snf_invariants, solve_left,
+    IntMatrix, kernel_basis, lattice_contains, row_times, snf_invariants,
+    solve_left,
 )
 from .lattices import (
     GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
@@ -58,18 +59,6 @@ class Resolution:
         if len(inv) != self.inject.source.rank or any(x != 1 for x in inv):
             raise InternalCheckError("injection is not saturated")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "base_rank": self.base.rank,
-            "middle_rank": self.middle.rank,
-            "side_rank": self.side.rank,
-            "summands": [[h.describe(), mult] for h, mult in self.summands],
-            "inject": self.inject.matrix.tolist(),
-            "project": self.project.matrix.tolist(),
-            "side": self.side.to_dict(),
-        }
-
 
 class _Summand:
     __slots__ = ("handle", "vectors", "transversal", "coset_of", "ev")
@@ -87,7 +76,7 @@ class _Summand:
         self.ev = []
         for rep in self.transversal:
             rho = L.matrix_of(rep)
-            self.ev.append([_row_mat(v, rho) for v in vectors.data])
+            self.ev.append([row_times(v, rho) for v in vectors.data])
 
     def orbit_sums(self, cls):
         """Images in L of the cls-fixed vectors of this summand: one
@@ -114,16 +103,6 @@ class _Summand:
                         total[col] += x
                 sums.append(total)
         return sums
-
-
-def _row_mat(row, mat):
-    out = [0] * mat.ncols
-    for i, x in enumerate(row):
-        if x:
-            for j, y in enumerate(mat.data[i]):
-                if y:
-                    out[j] += x * y
-    return out
 
 
 def _identity_resolution(L):
@@ -262,7 +241,6 @@ class PipelineResult:
     flasque_rank: int
     middle_rank: int
     invariants: object
-    resolution: Resolution
 
 
 def _pipeline(G, H, check=True, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
@@ -282,7 +260,7 @@ def _pipeline(G, H, check=True, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> 
     res = flasque_resolution(J, check=check, class_cap=class_cap, max_rank=max_rank)
     P = presentation_catalog(G)
     inv = h1(res.side, P)
-    return PipelineResult(G, H, J.rank, res.side.rank, res.middle.rank, inv, res)
+    return PipelineResult(G, H, J.rank, res.side.rank, res.middle.rank, inv)
 
 
 @dataclass(frozen=True)

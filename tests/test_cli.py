@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import normone.cli as cli
 from normone.cli import (
     build_group, main, parse_cycles, parse_group_spec, _split_generators,
 )
@@ -174,15 +175,36 @@ class TestCache:
         assert set(record) == RECORD_KEYS and record["h1"] == ["2"]
         assert "unreadable cache" in out.err and "Traceback" not in out.err
 
-    def test_cache_stores_resolution(self, tmp_path, capsys):
+    def test_cache_stores_only_the_record(self, tmp_path, capsys):
         main(["compute", "A4", "--point-stabilizer", "4",
               "--cache-dir", str(tmp_path)])
-        capsys.readouterr()
+        record = json.loads(capsys.readouterr().out)
         (name,) = os.listdir(tmp_path)
         with open(tmp_path / name) as fh:
             blob = json.load(fh)
-        assert blob["resolution"]["kind"] == "flasque"
-        assert blob["resolution"]["base_rank"] == 3
+        assert set(blob) == {"record"}
+        assert blob["record"] == record
+
+    def test_entry_with_stored_resolution_is_served(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # entries written before the resolution was dropped still carry it
+        args = ["compute", "A4", "--point-stabilizer", "4",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        record = json.loads(capsys.readouterr().out)
+        (name,) = os.listdir(tmp_path)
+        with open(tmp_path / name, "w") as fh:
+            json.dump({"record": record,
+                       "resolution": {"kind": "flasque", "base_rank": 3}}, fh)
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a servable entry was recomputed")
+
+        monkeypatch.setattr(cli, "_pipeline", recompute)
+        assert main(args) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out) == record
+        assert "cache hit" in out.err
 
 
 def test_cold_runs_are_deterministic():

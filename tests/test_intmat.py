@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import normone.intmat as intmat
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, _hnf_py, _hnf_np, det, hnf, hnf_basis,
+    AbelianInvariants, IntMatrix, _Overflow, det, hnf, hnf_basis,
     kernel_basis, quotient_invariants, snf, snf_invariants, solve_left,
     inverse_unimodular, vstack,
 )
@@ -15,11 +17,28 @@ def mat(rows, ncols=None):
     return IntMatrix(rows, ncols=ncols)
 
 
-small_matrices = st.integers(1, 6).flatmap(
-    lambda m: st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-100, 100), min_size=n, max_size=n),
-            min_size=m, max_size=m)))
+def matrices(size, entries):
+    return st.integers(1, size).flatmap(
+        lambda m: st.integers(1, size).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+
+
+small_matrices = matrices(6, st.integers(-100, 100))
+# past int64 and _NP_CAP, so every elimination reruns on Python ints; the
+# mix keeps small entries (and zeros) next to huge ones
+HUGE = 1 << 70
+huge_entries = st.one_of(st.integers(-HUGE, HUGE), st.integers(-3, 3))
+
+
+def both_dtypes(elim, rows, width, *args):
+    """elim run on an int64 and on an object array of the same rows; the
+    int64 result is None when a guard raised _Overflow."""
+    try:
+        fast = elim(np.array(rows, dtype=np.int64).reshape(len(rows), width), *args)
+    except _Overflow:
+        fast = None
+    return fast, elim(np.array(rows, dtype=object).reshape(len(rows), width), *args)
 
 
 class TestHNF:
@@ -48,7 +67,7 @@ class TestHNF:
         H2, _ = hnf(H)
         assert H2 == H
 
-    @given(small_matrices)
+    @given(st.one_of(small_matrices, matrices(5, huge_entries)))
     def test_hnf_properties(self, rows):
         A = mat(rows)
         H, U = hnf(A)
@@ -71,30 +90,46 @@ class TestHNF:
 
     @given(small_matrices)
     def test_paths_agree(self, rows):
-        from normone.intmat import _Overflow
+        # one Hermite routine, one Smith routine: int64 and exact object
+        # arrays must give the same result; a guard's _Overflow is the
+        # legitimate signal to rerun on object, tested through the public calls
         n = len(rows[0])
-        hp, up = _hnf_py([list(r) for r in rows], n, True)
-        try:
-            hn, un = _hnf_np([list(r) for r in rows], n, True)
-        except _Overflow:
-            # legitimate fallback signal; the public entry point retries
-            # in exact arithmetic, which is the path already tested
-            return
-        assert hp == hn and up == un
+        fast, exact = both_dtypes(intmat._hermite, rows, n, n, True)
+        if fast is not None:
+            assert fast == exact
+        fast, exact = both_dtypes(intmat._smith, rows, n, len(rows), n)
+        if fast is not None:
+            assert fast[1] == exact[1]
+            assert fast[0].tolist() == exact[0].tolist()
 
     def test_empty_input_skips_overflow_fallback(self, monkeypatch):
-        import normone.intmat as intmat
+        # the object rerun happens only after an overflow: never for empty
+        # input, which needs no elimination, nor for small entries
+        runs = []
 
-        def fail(*args):
-            raise AssertionError("fallback ran without an overflow")
+        def watched(elim):
+            def run(W, *args):
+                runs.append(W.dtype)
+                assert W.dtype != object, "object rerun without an overflow"
+                return elim(W, *args)
+            return run
 
-        monkeypatch.setattr(intmat, "_hnf_py", fail)
+        monkeypatch.setattr(intmat, "_hermite", watched(intmat._hermite))
+        monkeypatch.setattr(intmat, "_smith", watched(intmat._smith))
         H, U = hnf(mat([], ncols=3))
         assert H == mat([], ncols=3) and U == mat([], ncols=0)
         H, U = hnf(IntMatrix.zeros(2, 0))
         assert H == IntMatrix.zeros(2, 0) and U == IntMatrix.identity(2)
         assert kernel_basis(IntMatrix.zeros(2, 0)) == IntMatrix.identity(2)
         assert solve_left(mat([], ncols=2), mat([[0, 0]])) == mat([[]])
+        assert snf_invariants(mat([], ncols=2)) == []
+        A = mat([[6, 4, 2], [2, 8, 9], [0, 0, 5]])
+        H, U = hnf(A)
+        assert U * A == H
+        assert snf_invariants(A) == [1, 10, 20]
+        d = snf(A)
+        assert d.U * A * d.V == d.D
+        assert runs
 
     def test_python_fallback_on_huge_entries(self):
         big = 1 << 70
@@ -120,7 +155,7 @@ class TestSNF:
         d = snf(mat([[2, 4], [6, 8]]))
         assert [d.D.data[0][0], d.D.data[1][1]] == [2, 4]
 
-    @given(small_matrices)
+    @given(st.one_of(small_matrices, matrices(5, huge_entries)))
     def test_snf_identities(self, rows):
         A = mat(rows)
         d = snf(A)
@@ -138,11 +173,7 @@ class TestSNF:
             assert b % a == 0
         assert snf_invariants(A) == nz
 
-    @given(st.integers(1, 4).flatmap(
-        lambda m: st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                min_size=m, max_size=m))))
+    @given(st.one_of(matrices(4, st.integers(-9, 9)), matrices(4, huge_entries)))
     def test_invariant_products_match_minor_gcds(self, rows):
         A = mat(rows)
         inv = snf_invariants(A)

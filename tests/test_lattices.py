@@ -2,7 +2,9 @@ import pytest
 
 from normone.cohomology import presentation_catalog, tate_cyclic
 from normone.errors import InternalCheckError
-from normone.intmat import IntMatrix, kernel_basis, snf_invariants, vstack
+from normone.intmat import (
+    IntMatrix, inverse_unimodular, kernel_basis, snf_invariants, vstack,
+)
 from normone.lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
     dual, dual_map, fixed_sublattice, induced, perm_lattice, trivial_lattice,
@@ -39,6 +41,30 @@ class TestPermLattice:
         for g in G.elements():
             for h in G.elements():
                 assert L.matrix_of(g) * L.matrix_of(h) == L.matrix_of(g * h)
+
+
+class TestInverseAction:
+    def test_permutation_lattices_invert_by_transposing(self, monkeypatch):
+        # permutation lattices (perm_lattice, a cover's middle term) take
+        # the transpose; only the Chevalley module needs a Hermite inverse
+        import normone.lattices as lattices
+        from normone.resolutions import coflasque_cover
+
+        G = alternating(4)
+        H = G.point_stabilizer(4)
+        middle = coflasque_cover(dual(chevalley_module(G, H))).middle
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return inverse_unimodular(m)
+
+        monkeypatch.setattr(lattices, "inverse_unimodular", counted)
+        J = chevalley_module(G, H)  # built after the patch: its inverses are not cached yet
+        for L in (perm_lattice(G, H), middle, J):
+            for j, a in enumerate(L.action):
+                assert L.inverse_action(j) * a == IntMatrix.identity(L.rank)
+        assert calls == list(J.action)
 
 
 class TestChevalley:

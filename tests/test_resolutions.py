@@ -153,6 +153,26 @@ class TestNormOneInvariant:
         G = alternating(4)
         assert norm_one_invariant(G, G.point_stabilizer(4)) == Z2
 
+    def test_a4_counterexample_on_python_ints(self, monkeypatch):
+        # with the int64 ceiling at 1 every nonzero elimination and product
+        # takes the exact object path; the answer must not change
+        import normone.intmat as intmat
+        G = alternating(4)
+        fast = resolutions._pipeline(G, G.point_stabilizer(4))
+        exact_runs = []
+        hermite = intmat._hermite
+
+        def watched(W, *args):
+            exact_runs.append(W.dtype == object)
+            return hermite(W, *args)
+
+        monkeypatch.setattr(intmat, "_hermite", watched)
+        monkeypatch.setattr(intmat, "_NP_CAP", 1)
+        exact = resolutions._pipeline(G, G.point_stabilizer(4))
+        assert any(exact_runs)
+        assert exact.invariants == fast.invariants == Z2
+        assert exact.flasque_rank == fast.flasque_rank
+
     def test_a5_trivial(self):
         G = alternating(5)
         assert norm_one_invariant(G, G.point_stabilizer(5)).is_trivial()
