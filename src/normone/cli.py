@@ -263,8 +263,8 @@ def _compute_record(spec_text, G, H, args):
             print(f"cache hit for {spec_text} / {_subgroup_text(H)}", file=sys.stderr)
             return cached
     t0 = time.monotonic()
-    result = _pipeline(G, H, max_rank=getattr(args, "max_rank", None) or DEFAULT_MAX_RANK,
-                       class_cap=getattr(args, "max_order", None) or SUBGROUP_CLASS_CAP)
+    result = _pipeline(G, H, max_rank=args.max_rank or DEFAULT_MAX_RANK,
+                       class_cap=args.max_order or SUBGROUP_CLASS_CAP)
     ms = int((time.monotonic() - t0) * 1000)
     record = _record(spec_text, H, result, ms, Verdict.of(result.invariants))
     if directory:
@@ -395,13 +395,17 @@ def _add_subgroup_flags(p):
                    help="1-based index into the subgroup class list")
 
 
-def _add_cap_flags(p):
-    p.add_argument("--max-order", type=int, default=None,
-                   help=f"subgroup-enumeration order cap (default {SUBGROUP_CLASS_CAP})")
-    p.add_argument("--max-cosets", type=int, default=100_000,
-                   help="Todd-Coxeter coset cap (default 100000)")
-    p.add_argument("--max-rank", type=int, default=None,
-                   help=f"middle-term rank cap (default {DEFAULT_MAX_RANK})")
+def _add_cap_flags(p, *caps):
+    """Register the named caps, the ones the command reads."""
+    if "order" in caps:
+        p.add_argument("--max-order", type=int, default=None,
+                       help=f"subgroup-enumeration order cap (default {SUBGROUP_CLASS_CAP})")
+    if "cosets" in caps:
+        p.add_argument("--max-cosets", type=int, default=100_000,
+                       help="Todd-Coxeter coset cap (default 100000)")
+    if "rank" in caps:
+        p.add_argument("--max-rank", type=int, default=None,
+                       help=f"middle-term rank cap (default {DEFAULT_MAX_RANK})")
 
 
 def build_parser():
@@ -414,7 +418,7 @@ def build_parser():
     p = sub.add_parser("compute", help="run the pipeline for one (G, H)")
     p.add_argument("spec", help="group spec: A6, S4, D4, C5, C2xC2, ...")
     _add_subgroup_flags(p)
-    _add_cap_flags(p)
+    _add_cap_flags(p, "order", "rank")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (or env NORMONE_CACHE)")
     p.set_defaults(func=cmd_compute)
@@ -422,26 +426,26 @@ def build_parser():
     p = sub.add_parser("verify-paper", help="reproduce the published A_n table")
     p.add_argument("--max-n", type=int, default=7, choices=range(4, 8),
                    help="largest n to run (default 7)")
-    _add_cap_flags(p)
+    _add_cap_flags(p, "order", "rank")
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("classes", help="list subgroup conjugacy classes")
     p.add_argument("spec")
-    _add_cap_flags(p)
+    _add_cap_flags(p, "order")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("verify-schur", help="coset-enumeration checks on the "
                                             "extended symmetric-group presentation")
     p.add_argument("n", type=int)
-    _add_cap_flags(p)
+    _add_cap_flags(p, "cosets")
     p.set_defaults(func=cmd_verify_schur)
 
     p = sub.add_parser("sha-oracle", help="independent sha^2_omega computation "
                                           "(small groups)")
     p.add_argument("spec")
     _add_subgroup_flags(p)
-    _add_cap_flags(p)
+    _add_cap_flags(p, "order")
     p.set_defaults(func=cmd_sha_oracle)
     return parser
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceeded, InternalCheckError, NormOneError
 from .intmat import (
-    AbelianInvariants, IntMatrix, _pivot_cols, _solve_hnf, hnf_basis, hstack,
-    inverse_unimodular, kernel_basis, quotient_invariants, row_times,
-    snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hnf_coordinates,
+    hstack, kernel_basis, quotient_invariants, snf_invariants, vstack,
 )
 from .lattices import GLattice, LatticeMap, chevalley_module, induced
 from .perms import Permutation, PermGroup, cyclic_subgroup_classes
@@ -190,29 +191,23 @@ class _H1Data:
 
     def cocycles(self):
         R = self.lattice.rank
-        out = []
-        for row in self.Z1.data:
-            vals = tuple(row[j * R:(j + 1) * R] for j in range(len(self.mats)))
-            out.append(Cocycle(self.lattice, vals))
-        return out
+        return [Cocycle(self.lattice, [row[j * R:(j + 1) * R] for j in range(len(self.mats))])
+                for row in self.Z1.tolist()]
 
     def value_at(self, values, word):
         """Value of the cocycle with the given generator values at the
-        element word (over presentation generators)."""
-        R = self.lattice.rank
-        acc = [0] * R
+        element word (over presentation generators), as a list.  Each
+        value may also be a stack of rows, one per cocycle, to evaluate
+        many cocycles at once."""
+        values = [exact_array(v) for v in values]
+        acc = np.zeros_like(values[0])
         for letter in word:
             j = abs(letter) - 1
             if letter > 0:
-                m = self.mats[j]
-                acc = row_times(acc, m)
-                cv = values[j]
-                acc = [a + b for a, b in zip(acc, cv)]
+                acc = acc @ self.mats[j] + values[j]
             else:
-                cv = values[j]
-                acc = [a - b for a, b in zip(acc, cv)]
-                acc = row_times(acc, self.invs[j])
-        return acc
+                acc = (acc - values[j]) @ self.invs[j]
+        return acc.tolist()
 
 
 def _relator_blocks(word, mats, invs, R):
@@ -246,7 +241,7 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
     if len(span) != G.order():
         raise ValueError("presentation images do not generate the acting group")
     mats = tuple(L.matrix_of(img) for img in P.images)
-    invs = tuple(inverse_unimodular(m) for m in mats)
+    invs = tuple(L.matrix_of(img.inverse()) for img in P.images)
     s, R = P.ngens, L.rank
     dim = s * R
     K = IntMatrix.identity(dim)
@@ -350,9 +345,9 @@ def dimension_shift(L: GLattice) -> ShiftData:
     """
     I, emb = induced(L)
     R, N = L.rank, I.rank
-    proj = IntMatrix([[int(k == c + R) - int(k < R and c % R == k) for c in range(N - R)]
-                      for k in range(N)], ncols=N - R)
-    mats = [IntMatrix(a.data[R:], ncols=N) * proj for a in I.action]
+    proj = IntMatrix(np.vstack([-np.tile(np.eye(R, dtype=np.int64), len(L.group.elements()) - 1),
+                                np.eye(N - R, dtype=np.int64)]))
+    mats = [IntMatrix(a.array[R:] @ proj) for a in I.action]
     shifted = GLattice(L.group, N - R, mats,
                        label=f"shift({L.label})" if L.label else None)
     if not (emb.matrix * proj).is_zero():
@@ -362,10 +357,8 @@ def dimension_shift(L: GLattice) -> ShiftData:
 
 def _relation_lattice(Z1: IntMatrix, B1: IntMatrix) -> IntMatrix:
     """{x : x * Z1 lies in the row lattice of B1}, as rows."""
-    z = Z1.nrows
     K = kernel_basis(vstack(Z1, B1))
-    rows = [list(row[:z]) for row in K.data]
-    return hnf_basis(IntMatrix(rows, ncols=z))
+    return hnf_basis(IntMatrix(K.array[:, :Z1.nrows], ncols=Z1.nrows))
 
 
 def sha2_omega(G: PermGroup, H, cap=SHA_ORDER_CAP) -> AbelianInvariants:
@@ -393,51 +386,39 @@ def sha2_omega(G: PermGroup, H, cap=SHA_ORDER_CAP) -> AbelianInvariants:
     R_s = _relation_lattice(data.Z1, data.B1)
     img_words = G.elements_with_words(alphabet=P.images)
     R = J1.rank
+    # each generator's values of all the cocycles, one row per cocycle
+    values = [data.Z1.array[:, j * R:(j + 1) * R] for j in range(P.ngens)]
     phi_blocks = []
     rel_blocks = []
     for cls in cyclic_subgroup_classes(G):
         m = cls.order()
         gen = next(e for e in cls.elements() if e.order() == m)
         rho = J1.matrix_of(gen)
-        N = _norm_matrix(rho, m)
-        Kc = kernel_basis(N)
+        Kc = kernel_basis(_norm_matrix(rho, m))
         if Kc.nrows == 0:
             continue
         # kernel_basis returns HNF-canonical rows, so coordinates come
         # straight from back-substitution against them
-        krows = [list(r) for r in Kc.data]
-        pivcols = _pivot_cols(krows)
-
-        def coords(vec):
-            coef = _solve_hnf(krows, pivcols, list(vec))
-            if coef is None:
-                raise InternalCheckError("restricted value escapes ker(N)")
-            return coef
-
-        diff = rho - IntMatrix.identity(R)
-        rel_blocks.append(IntMatrix([coords(row) for row in diff.data],
-                                    ncols=Kc.nrows))
-        word = img_words[gen]
-        rows = []
-        for row in data.Z1.data:
-            values = tuple(row[j * R:(j + 1) * R] for j in range(P.ngens))
-            rows.append(coords(data.value_at(values, word)))
-        phi_blocks.append(IntMatrix(rows, ncols=Kc.nrows))
+        rel = hnf_coordinates(Kc, rho - IntMatrix.identity(R))
+        phi = hnf_coordinates(Kc, IntMatrix(data.value_at(values, img_words[gen]),
+                                            ncols=R))
+        if rel is None or phi is None:
+            raise InternalCheckError("restricted value escapes ker(N)")
+        rel_blocks.append(rel)
+        phi_blocks.append(phi)
     if not phi_blocks:
         pre = IntMatrix.identity(z)
     else:
         phi = hstack(*phi_blocks)
-        total = phi.ncols
-        rel_rows = []
-        offset = 0
-        for blk in rel_blocks:
-            for row in blk.data:
-                rel_rows.append([0] * offset + list(row)
-                                + [0] * (total - offset - blk.ncols))
-            offset += blk.ncols
-        R_T = IntMatrix(rel_rows, ncols=total)
-        K = kernel_basis(vstack(phi, R_T))
-        pre = hnf_basis(IntMatrix([list(row[:z]) for row in K.data], ncols=z))
+        # the relations of the blocks, block-diagonally
+        R_T = np.zeros((sum(b.nrows for b in rel_blocks), phi.ncols),
+                       dtype=np.result_type(*[b.array for b in rel_blocks]))
+        r = c = 0
+        for b in rel_blocks:
+            R_T[r:r + b.nrows, c:c + b.ncols] = b.array
+            r, c = r + b.nrows, c + b.ncols
+        K = kernel_basis(vstack(phi, IntMatrix(R_T)))
+        pre = hnf_basis(IntMatrix(K.array[:, :z], ncols=z))
     try:
         inv = quotient_invariants(pre, R_s)
     except ValueError as exc:

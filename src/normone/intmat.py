@@ -1,14 +1,17 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
 and finite abelian quotients.
 
-Everything here is exact over arbitrary-precision integers.  Each
-elimination (Hermite, Smith) is written once, over a NumPy array.  It
-runs on int64 whenever the entries are small enough; every destructive
-step is then guarded by a worst-case bound, and on a would-be overflow
-the same routine reruns from the start on a dtype=object array of Python
-ints.  The arithmetic and the pivot rule (minimal nonzero absolute value,
-ties broken by position) do not depend on the dtype, so neither does the
-output.
+Everything here is exact over arbitrary-precision integers.  An IntMatrix
+holds one read-only 2-D NumPy array in a canonical dtype: int64 when
+every |entry| < _NP_CAP, else dtype=object (exact Python ints).  Products,
+sums, stacking and the eliminations all run on that array.  A product
+runs on int64 while its worst-case entry bound stays below _NP_CAP.  Each
+elimination (Hermite, Smith, back-substitution) is written once; on int64
+every destructive step is guarded by a worst-case bound, and on a
+would-be overflow the same routine reruns from the start on a
+dtype=object copy.  The arithmetic and the pivot rule (minimal nonzero
+absolute value, ties broken by position) do not depend on the dtype, so
+neither does the output.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -24,90 +27,133 @@ import numpy as np
 # below 2**62, and a product runs on int64 only if its bound stays below.
 _NP_CAP = 1 << 59
 
+_to_int = np.frompyfunc(int, 1, 1)
+
 
 class _Overflow(Exception):
     """Internal: an int64 step would overflow; rerun on Python ints."""
 
 
+def exact_array(x):
+    """x, an integer array or nested sequence, as an array in the
+    canonical dtype: int64 when every |entry| < _NP_CAP, else dtype=object
+    holding Python ints.  May return x itself."""
+    if isinstance(x, np.ndarray):
+        a = x
+    else:
+        # not np.asarray: it may infer uint64 or float64 past int64
+        try:
+            a = np.array(x, dtype=np.int64)
+        except OverflowError:
+            a = np.array(x, dtype=object)
+    if a.dtype != object and np.can_cast(a.dtype, np.int64):
+        a = a.astype(np.int64, copy=False)
+        if not a.size or (a.max() < _NP_CAP and a.min() > -_NP_CAP):
+            return a
+    a = a.astype(object, copy=False)
+    if _bound(a) < _NP_CAP:
+        return a.astype(np.int64)
+    return _to_int(a)
+
+
+def _bound(a):
+    """max |entry| of the array a, as a Python int (0 when empty)."""
+    return int(np.abs(a).max(initial=0))
+
+
 class IntMatrix:
     """Dense integer matrix with unbounded entries.
 
-    Immutable; algorithms copy the data into arrays internally.
-    An explicit column count disambiguates matrices with zero rows.
+    Immutable: `array` is a read-only 2-D NumPy array in the canonical
+    dtype (see the module docstring).  An explicit column count
+    disambiguates matrices with zero rows.  `data` is a tuple-of-tuples
+    copy of the entries as Python ints, built on each access.
     """
 
-    __slots__ = ("data", "nrows", "ncols")
+    __slots__ = ("array", "nrows", "ncols")
+    # ndarray @ IntMatrix defers to __rmatmul__
+    __array_ufunc__ = None
 
     def __init__(self, rows, ncols=None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
+        if isinstance(rows, np.ndarray):
+            rows = rows.copy()
+        else:
+            rows = list(rows)
+            if len({len(row) for row in rows}) > 1:
                 raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
+        a = exact_array(rows)
+        if a.ndim != 2:
+            if a.size:
+                raise ValueError("rows must form a 2-D array")
+            a = a.reshape(0, ncols or 0)
+        elif ncols is not None and ncols != a.shape[1]:
+            if a.shape[0]:
                 raise ValueError("ncols does not match row length")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", int(ncols))
+            a = a.reshape(0, ncols)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "nrows", a.shape[0])
+        object.__setattr__(self, "ncols", a.shape[1])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    @property
+    def data(self):
+        return tuple(map(tuple, self.array.tolist()))
+
     @staticmethod
     def identity(n):
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix(np.eye(n, dtype=np.int64))
 
     @staticmethod
     def zeros(m, n):
-        return IntMatrix([[0] * n for _ in range(m)], ncols=n)
+        return IntMatrix(np.zeros((m, n), dtype=np.int64))
 
     def tolist(self):
-        return [list(row) for row in self.data]
+        return self.array.tolist()
 
     def row(self, i):
-        return list(self.data[i])
+        return self.array[i].tolist()
 
     def transpose(self):
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        return IntMatrix(self.array.T)
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not self.array.any()
 
     def max_abs(self):
-        return max((abs(x) for row in self.data for x in row), default=0)
+        return _bound(self.array)
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        return IntMatrix(_matmul(self.data, other.data, other.ncols), ncols=other.ncols)
+        return IntMatrix(_matmul(self.array, other.array))
+
+    def __rmatmul__(self, v):
+        """v @ M for a row vector or a stack of rows v: an exact ndarray."""
+        return _matmul(exact_array(v), self.array)
 
     def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
+        if self.array.shape != other.array.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            ncols=self.ncols,
-        )
+        return IntMatrix(self.array + other.array)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.array.shape != other.array.shape:
+            raise ValueError("shape mismatch")
+        return IntMatrix(self.array - other.array)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.data], ncols=self.ncols)
+        return IntMatrix(-self.array)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
-            and self.ncols == other.ncols
-            and self.data == other.data
+            and self.array.shape == other.array.shape
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
@@ -169,40 +215,25 @@ class AbelianInvariants:
 TRIVIAL_GROUP = AbelianInvariants(0, ())
 
 
-def _max_abs(rows):
-    return max((abs(x) for row in rows for x in row), default=0)
+def _matmul(A, B):
+    """Exact A @ B of two canonical arrays: on int64 while the entry bound
+    inner * max|A| * max|B| stays below _NP_CAP, else on Python ints."""
+    if (A.dtype != object and B.dtype != object
+            and B.shape[0] * _bound(A) * _bound(B) < _NP_CAP):
+        return A @ B
+    return A.astype(object) @ B.astype(object)
 
 
-def _matmul(A, B, bcols):
-    """Exact product of two row-sequence matrices: on int64 while the entry
-    bound inner * max|A| * max|B| stays below _NP_CAP, else on Python ints."""
-    if not A or not B:
-        return [[0] * bcols for _ in A]
-    dtype = np.int64 if len(B) * _max_abs(A) * _max_abs(B) < _NP_CAP else object
-    return (np.array(A, dtype=dtype) @ np.array(B, dtype=dtype)).tolist()
-
-
-def row_times(row, mat: IntMatrix):
-    """row * mat for one row vector, skipping zero entries."""
-    out = [0] * mat.ncols
-    for i, x in enumerate(row):
-        if x:
-            for j, y in enumerate(mat.data[i]):
-                if y:
-                    out[j] += x * y
-    return out
-
-
-def _eliminate(elim, rows, width, *args):
-    """elim(W, *args) with W the rows as an int64 array; rerun on exact
-    Python ints (dtype=object) when an entry already reaches _NP_CAP or a
+def _eliminate(elim, W, *args):
+    """elim(W', *args) on a writable copy W' of the canonical array W: on
+    int64 when W is, rerun on exact Python ints (dtype=object) when a
     guard raises _Overflow."""
-    if _max_abs(rows) < _NP_CAP:
+    if W.dtype != object:
         try:
-            return elim(np.array(rows, dtype=np.int64).reshape(len(rows), width), *args)
+            return elim(W.copy(), *args)
         except _Overflow:
             pass
-    return elim(np.array(rows, dtype=object).reshape(len(rows), width), *args)
+    return elim(W.astype(object), *args)
 
 
 def _guard(q, line, rest):
@@ -218,15 +249,15 @@ def _smallest(v):
     return int(nz[np.argmin(np.abs(v[nz]))])
 
 
-def _hermite(W, ncols, track):
-    """Row Hermite elimination of the m x ncols array W, on [W | I_m] when
-    track.  Returns (H rows, U rows or None) as lists of Python ints.
+def _hermite(W, track):
+    """Row Hermite elimination of the m x n array W, on [W | I_m] when
+    track.  Returns (H, U or None) as arrays.
 
     Each column's pivot is its smallest nonzero |entry|.  Entries above the
     pivots are reduced in one bottom-up pass at the end; doing it eagerly
     lets intermediate entries snowball.
     """
-    m = W.shape[0]
+    m, ncols = W.shape
     if track:
         W = np.hstack([W, np.eye(m, dtype=W.dtype)])
     pivots = []
@@ -257,16 +288,19 @@ def _hermite(W, ncols, track):
             if q.any():
                 _guard(q, W[r], W[:r])
                 W[:r] -= q[:, None] * W[r]
-    return W[:, :ncols].tolist(), (W[:, ncols:].tolist() if track else None)
+    return W[:, :ncols], (W[:, ncols:] if track else None)
 
 
-def _hnf_rows(rows, ncols, track):
-    if not rows or not ncols:
+def _hnf(A, track):
+    """(H, U or None) for the canonical array A."""
+    if not A.size:
         # nothing to eliminate: H is the input, U the identity
-        m = len(rows)
-        U = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-        return [list(r) for r in rows], U
-    return _eliminate(_hermite, rows, ncols, ncols, track)
+        return A, (np.eye(A.shape[0], dtype=np.int64) if track else None)
+    return _eliminate(_hermite, A, track)
+
+
+def _nonzero_rows(H):
+    return H[(H != 0).any(axis=1)]
 
 
 def hnf(A: IntMatrix):
@@ -276,43 +310,46 @@ def hnf(A: IntMatrix):
     positive pivots and the entries above each pivot reduced into
     [0, pivot).  H is unique for this convention.
     """
-    H, U = _hnf_rows(A.data, A.ncols, track=True)
-    return IntMatrix(H, ncols=A.ncols), IntMatrix(U, ncols=A.nrows)
+    H, U = _hnf(A.array, track=True)
+    return IntMatrix(H), IntMatrix(U)
 
 
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
-    H, _ = _hnf_rows(A.data, A.ncols, track=False)
-    rows = [row for row in H if any(row)]
-    return IntMatrix(rows, ncols=A.ncols)
+    H, _ = _hnf(A.array, track=False)
+    return IntMatrix(_nonzero_rows(H))
 
 
-def _pivot_cols(hrows):
-    cols = []
-    for row in hrows:
-        for j, x in enumerate(row):
-            if x:
-                cols.append(j)
-                break
-    return cols
+def _back_substitute(W, r):
+    """W = [H; B] with H its first r rows, in Hermite form without zero
+    rows: the X with X*H = B, or None when some row of B has none."""
+    H, res = W[:r], W[r:]
+    X = np.zeros((res.shape[0], r), dtype=W.dtype)
+    for k, c in enumerate((H != 0).argmax(axis=1)):
+        v = res[:, c]
+        if (v % H[k, c]).any():
+            return None
+        q = v // H[k, c]
+        _guard(q, H[k], res)
+        res -= q[:, None] * H[k]
+        X[:, k] = q
+    return None if res.any() else X
 
 
-def _solve_hnf(hrows, pivcols, b):
-    """Solve coef * hrows = b for integer coef, or None.  hrows in HNF."""
-    res = list(b)
-    coef = [0] * len(hrows)
-    for k, (row, c) in enumerate(zip(hrows, pivcols)):
-        v = res[c]
-        if v:
-            if v % row[c]:
-                return None
-            q = v // row[c]
-            coef[k] = q
-            for j in range(c, len(res)):
-                res[j] -= q * row[j]
-    if any(res):
-        return None
-    return coef
+def _coordinates(H, B):
+    """Back-substitution of the rows of the array B against the Hermite
+    basis H (arrays): X with X*H = B, or None."""
+    if not B.shape[0]:
+        return np.zeros((0, H.shape[0]), dtype=np.int64)
+    return _eliminate(_back_substitute, np.vstack([H, B]), H.shape[0])
+
+
+def hnf_coordinates(H: IntMatrix, B: IntMatrix):
+    """X with X*H = B, for H in Hermite form without zero rows (as
+    hnf_basis and kernel_basis return it); None when some row of B is not
+    in H's row lattice.  Back-substitution only, no elimination of H."""
+    X = _coordinates(H.array, B.array)
+    return None if X is None else IntMatrix(X)
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -321,12 +358,9 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     The basis is saturated: every integer solution is an integer
     combination of the rows.  Rows are HNF-canonicalized.
     """
-    H, U = _hnf_rows(A.data, A.ncols, track=True)
-    ker = [U[i] for i in range(len(H)) if not any(H[i])]
-    if not ker:
-        return IntMatrix([], ncols=A.nrows)
-    K, _ = _hnf_rows(ker, A.nrows, track=False)
-    return IntMatrix([row for row in K if any(row)], ncols=A.nrows)
+    H, U = _hnf(A.array, track=True)
+    K, _ = _hnf(U[~(H != 0).any(axis=1)], track=False)
+    return IntMatrix(_nonzero_rows(K))
 
 
 def solve_left(A: IntMatrix, B):
@@ -334,39 +368,33 @@ def solve_left(A: IntMatrix, B):
 
     B is an IntMatrix of right-hand sides, one per row, and the result is
     an IntMatrix; a single vector b is the one-row case and gives a list.
-    One Hermite form of A serves every row: each row is back-substituted
-    against it, and the coefficients are mapped through its transform in
-    one product.  When A has full row rank the solution is unique.
+    One Hermite form of A serves every row: all rows are back-substituted
+    against it at once, and the coefficients are mapped through its
+    transform in one product.  When A has full row rank the solution is
+    unique.
     """
     single = not isinstance(B, IntMatrix)
     if single:
         B = IntMatrix([B])
     if B.ncols != A.ncols:
         raise ValueError("right-hand side length does not match column count")
-    H, U = _hnf_rows(A.data, A.ncols, track=True)
-    nz = [i for i, row in enumerate(H) if any(row)]
-    hrows = [H[i] for i in nz]
-    pivcols = _pivot_cols(hrows)
-    coefs = []
-    for b in B.data:
-        coef = _solve_hnf(hrows, pivcols, b)
-        if coef is None:
-            return None
-        coefs.append(coef)
-    X = _matmul(coefs, [U[i] for i in nz], A.nrows)
-    return X[0] if single else IntMatrix(X, ncols=A.nrows)
+    H, U = _hnf(A.array, track=True)
+    nz = (H != 0).any(axis=1)
+    X = _coordinates(H[nz], B.array)
+    if X is None:
+        return None
+    X = _matmul(X, U[nz])
+    return X[0].tolist() if single else IntMatrix(X)
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular square matrix."""
     if A.nrows != A.ncols:
         raise ValueError("not square")
-    H, U = _hnf_rows(A.data, A.ncols, track=True)
-    n = A.nrows
-    for i in range(n):
-        if any(H[i][j] != (1 if i == j else 0) for j in range(n)):
-            raise ValueError("matrix is not unimodular")
-    return IntMatrix(U, ncols=n)
+    H, U = _hnf(A.array, track=True)
+    if not np.array_equal(H, np.eye(A.nrows, dtype=np.int64)):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(U)
 
 
 def _smith(W, m, n):
@@ -426,10 +454,10 @@ def _smith(W, m, n):
 
 def snf_invariants(A: IntMatrix):
     """Invariant factors d1 | d2 | ... of A's row lattice (no transforms)."""
-    if not A.nrows or not A.ncols:
+    if not A.array.size:
         return []
-    W, rank = _eliminate(_smith, A.data, A.ncols, A.nrows, A.ncols)
-    return [int(W[i, i]) for i in range(rank)]
+    W, rank = _eliminate(_smith, A.array, A.nrows, A.ncols)
+    return W.diagonal()[:rank].tolist()
 
 
 def snf(A: IntMatrix) -> SmithDecomposition:
@@ -440,12 +468,11 @@ def snf(A: IntMatrix) -> SmithDecomposition:
     operations build V in the same pass.
     """
     m, n = A.nrows, A.ncols
-    border = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(A.data)]
-    border += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
-    W, rank = _eliminate(_smith, border, n + m, m, n)
-    return SmithDecomposition(
-        IntMatrix(W[:m, n:].tolist(), ncols=m), IntMatrix(W[:m, :n].tolist(), ncols=n),
-        IntMatrix(W[m:, :n].tolist(), ncols=n), rank=rank)
+    border = np.block([[A.array, np.eye(m, dtype=np.int64)],
+                       [np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)]])
+    W, rank = _eliminate(_smith, border, m, n)
+    return SmithDecomposition(IntMatrix(W[:m, n:]), IntMatrix(W[:m, :n]),
+                              IntMatrix(W[m:, :n]), rank=rank)
 
 
 def quotient_invariants(Z: IntMatrix, B: IntMatrix) -> AbelianInvariants:
@@ -456,18 +483,12 @@ def quotient_invariants(Z: IntMatrix, B: IntMatrix) -> AbelianInvariants:
     if Z.ncols != B.ncols:
         raise ValueError("ambient dimensions differ")
     Hz = hnf_basis(Z)
-    hrows = Hz.tolist()
-    pivcols = _pivot_cols(hrows)
-    r = len(hrows)
-    coefs = []
-    for brow in B.data:
-        coef = _solve_hnf(hrows, pivcols, list(brow))
-        if coef is None:
-            raise ValueError("quotient_invariants: B is not contained in Z's lattice")
-        coefs.append(coef)
-    d = snf_invariants(IntMatrix(coefs, ncols=r))
+    coefs = _coordinates(Hz.array, B.array)
+    if coefs is None:
+        raise ValueError("quotient_invariants: B is not contained in Z's lattice")
+    d = snf_invariants(IntMatrix(coefs))
     torsion = tuple(x for x in d if x > 1)
-    return AbelianInvariants(r - len(d), torsion)
+    return AbelianInvariants(Hz.nrows - len(d), torsion)
 
 
 def det(A: IntMatrix):
@@ -496,30 +517,17 @@ def det(A: IntMatrix):
 
 
 def vstack(*mats):
-    ncols = mats[0].ncols
-    rows = []
-    for m in mats:
-        if m.ncols != ncols:
-            raise ValueError("column counts differ")
-        rows.extend(m.tolist())
-    return IntMatrix(rows, ncols=ncols)
+    if any(m.ncols != mats[0].ncols for m in mats):
+        raise ValueError("column counts differ")
+    return IntMatrix(np.vstack([m.array for m in mats]))
 
 
 def hstack(*mats):
-    nrows = mats[0].nrows
-    rows = [[] for _ in range(nrows)]
-    for m in mats:
-        if m.nrows != nrows:
-            raise ValueError("row counts differ")
-        for i, row in enumerate(m.data):
-            rows[i].extend(row)
-    return IntMatrix(rows, ncols=sum(m.ncols for m in mats))
+    if any(m.nrows != mats[0].nrows for m in mats):
+        raise ValueError("row counts differ")
+    return IntMatrix(np.hstack([m.array for m in mats]))
 
 
-def lattice_contains(Z: IntMatrix, rows) -> bool:
-    """Do all given row vectors lie in Z's row lattice?"""
-    Hz = hnf_basis(Z)
-    hrows = Hz.tolist()
-    pivcols = _pivot_cols(hrows)
-    return all(_solve_hnf(hrows, pivcols, list(r)) is not None for r in rows)
-
+def lattice_contains(Z: IntMatrix, B: IntMatrix) -> bool:
+    """Do all rows of B lie in Z's row lattice?"""
+    return _coordinates(hnf_basis(Z).array, B.array) is not None

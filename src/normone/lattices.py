@@ -13,6 +13,8 @@ mode in this kind of code, so they fail fast instead.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InternalCheckError
 from .intmat import IntMatrix, hstack, inverse_unimodular, kernel_basis
 from .perms import (
@@ -58,23 +60,29 @@ class GLattice:
             self._inv_action[j] = got
         return got
 
-    def word_matrix(self, word):
-        """rho evaluated on a word over the group's generators."""
-        m = IntMatrix.identity(self.rank)
-        for letter in word:
-            m = m * (self.action[letter - 1] if letter > 0
-                     else self.inverse_action(-letter - 1))
-        return m
-
     def matrix_of(self, p):
-        """rho(p) for any group element, via a stored generator word."""
-        got = self._matrix_cache.get(p)
+        """rho(p) for any group element, memoized.
+
+        Along p's stored word over the generators, each prefix q*g_k gets
+        rho(q) * rho(g_k) from its memoized prefix q, so every element
+        costs one product.
+        """
+        cache = self._matrix_cache
+        got = cache.get(p)
         if got is None:
             words = self.group.elements_with_words()
             if p not in words:
                 raise ValueError("element is not in the acting group")
-            got = self.word_matrix(words[p])
-            self._matrix_cache[p] = got
+            q = self.group.identity()
+            got = cache.get(q)
+            if got is None:
+                got = cache[q] = IntMatrix.identity(self.rank)
+            for k in words[p]:
+                q = q * self.group.generators[k - 1]
+                nxt = cache.get(q)
+                if nxt is None:
+                    nxt = cache[q] = got * self.action[k - 1]
+                got = nxt
         return got
 
     def __repr__(self):
@@ -83,10 +91,10 @@ class GLattice:
 
 
 def _is_permutation(m: IntMatrix):
-    """One entry 1 in each row, all others 0, in pairwise distinct columns."""
-    n = m.ncols
-    return (all(row.count(1) == 1 and row.count(0) == n - 1 for row in m.data)
-            and len({row.index(1) for row in m.data}) == n)
+    """Square 0/1 matrix whose rows and columns each hold one 1."""
+    a = m.array
+    return (m.nrows == m.ncols and ((a == 0) | (a == 1)).all()
+            and (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all())
 
 
 class LatticeMap:
@@ -120,18 +128,20 @@ def trivial_lattice(G: PermGroup) -> GLattice:
                     perm_summands=((G.as_subgroup(), 1),), label="Z")
 
 
+def _coset_permutations(G: PermGroup, H: SubgroupHandle):
+    """The index d of H and, for each generator g, the d x d permutation
+    array of g on the sorted canonical right cosets T of H: row i is the
+    unit row of the coset of T[i]*g."""
+    T = right_transversal(G, H)
+    hset = H.element_set()
+    eye = np.eye(len(T), dtype=np.int64)
+    return len(T), [eye[[_coset_index(hset, T, t * g) for t in T]] for g in G.generators]
+
+
 def perm_lattice(G: PermGroup, H: SubgroupHandle):
     """Z[G/H]: basis the sorted canonical right cosets, permuted by G."""
-    T = right_transversal(G, H)
-    d = len(T)
-    hset = H.element_set()
-    mats = []
-    for g in G.generators:
-        rows = [[0] * d for _ in range(d)]
-        for i in range(d):
-            rows[i][_coset_index(hset, T, T[i] * g)] = 1
-        mats.append(IntMatrix(rows))
-    return GLattice(G, d, mats, perm_summands=((H, 1),),
+    d, perms = _coset_permutations(G, H)
+    return GLattice(G, d, [IntMatrix(p) for p in perms], perm_summands=((H, 1),),
                     label=f"Z[{G.label}/{H.describe()}]")
 
 
@@ -140,25 +150,14 @@ def chevalley_module(G: PermGroup, H: SubgroupHandle) -> GLattice:
 
     Basis: the first d-1 canonical cosets; the last coset is dropped.
     A generator g sends basis row i to the row of coset sigma(i) when
-    that is not the dropped one, and to the all-minus-one row otherwise.
+    that is not the dropped one, and to the all-minus-one row otherwise:
+    the leading (d-1) x (d-1) block of the permutation matrix minus its
+    last column.
     """
-    T = right_transversal(G, H)
-    d = len(T)
+    d, perms = _coset_permutations(G, H)
     if d < 2:
         raise ValueError("index must be at least 2")
-    hset = H.element_set()
-    mats = []
-    for g in G.generators:
-        rows = []
-        for i in range(d - 1):
-            s = _coset_index(hset, T, T[i] * g)
-            if s == d - 1:
-                rows.append([-1] * (d - 1))
-            else:
-                row = [0] * (d - 1)
-                row[s] = 1
-                rows.append(row)
-        mats.append(IntMatrix(rows))
+    mats = [IntMatrix(p[:-1, :-1] - p[:-1, -1:]) for p in perms]
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
 
 
@@ -172,24 +171,11 @@ def augmentation_ideal(G: PermGroup, H: SubgroupHandle):
     d = P.rank
     if d < 2:
         raise ValueError("index must be at least 2")
-    T = right_transversal(G, H)
-    hset = H.element_set()
-    mats = []
-    for g in G.generators:
-        sigma = [_coset_index(hset, T, T[i] * g) for i in range(d)]
-        drop = sigma[d - 1]
-        rows = []
-        for i in range(d - 1):
-            row = [0] * (d - 1)
-            if sigma[i] < d - 1:
-                row[sigma[i]] += 1
-            if drop < d - 1:
-                row[drop] -= 1
-            rows.append(row)
-        mats.append(IntMatrix(rows))
+    # coset_i - coset_last goes to coset_sigma(i) - coset_sigma(last)
+    mats = [IntMatrix((p.array[:-1] - p.array[-1])[:, :-1]) for p in P.action]
     I = GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")
-    inclusion = [[1 if j == i else (-1 if j == d - 1 else 0) for j in range(d)]
-                 for i in range(d - 1)]
+    inclusion = np.hstack([np.eye(d - 1, dtype=np.int64),
+                           -np.ones((d - 1, 1), dtype=np.int64)])
     return I, LatticeMap(I, P, IntMatrix(inclusion))
 
 
@@ -208,11 +194,9 @@ def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:
     if L1.group is not L2.group:
         raise ValueError("direct sum needs a common group")
     r1, r2 = L1.rank, L2.rank
-    mats = []
-    for a, b in zip(L1.action, L2.action):
-        rows = [list(row) + [0] * r2 for row in a.data]
-        rows += [[0] * r1 + list(row) for row in b.data]
-        mats.append(IntMatrix(rows))
+    mats = [IntMatrix(np.block([[a.array, np.zeros((r1, r2), dtype=np.int64)],
+                                [np.zeros((r2, r1), dtype=np.int64), b.array]]))
+            for a, b in zip(L1.action, L2.action)]
     summands = None
     if L1.perm_summands is not None and L2.perm_summands is not None:
         summands = L1.perm_summands + L2.perm_summands
@@ -227,27 +211,12 @@ def induced(L: GLattice):
     n = len(elems)
     pos = {p: i for i, p in enumerate(elems)}
     R = L.rank
-    N = n * R
-    mats = []
-    for k, g in enumerate(G.generators):
-        rho = L.action[k]
-        rows = [[0] * N for _ in range(N)]
-        for x_i, x in enumerate(elems):
-            t = pos[x * g]
-            for j in range(R):
-                src = x_i * R + j
-                row = rho.data[j]
-                base = t * R
-                out = rows[src]
-                for kk in range(R):
-                    out[base + kk] = row[kk]
-        mats.append(IntMatrix(rows))
-    I = GLattice(G, N, mats, label=f"Ind({L.label})" if L.label else None)
-    emb = [[0] * N for _ in range(R)]
-    for j in range(R):
-        for x_i in range(n):
-            emb[j][x_i * R + j] = 1
-    return I, LatticeMap(L, I, IntMatrix(emb))
+    eye = np.eye(n, dtype=np.int64)
+    # block (x, x*g) of the action of g is rho(g)
+    mats = [IntMatrix(np.kron(eye[[pos[x * g] for x in elems]], rho.array))
+            for g, rho in zip(G.generators, L.action)]
+    I = GLattice(G, n * R, mats, label=f"Ind({L.label})" if L.label else None)
+    return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n)))
 
 
 def fixed_sublattice(L: GLattice, S: SubgroupHandle) -> IntMatrix:

@@ -19,11 +19,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cohomology import h1, presentation_catalog, tate_minus1
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
-    IntMatrix, kernel_basis, lattice_contains, row_times, snf_invariants,
-    solve_left,
+    IntMatrix, kernel_basis, lattice_contains, snf_invariants, solve_left,
 )
 from .lattices import (
     GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
@@ -73,18 +74,17 @@ class _Summand:
             for h in helems:
                 lookup[(h * rep).images] = i
         self.coset_of = lookup
-        self.ev = []
-        for rep in self.transversal:
-            rho = L.matrix_of(rep)
-            self.ev.append([row_times(v, rho) for v in vectors.data])
+        # row i: the stored vectors times rho(transversal[i]), side by side
+        self.ev = IntMatrix([(vectors.array @ L.matrix_of(rep)).ravel()
+                             for rep in self.transversal])
 
     def orbit_sums(self, cls):
-        """Images in L of the cls-fixed vectors of this summand: one
-        vector per (orbit of cls on the cosets) x (stored vector)."""
+        """Images in L of the cls-fixed vectors of this summand, as an
+        array: one row per (orbit of cls on the cosets) x (stored vector)."""
         d = len(self.transversal)
         seen = [False] * d
         gens = cls.generators
-        sums = []
+        orbits = []
         for start in range(d):
             if seen[start]:
                 continue
@@ -96,13 +96,11 @@ class _Summand:
                     if not seen[j]:
                         seen[j] = True
                         orbit.append(j)
-            for k in range(self.vectors.nrows):
-                total = [0] * self.vectors.ncols
-                for i in orbit:
-                    for col, x in enumerate(self.ev[i][k]):
-                        total[col] += x
-                sums.append(total)
-        return sums
+            orbits.append(orbit)
+        O = np.zeros((len(orbits), d), dtype=np.int64)
+        for o, orbit in enumerate(orbits):
+            O[o, orbit] = 1
+        return (O @ self.ev).reshape(-1, self.vectors.ncols)
 
 
 def _identity_resolution(L):
@@ -120,15 +118,15 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     classes = subgroup_classes(G, cap=class_cap)
     fixed = [fixed_sublattice(L, cls) for cls in classes]
     summands = []
+
+    def covered(cls, F):
+        """Do the summands' cls-fixed vectors span L^cls (the rows of F)?"""
+        return bool(summands) and lattice_contains(
+            IntMatrix(np.vstack([s.orbit_sums(cls) for s in summands])), F)
+
     for cls, F in zip(classes, fixed):
-        if F.nrows == 0:
+        if F.nrows == 0 or covered(cls, F):
             continue
-        if summands:
-            vecs = []
-            for s in summands:
-                vecs.extend(s.orbit_sums(cls))
-            if vecs and lattice_contains(IntMatrix(vecs, ncols=L.rank), F.data):
-                continue
         summands.append(_Summand(L, cls, F))
         if max_rank is not None:
             so_far = sum(len(s.transversal) * s.vectors.nrows for s in summands)
@@ -138,35 +136,27 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     # recheck every class against the final middle term; this is the
     # condition that makes the kernel coflasque, so a failure is a bug
     for cls, F in zip(classes, fixed):
-        if F.nrows == 0:
-            continue
-        vecs = []
-        for s in summands:
-            vecs.extend(s.orbit_sums(cls))
-        if not vecs or not lattice_contains(IntMatrix(vecs, ncols=L.rank), F.data):
+        if F.nrows and not covered(cls, F):
             raise InternalCheckError(
                 f"cover misses the fixed lattice of {cls.describe()}")
     rank_q = sum(len(s.transversal) * s.vectors.nrows for s in summands)
+    eye = np.eye(rank_q, dtype=np.int64)
     mats = []
-    for gi, g in enumerate(G.generators):
-        rows = [[0] * rank_q for _ in range(rank_q)]
+    for g in G.generators:
+        # basis vector (coset i, stored vector k) goes to (coset of T[i]*g, k)
+        perm = []
         offset = 0
         for s in summands:
-            d = len(s.transversal)
             f = s.vectors.nrows
-            for i in range(d):
-                j = s.coset_of[(s.transversal[i] * g).images]
-                for k in range(f):
-                    rows[offset + i * f + k][offset + j * f + k] = 1
-            offset += d * f
-        mats.append(IntMatrix(rows))
+            for rep in s.transversal:
+                j = offset + s.coset_of[(rep * g).images] * f
+                perm.extend(range(j, j + f))
+            offset += len(s.transversal) * f
+        mats.append(IntMatrix(eye[perm]))
     Q = GLattice(G, rank_q, mats,
                  perm_summands=tuple((s.handle, s.vectors.nrows) for s in summands))
-    ev_rows = []
-    for s in summands:
-        for i in range(len(s.transversal)):
-            ev_rows.extend(s.ev[i])
-    EV = IntMatrix(ev_rows, ncols=L.rank)
+    EV = IntMatrix([row for s in summands for row in s.ev.array.reshape(-1, L.rank)],
+                   ncols=L.rank)
     project = LatticeMap(Q, L, EV)
     K = kernel_basis(EV)
     nmats = _restricted_action(K, Q)
@@ -184,11 +174,11 @@ def _restricted_action(K: IntMatrix, Q: GLattice):
     solution is unique.  The result is split into one matrix per generator.
     """
     r = K.nrows
-    images = IntMatrix([row for a in Q.action for row in (K * a).data], ncols=K.ncols)
-    X = solve_left(K, images)
+    X = solve_left(K, IntMatrix([row for a in Q.action for row in (K * a).array],
+                                ncols=K.ncols))
     if X is None:
         raise InternalCheckError("kernel is not stable under the action")
-    return [IntMatrix(X.data[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
+    return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
 
 
 def flasque_resolution(L: GLattice, check=True, class_cap=SUBGROUP_CLASS_CAP,

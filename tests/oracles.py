@@ -136,7 +136,7 @@ def sha2_omega_bar(G, H):
     of dimension shifting and of presentations.  Tiny groups only."""
     from normone.lattices import chevalley_module
     from normone.perms import cyclic_subgroup_classes
-    from normone.intmat import _pivot_cols, _solve_hnf, hnf_basis, hstack
+    from normone.intmat import hnf_basis, hnf_coordinates, hstack
 
     J = chevalley_module(G, H)
     R = J.rank
@@ -169,8 +169,6 @@ def sha2_omega_bar(G, H):
         Zc, Bc = _bar2_lattices(sub, srho, R)
         if Zc.nrows == 0:
             continue
-        crows = [list(r) for r in Zc.data]
-        piv = _pivot_cols(crows)
         rel_blocks.append(relation_lattice(Zc, Bc))
         rows = []
         for zrow in Z2.data:
@@ -179,10 +177,11 @@ def sha2_omega_bar(G, H):
                 for h in sub:
                     blk = pair_index[(g, h)] * R
                     restricted.extend(zrow[blk:blk + R])
-            coef = _solve_hnf(crows, piv, restricted)
-            assert coef is not None, "restriction left the cocycle lattice"
-            rows.append(coef)
-        phi_blocks.append(IntMatrix(rows, ncols=Zc.nrows))
+            rows.append(restricted)
+        # Zc is an HNF basis, so coordinates come from back-substitution
+        coef = hnf_coordinates(Zc, IntMatrix(rows, ncols=Zc.ncols))
+        assert coef is not None, "restriction left the cocycle lattice"
+        phi_blocks.append(coef)
     if not phi_blocks:
         pre = IntMatrix.identity(z)
     else:

@@ -247,3 +247,26 @@ class TestOtherCommands:
         assert main(["verify-paper", "--max-n", "4"]) == 0
         out = capsys.readouterr()
         assert "PASS A4" in out.err
+
+
+CAP_VALUES = {"--max-order": "2520", "--max-rank": "4096", "--max-cosets": "100000"}
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["compute", "A4", "--point-stabilizer", "4"], {"--max-order", "--max-rank"}),
+    (["verify-paper"], {"--max-order", "--max-rank"}),
+    (["classes", "A4"], {"--max-order"}),
+    (["sha-oracle", "C2xC2", "--subgroup", "()"], {"--max-order"}),
+    (["verify-schur", "4"], {"--max-cosets"}),
+], ids=["compute", "verify-paper", "classes", "sha-oracle", "verify-schur"])
+def test_commands_take_only_the_caps_they_read(argv, reads, capsys):
+    parser = cli.build_parser()
+    for flag, value in CAP_VALUES.items():
+        if flag in reads:
+            args = parser.parse_args(argv + [flag, value])
+            assert getattr(args, flag[2:].replace("-", "_")) == int(value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

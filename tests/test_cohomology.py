@@ -10,7 +10,8 @@ from normone.cohomology import (
 from normone.errors import CapExceeded, NormOneError
 from normone.intmat import AbelianInvariants, IntMatrix
 from normone.lattices import (
-    GLattice, chevalley_module, direct_sum, perm_lattice, trivial_lattice,
+    GLattice, chevalley_module, direct_sum, dual, perm_lattice,
+    trivial_lattice,
 )
 from normone.perms import (
     PermGroup, Permutation, alternating, cyclic, cyclic_subgroup_classes,
@@ -272,3 +273,15 @@ def test_cocycles_vanish_on_relators():
         for c in data.cocycles():
             for w in pres.relators:
                 assert data.value_at(c.values, w) == [0] * J.rank
+
+
+def test_h1_inverse_matrices_invert_the_generators():
+    # invs[j] is rho of the inverse image, a product of generator matrices
+    G = alternating(4)
+    pres = presentation_catalog(G)
+    J = chevalley_module(G, G.point_stabilizer(4))
+    for L in (J, dual(J), dimension_shift(J).shifted):
+        data = h1_data(L, pres)
+        assert len(data.invs) == len(data.mats) == pres.ngens
+        for m, inv in zip(data.mats, data.invs):
+            assert inv * m == IntMatrix.identity(L.rank)

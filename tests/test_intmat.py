@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 import normone.intmat as intmat
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, _Overflow, det, hnf, hnf_basis,
-    kernel_basis, quotient_invariants, snf, snf_invariants, solve_left,
-    inverse_unimodular, vstack,
+    AbelianInvariants, IntMatrix, _NP_CAP, _Overflow, det, hnf, hnf_basis,
+    hstack, kernel_basis, quotient_invariants, snf, snf_invariants,
+    solve_left, inverse_unimodular, vstack,
 )
 from oracles import minors_gcd, random_unimodular
 
@@ -26,9 +26,12 @@ def matrices(size, entries):
 
 small_matrices = matrices(6, st.integers(-100, 100))
 # past int64 and _NP_CAP, so every elimination reruns on Python ints; the
-# mix keeps small entries (and zeros) next to huge ones
+# mix keeps small entries (and zeros) next to huge ones, and entries at the
+# storage boundaries, whose sums and products cross _NP_CAP and 2**63
 HUGE = 1 << 70
-huge_entries = st.one_of(st.integers(-HUGE, HUGE), st.integers(-3, 3))
+BOUNDARY = (_NP_CAP - 1, _NP_CAP, (1 << 62) - 1, 1 << 62, (1 << 63) - 1, 1 << 63)
+huge_entries = st.one_of(st.integers(-HUGE, HUGE), st.integers(-3, 3),
+                         st.sampled_from(BOUNDARY + tuple(-x for x in BOUNDARY)))
 
 
 def both_dtypes(elim, rows, width, *args):
@@ -94,9 +97,9 @@ class TestHNF:
         # arrays must give the same result; a guard's _Overflow is the
         # legitimate signal to rerun on object, tested through the public calls
         n = len(rows[0])
-        fast, exact = both_dtypes(intmat._hermite, rows, n, n, True)
+        fast, exact = both_dtypes(intmat._hermite, rows, n, True)
         if fast is not None:
-            assert fast == exact
+            assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
         fast, exact = both_dtypes(intmat._smith, rows, n, len(rows), n)
         if fast is not None:
             assert fast[1] == exact[1]
@@ -320,3 +323,39 @@ def test_vstack_empty_rows():
     A = mat([], ncols=3)
     B = mat([[1, 2, 3]])
     assert vstack(A, B) == B
+
+
+def py_matrix(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def assert_stored(M, rows):
+    """M holds exactly rows, in the canonical dtype, read-only."""
+    assert M.data == py_matrix(rows)
+    assert all(type(x) is int for row in M.data for x in row)
+    small = all(abs(x) < _NP_CAP for row in rows for x in row)
+    assert (M.array.dtype == np.int64) == small
+    assert M.array.dtype in (np.int64, object)
+    if M.array.size:
+        with pytest.raises(ValueError):
+            M.array[0, 0] = 1
+
+
+@given(matrices(5, huge_entries), st.data())
+def test_storage_matches_python_ints(a, data):
+    m, n = len(a), len(a[0])
+    b = data.draw(st.lists(st.lists(huge_entries, min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    c = data.draw(st.lists(st.lists(huge_entries, min_size=2, max_size=2),
+                           min_size=n, max_size=n))
+    A, B, C = mat(a), mat(b), mat(c)
+    for M, rows in ((A, a), (B, b), (C, c)):
+        assert_stored(M, rows)
+    assert_stored(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    assert_stored(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    assert_stored(-A, [[-x for x in r] for r in a])
+    assert_stored(A.transpose(), [list(col) for col in zip(*a)])
+    assert_stored(vstack(A, B), a + b)
+    assert_stored(hstack(A, B), [r + s for r, s in zip(a, b)])
+    assert_stored(A * C, [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)]
+                          for r in a])

@@ -286,3 +286,17 @@ def test_catalog_relators_act_trivially_on_lattices():
             for letter in w:
                 acc = acc * (mats[letter - 1] if letter > 0 else invs[-letter - 1])
             assert acc == IntMatrix.identity(L.rank)
+
+
+@pytest.mark.parametrize("G", [alternating(4), symmetric(4)], ids=["A4", "S4"])
+def test_matrix_of_is_the_product_along_the_word(G):
+    # longest words first, so most elements are reached through prefixes
+    # that are not memoized yet
+    words = sorted(G.elements_with_words().items(), key=lambda kv: -len(kv[1]))
+    J = chevalley_module(G, G.point_stabilizer(G.degree))
+    for L in (J, dual(J)):
+        for p, word in words:
+            expected = IntMatrix.identity(L.rank)
+            for k in word:
+                expected = expected * L.action[k - 1]
+            assert L.matrix_of(p) == expected
