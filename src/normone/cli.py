@@ -26,7 +26,10 @@ from .perms import (
     are_conjugate_subgroups, cyclic, dihedral, product_of_cyclics,
     subgroup_classes, symmetric,
 )
-from .fpgroups import preimage_an, schur_cover_sn, todd_coxeter, verify_commutator_claim
+from .fpgroups import (
+    DEFAULT_MAX_COSETS, preimage_an, schur_cover_sn, todd_coxeter,
+    verify_commutator_claim,
+)
 from .resolutions import Verdict, _pipeline
 
 DEFAULT_MAX_RANK = 4096
@@ -156,7 +159,7 @@ def resolve_subgroup(G, args):
     if args.point_stabilizer is not None:
         return G.point_stabilizer(args.point_stabilizer)
     if args.klass is not None:
-        classes = subgroup_classes(G, cap=args.max_order or SUBGROUP_CLASS_CAP)
+        classes = subgroup_classes(G, cap=args.max_order)
         if not 1 <= args.klass <= len(classes):
             raise SpecParseError(f"--class must be in 1..{len(classes)}")
         return classes[args.klass - 1]
@@ -263,12 +266,16 @@ def _compute_record(spec_text, G, H, args):
             print(f"cache hit for {spec_text} / {_subgroup_text(H)}", file=sys.stderr)
             return cached
     t0 = time.monotonic()
-    result = _pipeline(G, H, max_rank=args.max_rank or DEFAULT_MAX_RANK,
-                       class_cap=args.max_order or SUBGROUP_CLASS_CAP)
+    result = _pipeline(G, H, max_rank=args.max_rank, class_cap=args.max_order)
     ms = int((time.monotonic() - t0) * 1000)
     record = _record(spec_text, H, result, ms, Verdict.of(result.invariants))
     if directory:
-        _cache_write(directory, key, record)
+        try:
+            _cache_write(directory, key, record)
+        except OSError as exc:
+            # like an unreadable entry, an unwritable cache only costs reuse
+            print(f"warning: cannot write cache entry in {directory} ({exc}); "
+                  "result not cached", file=sys.stderr)
     return record
 
 
@@ -338,7 +345,7 @@ def cmd_verify_paper(args):
 def cmd_classes(args):
     spec = parse_group_spec(args.spec)
     G = build_group(spec)
-    classes = subgroup_classes(G, cap=args.max_order or SUBGROUP_CLASS_CAP)
+    classes = subgroup_classes(G, cap=args.max_order)
     out = [{"index": i + 1, "order": c.order(), "generators": c.describe()}
            for i, c in enumerate(classes)]
     print(json.dumps({"group": str(spec), "classes": out}, sort_keys=True))
@@ -395,16 +402,24 @@ def _add_subgroup_flags(p):
                    help="1-based index into the subgroup class list")
 
 
+def _positive_int(text):
+    """The type of every cap: 0 or less is a usage error, not a default."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_cap_flags(p, *caps):
     """Register the named caps, the ones the command reads."""
     if "order" in caps:
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=_positive_int, default=SUBGROUP_CLASS_CAP,
                        help=f"subgroup-enumeration order cap (default {SUBGROUP_CLASS_CAP})")
     if "cosets" in caps:
-        p.add_argument("--max-cosets", type=int, default=100_000,
-                       help="Todd-Coxeter coset cap (default 100000)")
+        p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS,
+                       help=f"Todd-Coxeter coset cap (default {DEFAULT_MAX_COSETS})")
     if "rank" in caps:
-        p.add_argument("--max-rank", type=int, default=None,
+        p.add_argument("--max-rank", type=_positive_int, default=DEFAULT_MAX_RANK,
                        help=f"middle-term rank cap (default {DEFAULT_MAX_RANK})")
 
 

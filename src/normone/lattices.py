@@ -16,17 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError
-from .intmat import IntMatrix, hstack, inverse_unimodular, kernel_basis
-from .perms import (
-    PermGroup, SubgroupHandle, right_transversal, _coset_index,
-)
+from .intmat import IntMatrix, hstack, kernel_basis
+from .perms import PermGroup, SubgroupHandle, right_transversal
 
 
 class GLattice:
-    """Free Z-module of finite rank with a right action of a PermGroup."""
+    """Free Z-module of finite rank with a right action of a PermGroup.
+
+    `action` holds rho(g) for each group generator g; any other element,
+    inverses included, acts through `matrix_of`, a product of those.
+    `perm_summands` lists (subgroup, multiplicity) pairs when the lattice
+    is a sum of coset permutation lattices Z[G/H'].
+    """
 
     __slots__ = ("group", "rank", "action", "perm_summands", "label",
-                 "_inv_action", "_matrix_cache")
+                 "_matrix_cache")
 
     def __init__(self, group, rank, action, perm_summands=None, label=None):
         action = tuple(action)
@@ -41,24 +45,10 @@ class GLattice:
         object.__setattr__(self, "perm_summands",
                            tuple(perm_summands) if perm_summands is not None else None)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_inv_action", [None] * len(action))
         object.__setattr__(self, "_matrix_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GLattice is immutable; caches are internal")
-
-    def inverse_action(self, j):
-        """rho(g_j)^-1: the transpose when the lattice is a permutation
-        lattice and rho(g_j) a permutation matrix, else a Hermite inverse."""
-        got = self._inv_action[j]
-        if got is None:
-            m = self.action[j]
-            if self.perm_summands is not None and _is_permutation(m):
-                got = m.transpose()
-            else:
-                got = inverse_unimodular(m)
-            self._inv_action[j] = got
-        return got
 
     def matrix_of(self, p):
         """rho(p) for any group element, memoized.
@@ -88,13 +78,6 @@ class GLattice:
     def __repr__(self):
         name = self.label or "GLattice"
         return f"{name}(rank={self.rank} over {self.group.label})"
-
-
-def _is_permutation(m: IntMatrix):
-    """Square 0/1 matrix whose rows and columns each hold one 1."""
-    a = m.array
-    return (m.nrows == m.ncols and ((a == 0) | (a == 1)).all()
-            and (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all())
 
 
 class LatticeMap:
@@ -132,10 +115,9 @@ def _coset_permutations(G: PermGroup, H: SubgroupHandle):
     """The index d of H and, for each generator g, the d x d permutation
     array of g on the sorted canonical right cosets T of H: row i is the
     unit row of the coset of T[i]*g."""
-    T = right_transversal(G, H)
-    hset = H.element_set()
+    T, coset_of = right_transversal(G, H)
     eye = np.eye(len(T), dtype=np.int64)
-    return len(T), [eye[[_coset_index(hset, T, t * g) for t in T]] for g in G.generators]
+    return len(T), [eye[[coset_of[(t * g).images] for t in T]] for g in G.generators]
 
 
 def perm_lattice(G: PermGroup, H: SubgroupHandle):
@@ -180,8 +162,8 @@ def augmentation_ideal(G: PermGroup, H: SubgroupHandle):
 
 
 def dual(L: GLattice) -> GLattice:
-    """Hom(L, Z) with the contragredient action transpose(rho(g)^-1)."""
-    mats = [L.inverse_action(j).transpose() for j in range(len(L.action))]
+    """Hom(L, Z) with the contragredient action transpose(rho(g^-1))."""
+    mats = [L.matrix_of(g.inverse()).transpose() for g in L.group.generators]
     return GLattice(L.group, L.rank, mats, perm_summands=L.perm_summands,
                     label=f"dual({L.label})" if L.label else None)
 

@@ -334,38 +334,37 @@ def _check_subgroup(G, H):
 
 
 def right_transversal(G, H):
-    """Canonical right-coset representatives of H in G.
+    """Canonical right-coset representatives of H in G, and the coset map.
 
     The representative of a coset Hg is its lexicographically smallest
     member; the list is sorted by that key, so the identity coset comes
-    first and the lexicographically largest coset comes last.
+    first and the lexicographically largest coset comes last.  The map
+    sends the images of every element of G to the 0-based index of its
+    coset in that list.
     """
     _check_subgroup(G, H)
     helems = H.elements()
-    assigned = set()
+    coset_of = {}
     reps = []
     for g in G.elements():
-        if g.images in assigned:
+        if g.images in coset_of:
             continue
+        i = len(reps)
         reps.append(g)
         for h in helems:
-            assigned.add((h * g).images)
-    return reps
-
-
-def _coset_index(H_set, transversal, p):
-    """0-based index of the coset of p, or raise ValueError."""
-    for i, rep in enumerate(transversal):
-        if p * rep.inverse() in H_set:
-            return i
-    raise ValueError("element lies in no listed coset (not in the group?)")
+            coset_of[(h * g).images] = i
+    return reps, coset_of
 
 
 def coset_position(G, H, transversal, p):
     """1-based position of the coset H*p in the transversal."""
     if p not in G.element_set():
         raise ValueError("element is not in the group")
-    return _coset_index(H.element_set(), transversal, p) + 1
+    hset = H.element_set()
+    for i, rep in enumerate(transversal, start=1):
+        if p * rep.inverse() in hset:
+            return i
+    raise ValueError("element lies in no listed coset (not in the group?)")
 
 
 def core(G, H):
@@ -373,7 +372,7 @@ def core(G, H):
     _check_subgroup(G, H)
     hset = H.element_set()
     kernel = set(hset)
-    for rep in right_transversal(G, H):
+    for rep in right_transversal(G, H)[0]:
         if rep.is_identity():
             continue
         ri = rep.inverse()

@@ -67,13 +67,7 @@ class _Summand:
     def __init__(self, L, handle, vectors):
         self.handle = handle
         self.vectors = vectors  # rows spanning the used part of L^{H'}
-        self.transversal = right_transversal(L.group, handle)
-        lookup = {}
-        helems = handle.elements()
-        for i, rep in enumerate(self.transversal):
-            for h in helems:
-                lookup[(h * rep).images] = i
-        self.coset_of = lookup
+        self.transversal, self.coset_of = right_transversal(L.group, handle)
         # row i: the stored vectors times rho(transversal[i]), side by side
         self.ev = IntMatrix([(vectors.array @ L.matrix_of(rep)).ravel()
                              for rep in self.transversal])

@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import normone.cli as cli
 from normone.cli import (
     build_group, main, parse_cycles, parse_group_spec, _split_generators,
 )
 from normone.errors import SpecParseError
-from normone.perms import Permutation
+from normone.perms import Permutation, subgroup_classes
 
 P = Permutation.from_cycles
 
@@ -207,6 +211,22 @@ class TestCache:
         assert "cache hit" in out.err
 
 
+    def test_unwritable_cache_dir_warns(self, tmp_path, capsys):
+        # a regular file where the directory should be: the write fails,
+        # the record is still printed and the exit code is still 0
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for directory in (blocker, blocker / "sub"):
+            rc = main(["compute", "A4", "--point-stabilizer", "4",
+                       "--cache-dir", str(directory)])
+            out = capsys.readouterr()
+            assert rc == 0
+            record = json.loads(out.out)
+            assert record["h1"] == ["2"]
+            assert "cannot write cache entry" in out.err
+            assert "Traceback" not in out.err
+
+
 def test_cold_runs_are_deterministic():
     import subprocess
     import sys
@@ -260,13 +280,104 @@ CAP_VALUES = {"--max-order": "2520", "--max-rank": "4096", "--max-cosets": "1000
     (["verify-schur", "4"], {"--max-cosets"}),
 ], ids=["compute", "verify-paper", "classes", "sha-oracle", "verify-schur"])
 def test_commands_take_only_the_caps_they_read(argv, reads, capsys):
+    # each cap read has its documented default; a cap of 0 or less is a
+    # usage error, not the default
     parser = cli.build_parser()
+    defaults = parser.parse_args(argv)
     for flag, value in CAP_VALUES.items():
         if flag in reads:
+            name = flag[2:].replace("-", "_")
+            assert getattr(defaults, name) == int(value)
             args = parser.parse_args(argv + [flag, value])
-            assert getattr(args, flag[2:].replace("-", "_")) == int(value)
+            assert getattr(args, name) == int(value)
+            for bad in ("0", "-1"):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + [flag, bad])
+                assert exc.value.code == 2
+                assert "must be a positive integer" in capsys.readouterr().err
         else:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv + [flag, value])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# every catalog spec of order <= 12, and specs that do not parse
+SMALL_SPECS = (["A1", "A2", "A3", "A4", "S1", "S2", "S3", "C2xC2", "C2xC3",
+                "C2xC6", "C2xC2xC3", "C3xC4", "C1xC5"]
+               + [f"D{n}" for n in range(1, 7)] + [f"C{n}" for n in range(1, 13)])
+BAD_SPECS = ["", "A0", "C0", "B4", "a4", "C2xS3", "C2x", "xC2", "S3xC2", "D-1", "A 4"]
+
+cycle_strings = st.one_of(
+    st.lists(st.lists(st.integers(-1, 13), max_size=4), max_size=3).map(
+        lambda cycles: "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)),
+    st.text(alphabet="()0123456789, -x", max_size=12),
+)
+FAULTS = [None, None, None, "spec", "subgroup", "flags", "cap"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-formed call, or one with a single fault: a bad spec, a bad
+    subgroup, zero or two subgroup flags, or a cap of 0 or less.  Caps may
+    stop a well-formed call (exit 3); the cache dir may be unwritable."""
+    command = draw(st.sampled_from(["compute", "compute", "sha-oracle", "classes"]))
+    fault = draw(st.sampled_from(FAULTS))
+    spec = draw(st.sampled_from(BAD_SPECS if fault == "spec" else SMALL_SPECS))
+    argv = [command, spec]
+    if command != "classes":
+        if fault == "spec":
+            choices = [["--subgroup", draw(cycle_strings)]]
+        elif fault == "subgroup":
+            choices = [["--subgroup", draw(cycle_strings)],
+                       ["--point-stabilizer", str(draw(st.integers(-1, 13)))],
+                       ["--class", str(draw(st.integers(-1, 17)))]]
+        else:
+            G = build_group(parse_group_spec(spec))
+            gens = draw(st.lists(st.sampled_from(G.elements()), max_size=2))
+            choices = [["--subgroup", ",".join(g.cycle_string() for g in gens) or "()"],
+                       ["--point-stabilizer", str(draw(st.integers(1, G.degree)))],
+                       ["--class", str(draw(st.integers(1, len(subgroup_classes(G)))))]]
+        count = draw(st.sampled_from([0, 2])) if fault == "flags" else 1
+        for flags in draw(st.lists(st.sampled_from(choices), min_size=count,
+                                   max_size=count, unique_by=lambda f: f[0])):
+            argv += flags
+    caps = ["--max-order", "--max-rank"] if command == "compute" else ["--max-order"]
+    for flag in draw(st.lists(st.sampled_from(caps), max_size=2, unique=True)):
+        argv += [flag, str(draw(st.integers(1, 5000)))]
+    if fault == "cap":
+        bad = draw(st.integers(-2, 0).map(str) | st.sampled_from(["", "x"]))
+        argv += [draw(st.sampled_from(caps)), bad]
+    where = None
+    if command == "compute":
+        where = draw(st.sampled_from([None, "dir", "file", "file/sub"]))
+    return argv, where
+
+
+@settings(max_examples=60, derandomize=True)
+@given(case=cli_argv())
+def test_main_survives_fuzzed_input(case, tmp_path_factory):
+    # documented exit codes only, never a traceback, and stdout either
+    # empty or one JSON record.  A few draws (an order-12 group over its
+    # trivial subgroup) take seconds each, so the examples are fixed to
+    # keep the test's time steady.
+    argv, where = case
+    if where is not None:
+        base = tmp_path_factory.getbasetemp() / "fuzz-cache"
+        base.mkdir(exist_ok=True)
+        (base / "file").write_text("")
+        argv = argv + ["--cache-dir", str(base / where)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("NORMONE_CACHE", None)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    assert len(lines) <= 1
+    if lines:
+        assert isinstance(json.loads(lines[0]), dict)

@@ -43,30 +43,6 @@ class TestPermLattice:
                 assert L.matrix_of(g) * L.matrix_of(h) == L.matrix_of(g * h)
 
 
-class TestInverseAction:
-    def test_permutation_lattices_invert_by_transposing(self, monkeypatch):
-        # permutation lattices (perm_lattice, a cover's middle term) take
-        # the transpose; only the Chevalley module needs a Hermite inverse
-        import normone.lattices as lattices
-        from normone.resolutions import coflasque_cover
-
-        G = alternating(4)
-        H = G.point_stabilizer(4)
-        middle = coflasque_cover(dual(chevalley_module(G, H))).middle
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return inverse_unimodular(m)
-
-        monkeypatch.setattr(lattices, "inverse_unimodular", counted)
-        J = chevalley_module(G, H)  # built after the patch: its inverses are not cached yet
-        for L in (perm_lattice(G, H), middle, J):
-            for j, a in enumerate(L.action):
-                assert L.inverse_action(j) * a == IntMatrix.identity(L.rank)
-        assert calls == list(J.action)
-
-
 class TestChevalley:
     def test_c2_sign_case(self):
         G = cyclic(2)
@@ -146,6 +122,21 @@ class TestAugmentationIdeal:
 
 
 class TestDual:
+    def test_dual_acts_by_transposed_inverses(self):
+        # dual takes rho(g^-1) from matrix_of; check it against an
+        # independent Hermite inverse on permutation and non-permutation
+        # lattices alike
+        from normone.resolutions import coflasque_cover
+
+        for G in (alternating(4), symmetric(4)):
+            H = G.point_stabilizer(G.degree)
+            J = chevalley_module(G, H)
+            middle = coflasque_cover(dual(J)).middle
+            for L in (perm_lattice(G, H), middle, J, dual(J)):
+                D = dual(L)
+                for j, a in enumerate(L.action):
+                    assert D.action[j] == inverse_unimodular(a).transpose()
+
     def test_involution(self):
         G = alternating(4)
         J = chevalley_module(G, G.subgroup([P([(1, 2, 3)], 4)]))

@@ -118,19 +118,19 @@ class TestSubgroups:
 class TestTransversal:
     def test_index_six(self):
         G = alternating(6)
-        T = right_transversal(G, G.point_stabilizer(1))
+        T, _ = right_transversal(G, G.point_stabilizer(1))
         assert len(T) == 6
         assert T[0].is_identity()
 
     def test_whole_group(self):
         G = symmetric(3)
-        T = right_transversal(G, G.as_subgroup())
+        T, _ = right_transversal(G, G.as_subgroup())
         assert T == [Permutation.identity(3)]
 
     def test_c4_over_c2(self):
         G = cyclic(4)
         H = G.subgroup([P([(1, 3), (2, 4)], 4)])
-        T = right_transversal(G, H)
+        T, _ = right_transversal(G, H)
         assert len(T) == 2
         assert T[0].is_identity()
         # reps found in ascending order are the lex-minimal coset members
@@ -139,7 +139,7 @@ class TestTransversal:
     def test_reps_cover_and_are_disjoint(self):
         G = symmetric(4)
         H = G.subgroup([P([(1, 2)], 4), P([(3, 4)], 4)])
-        T = right_transversal(G, H)
+        T, _ = right_transversal(G, H)
         assert len(T) == G.order() // H.order()
         hset = H.element_set()
         for i, a in enumerate(T):
@@ -151,7 +151,7 @@ class TestTransversal:
     def test_coset_position(self):
         G = alternating(4)
         H = G.subgroup([P([(1, 2, 3)], 4)])
-        T = right_transversal(G, H)
+        T, _ = right_transversal(G, H)
         assert coset_position(G, H, T, Permutation.identity(4)) == 1
         for k, rep in enumerate(T, start=1):
             assert coset_position(G, H, T, rep) == k
@@ -159,10 +159,18 @@ class TestTransversal:
                 assert coset_position(G, H, T, h * rep) == k
         assert coset_position(G, H, T, P([(1, 2), (3, 4)], 4)) != 1
 
+    def test_coset_map_agrees_with_coset_position(self):
+        G = symmetric(4)
+        for H in subgroup_classes(G):
+            T, coset_of = right_transversal(G, H)
+            assert set(coset_of) == {g.images for g in G.elements()}
+            for g in G.elements():
+                assert coset_of[g.images] + 1 == coset_position(G, H, T, g)
+
     def test_coset_position_rejects_outsiders(self):
         G = alternating(4)
         H = G.subgroup([P([(1, 2, 3)], 4)])
-        T = right_transversal(G, H)
+        T, _ = right_transversal(G, H)
         with pytest.raises(ValueError):
             coset_position(G, H, T, P([(1, 2)], 4))
 

@@ -173,6 +173,21 @@ class TestNormOneInvariant:
         assert exact.invariants == fast.invariants == Z2
         assert exact.flasque_rank == fast.flasque_rank
 
+    def test_pipeline_never_inverts_a_matrix(self, monkeypatch):
+        # every inverse the pipeline needs is rho(g^-1), a product of
+        # generator matrices; no Hermite inverse may run on the way
+        import sys
+
+        def refuse(*args):
+            raise AssertionError("inverse_unimodular reached the pipeline")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "normone" and hasattr(module, "inverse_unimodular"):
+                monkeypatch.setattr(module, "inverse_unimodular", refuse)
+        A4, A5 = alternating(4), alternating(5)
+        assert norm_one_invariant(A4, A4.point_stabilizer(4)) == Z2
+        assert norm_one_invariant(A5, A5.point_stabilizer(5)).is_trivial()
+
     def test_a5_trivial(self):
         G = alternating(5)
         assert norm_one_invariant(G, G.point_stabilizer(5)).is_trivial()
