@@ -7,7 +7,7 @@ norm principle and weak approximation for the norm-one torus of a degree
 [G:H] field extension with Galois closure group G.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CapExceeded, InternalCheckError, NormOneError, NotASubgroupError,

@@ -2,7 +2,8 @@
 
 Machine output is a single JSON object (or one per line in table mode) on
 stdout; human-readable progress goes to stderr.  Exit codes: 0 success,
-2 parse error, 3 cap exceeded, 4 internal self-check failure.
+1 a verification command found a mismatch, 2 parse or usage error, 3 cap
+exceeded, 4 internal self-check failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -355,9 +357,11 @@ def cmd_classes(args):
 
 def cmd_verify_schur(args):
     n = args.n
-    import math
-    expected_u = 2 * math.factorial(n)
+    if n < 4:
+        raise NormOneError(f"verify-schur needs n >= 4 (got {n})")
+    # n > 6 is a cap: schur_cover_sn raises before any factorial is taken
     cover = schur_cover_sn(n)
+    expected_u = 2 * math.factorial(n)
     table = todd_coxeter(cover, (), max_cosets=args.max_cosets)
     data = preimage_an(n, max_cosets=args.max_cosets)
     claim = verify_commutator_claim(n)

@@ -1,10 +1,14 @@
 """Coflasque covers and flasque resolutions, and the end-to-end invariant.
 
 A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
-Z[G/H'] (x) L^{H'} over subgroup class representatives H', evaluated by
-(coset H'g, fixed vector v) |-> v * rho(g).  Classes are visited in
-decreasing order; a summand is added only when the classes picked so far
-do not already cover L^{H'}.  Whatever the greedy pass decides, the
+Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
+(coset H'g, e_k) |-> v_k * rho(g) for f vectors v_k fixed by H'.  Classes
+are visited in decreasing order.  When the summands so far do not cover
+L^{H'}, the rows of its saturated basis are walked in order, and a row
+becomes a v_k only if it is not yet in the lattice spanned by the images
+of the H'-fixed vectors of the summands so far, those picked for H'
+included; so the cover stays small (the same aim as the low-rank flabby
+resolutions of Hoshi-Yamasaki).  Whatever the greedy pass decides, the
 construction is guarded by an explicit recheck that Q^{H'} -> L^{H'} is
 onto for every class, which is exactly the condition forcing the kernel
 to be coflasque.
@@ -24,7 +28,8 @@ import numpy as np
 from .cohomology import h1, presentation_catalog, tate_minus1
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
-    IntMatrix, kernel_basis, lattice_contains, snf_invariants, solve_left,
+    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants,
+    solve_left, vstack,
 )
 from .lattices import (
     GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
@@ -61,39 +66,49 @@ class Resolution:
             raise InternalCheckError("injection is not saturated")
 
 
+def _orbit_matrix(transversal, coset_of, cls):
+    """0/1 array with one row per orbit of cls on the cosets that
+    transversal lists, marking the cosets in that orbit; coset_of maps an
+    element's images to its coset's index."""
+    d = len(transversal)
+    seen = [False] * d
+    orbits = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = True
+        for i in orbit:
+            for g in cls.generators:
+                j = coset_of[(transversal[i] * g).images]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        orbits.append(orbit)
+    O = np.zeros((len(orbits), d), dtype=np.int64)
+    for o, orbit in enumerate(orbits):
+        O[o, orbit] = 1
+    return O
+
+
 class _Summand:
+    """Z[G/H'] (x) Z^f, sent to L by
+    (coset i, e_k) |-> vectors[k] * rho(transversal[i])."""
+
     __slots__ = ("handle", "vectors", "transversal", "coset_of", "ev")
 
-    def __init__(self, L, handle, vectors):
+    def __init__(self, handle, transversal, coset_of, vectors, images):
         self.handle = handle
-        self.vectors = vectors  # rows spanning the used part of L^{H'}
-        self.transversal, self.coset_of = right_transversal(L.group, handle)
-        # row i: the stored vectors times rho(transversal[i]), side by side
-        self.ev = IntMatrix([(vectors.array @ L.matrix_of(rep)).ravel()
-                             for rep in self.transversal])
+        self.vectors = IntMatrix(vectors)  # the picked H'-fixed vectors
+        self.transversal, self.coset_of = transversal, coset_of
+        # images[k] has row i = vectors[k] * rho(transversal[i]); row i of
+        # ev holds those rows of every vector, side by side
+        self.ev = IntMatrix(np.concatenate(images, axis=1))
 
     def orbit_sums(self, cls):
         """Images in L of the cls-fixed vectors of this summand, as an
         array: one row per (orbit of cls on the cosets) x (stored vector)."""
-        d = len(self.transversal)
-        seen = [False] * d
-        gens = cls.generators
-        orbits = []
-        for start in range(d):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            for i in orbit:
-                for g in gens:
-                    j = self.coset_of[(self.transversal[i] * g).images]
-                    if not seen[j]:
-                        seen[j] = True
-                        orbit.append(j)
-            orbits.append(orbit)
-        O = np.zeros((len(orbits), d), dtype=np.int64)
-        for o, orbit in enumerate(orbits):
-            O[o, orbit] = 1
+        O = _orbit_matrix(self.transversal, self.coset_of, cls)
         return (O @ self.ev).reshape(-1, self.vectors.ncols)
 
 
@@ -113,15 +128,31 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     fixed = [fixed_sublattice(L, cls) for cls in classes]
     summands = []
 
-    def covered(cls, F):
-        """Do the summands' cls-fixed vectors span L^cls (the rows of F)?"""
-        return bool(summands) and lattice_contains(
-            IntMatrix(np.vstack([s.orbit_sums(cls) for s in summands])), F)
+    def fixed_span(cls):
+        """Hermite basis of the images of the summands' cls-fixed vectors."""
+        rows = [np.zeros((0, L.rank), dtype=np.int64)]
+        rows += [s.orbit_sums(cls) for s in summands]
+        return hnf_basis(IntMatrix(np.vstack(rows)))
 
     for cls, F in zip(classes, fixed):
-        if F.nrows == 0 or covered(cls, F):
+        if F.nrows == 0:
             continue
-        summands.append(_Summand(L, cls, F))
+        span = fixed_span(cls)
+        if hnf_coordinates(span, F) is not None:
+            continue
+        # walk the rows of F; a row outside the span so far is picked, and
+        # its cls-orbit sums join the span, so afterwards F lies in it
+        transversal, coset_of = right_transversal(G, cls)
+        own = _orbit_matrix(transversal, coset_of, cls)
+        # images[k] has row i = F[k] * rho(transversal[i])
+        images = np.stack([F.array @ L.matrix_of(t) for t in transversal], axis=1)
+        picked = []
+        for k, f in enumerate(F.array):
+            if hnf_coordinates(span, IntMatrix([f])) is not None:
+                continue
+            span = hnf_basis(vstack(span, IntMatrix(own @ IntMatrix(images[k]))))
+            picked.append(k)
+        summands.append(_Summand(cls, transversal, coset_of, F.array[picked], images[picked]))
         if max_rank is not None:
             so_far = sum(len(s.transversal) * s.vectors.nrows for s in summands)
             if so_far > max_rank:
@@ -130,7 +161,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     # recheck every class against the final middle term; this is the
     # condition that makes the kernel coflasque, so a failure is a bug
     for cls, F in zip(classes, fixed):
-        if F.nrows and not covered(cls, F):
+        if F.nrows and hnf_coordinates(fixed_span(cls), F) is None:
             raise InternalCheckError(
                 f"cover misses the fixed lattice of {cls.describe()}")
     rank_q = sum(len(s.transversal) * s.vectors.nrows for s in summands)

@@ -3,11 +3,14 @@ import io
 import json
 import os
 import random
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import normone
 import normone.cli as cli
 from normone.cli import (
     build_group, main, parse_cycles, parse_group_spec, _split_generators,
@@ -210,6 +213,38 @@ class TestCache:
         assert json.loads(out.out) == record
         assert "cache hit" in out.err
 
+    def test_entry_from_another_version_is_recomputed(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the version is part of the key, so a record of an older algorithm
+        # (0.1.0 reported flasque_rank 43 here) is a miss, never served
+        args = ["compute", "A4", "--point-stabilizer", "4",
+                "--cache-dir", str(tmp_path)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "__version__", "0.1.0")
+            assert main(args) == 0
+        capsys.readouterr()
+        (name,) = os.listdir(tmp_path)
+        with open(tmp_path / name) as fh:
+            blob = json.load(fh)
+        assert blob["record"]["version"] == "0.1.0"
+        blob["record"]["flasque_rank"] = 43
+        with open(tmp_path / name, "w") as fh:
+            json.dump(blob, fh)
+        runs = []
+        pipeline = cli._pipeline
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_pipeline", counted)
+        assert main(args) == 0
+        out = capsys.readouterr()
+        record = json.loads(out.out)
+        assert len(runs) == 1 and "cache hit" not in out.err
+        assert record["version"] == normone.__version__ != "0.1.0"
+        assert record["flasque_rank"] != 43
+        assert len(os.listdir(tmp_path)) == 2
 
     def test_unwritable_cache_dir_warns(self, tmp_path, capsys):
         # a regular file where the directory should be: the write fails,
@@ -257,6 +292,15 @@ class TestOtherCommands:
         assert record["even_preimage_order"] == 24
         assert record["commutator_claim"] is True
 
+    @pytest.mark.parametrize("n, code", [("-1", 2), ("0", 2), ("3", 2), ("7", 3)])
+    def test_verify_schur_outside_supported_range(self, n, code, capsys):
+        # n < 4 is a usage error; n > 6 is past the cap, checked before
+        # any factorial is taken
+        assert main(["verify-schur", "--", n]) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
+
     def test_sha_oracle(self, capsys):
         rc = main(["sha-oracle", "C2xC2", "--subgroup", "()"])
         assert rc == 0
@@ -267,6 +311,21 @@ class TestOtherCommands:
         assert main(["verify-paper", "--max-n", "4"]) == 0
         out = capsys.readouterr()
         assert "PASS A4" in out.err
+
+
+def test_readme_compute_example_is_live(capsys):
+    # the README's example record is what the command prints, apart from ms
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "normone compute A4 --point-stabilizer 4"
+    match = re.search(re.escape(f"`{command}` prints") + r".*?```json\n(.*?)```",
+                      readme, re.S)
+    assert match, f"README has no example record for `{command}`"
+    example = json.loads(match.group(1))
+    assert main(command.split()[1:]) == 0
+    live = json.loads(capsys.readouterr().out)
+    example.pop("ms")
+    live.pop("ms")
+    assert example == live
 
 
 CAP_VALUES = {"--max-order": "2520", "--max-rank": "4096", "--max-cosets": "100000"}

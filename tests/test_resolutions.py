@@ -1,9 +1,10 @@
+import time
 import warnings
 
 import pytest
 
 import normone.resolutions as resolutions
-from normone.cohomology import presentation_catalog, h1
+from normone.cohomology import presentation_catalog, h1, sha2_omega
 from normone.errors import CapExceeded, InternalCheckError
 from normone.intmat import AbelianInvariants, IntMatrix, snf_invariants
 from normone.lattices import (
@@ -216,6 +217,27 @@ class TestNormOneInvariant:
         G = alternating(4)
         with pytest.raises(CapExceeded):
             norm_one_invariant(G, G.point_stabilizer(4), max_rank=3)
+
+    @pytest.mark.parametrize("make, n, bound", [
+        (alternating, 4, 19), (alternating, 5, 21), (symmetric, 4, 19),
+    ], ids=["A4", "A5", "S4"])
+    def test_flasque_rank_stays_low(self, make, n, bound):
+        # the cover adds fixed vectors one at a time; adding the whole
+        # fixed basis of each uncovered class would give 43, 41 and 31
+        G = make(n)
+        assert resolutions._pipeline(G, G.point_stabilizer(n)).flasque_rank <= bound
+
+    def test_regular_c2xc2xc3_is_small_and_fast(self):
+        # J has rank 11; with whole fixed bases the flasque side has rank
+        # 235 and the pipeline takes 6-7 s
+        G = product_of_cyclics((2, 2, 3))
+        H = G.trivial_subgroup()
+        t0 = time.perf_counter()
+        result = resolutions._pipeline(G, H)
+        elapsed = time.perf_counter() - t0
+        assert result.invariants == sha2_omega(G, H) == Z2
+        assert result.flasque_rank <= 36
+        assert elapsed < 1.0
 
     def test_class_cap_propagates(self):
         G = alternating(7)
