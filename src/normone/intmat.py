@@ -526,8 +526,3 @@ def hstack(*mats):
     if any(m.nrows != mats[0].nrows for m in mats):
         raise ValueError("row counts differ")
     return IntMatrix(np.hstack([m.array for m in mats]))
-
-
-def lattice_contains(Z: IntMatrix, B: IntMatrix) -> bool:
-    """Do all rows of B lie in Z's row lattice?"""
-    return _coordinates(hnf_basis(Z).array, B.array) is not None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .intmat import IntMatrix, hstack, kernel_basis
-from .perms import PermGroup, SubgroupHandle, right_transversal
+from .perms import PermGroup, SubgroupHandle, coset_moves, right_transversal
 
 
 class GLattice:
@@ -117,7 +117,7 @@ def _coset_permutations(G: PermGroup, H: SubgroupHandle):
     unit row of the coset of T[i]*g."""
     T, coset_of = right_transversal(G, H)
     eye = np.eye(len(T), dtype=np.int64)
-    return len(T), [eye[[coset_of[(t * g).images] for t in T]] for g in G.generators]
+    return len(T), [eye[m] for m in coset_moves(T, coset_of, G.generators)]
 
 
 def perm_lattice(G: PermGroup, H: SubgroupHandle):

@@ -173,7 +173,7 @@ class PermGroup:
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_element_set", None)
         object.__setattr__(self, "_word_cache", {})
-        object.__setattr__(self, "_class_cache", {})
+        object.__setattr__(self, "_class_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable; caches are internal")
@@ -367,20 +367,21 @@ def coset_position(G, H, transversal, p):
     raise ValueError("element lies in no listed coset (not in the group?)")
 
 
+def coset_moves(transversal, coset_of, xs):
+    """The action of each x in xs on the cosets right_transversal lists:
+    entry i of the list for x is the index of the coset of transversal[i]*x."""
+    return [[coset_of[(t * x).images] for t in transversal] for x in xs]
+
+
 def core(G, H):
-    """Largest normal subgroup of G contained in H (intersection of conjugates)."""
+    """Largest normal subgroup of G contained in H: the kernel of the
+    action of G on the right cosets of H."""
     _check_subgroup(G, H)
-    hset = H.element_set()
-    kernel = set(hset)
-    for rep in right_transversal(G, H)[0]:
-        if rep.is_identity():
-            continue
-        ri = rep.inverse()
-        conj = {ri * h * rep for h in hset}
-        kernel &= conj
-        if len(kernel) == 1:
-            break
-    elems = tuple(sorted(kernel))
+    T, coset_of = right_transversal(G, H)
+    still = list(range(len(T)))
+    helems = H.elements()
+    elems = tuple(sorted(h for h, m in zip(helems, coset_moves(T, coset_of, helems))
+                         if m == still))
     return SubgroupHandle(G, small_generating_set(elems), _elements=elems)
 
 
@@ -421,12 +422,11 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     The result includes the trivial subgroup and G, sorted by decreasing
     order with ties broken by the sorted element tuple.
     """
-    cached = G._class_cache.get(cap)
-    if cached is not None:
-        return cached
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
+    if G._class_cache is not None:
+        return G._class_cache
     elems = G.elements()
     index = {p.images: i for i, p in enumerate(elems)}
     table = []
@@ -525,7 +525,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         gens = small_generating_set(members)
         handles.append(SubgroupHandle(G, gens, _elements=members))
     handles.sort(key=lambda h: (-h.order(), tuple(p.images for p in h.elements())))
-    G._class_cache[cap] = handles
+    object.__setattr__(G, "_class_cache", handles)
     return handles
 
 

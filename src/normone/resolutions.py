@@ -2,8 +2,12 @@
 
 A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
 Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
-(coset H'g, e_k) |-> v_k * rho(g) for f vectors v_k fixed by H'.  Classes
-are visited in decreasing order.  When the summands so far do not cover
+(coset H'g, e_k) |-> v_k * rho(g) for f vectors v_k fixed by H'.  Q is
+held as one G-set of basis points, the pairs (coset, k) of every summand:
+an index array per generator of G gives the image of each point, and an
+array gives each point's image in L.  The H'-fixed vectors of Q are the
+sums over the orbits of H' on the points.  Classes are visited in
+decreasing order.  When the summands so far do not cover
 L^{H'}, the rows of its saturated basis are walked in order, and a row
 becomes a v_k only if it is not yet in the lattice spanned by the images
 of the H'-fixed vectors of the summands so far, those picked for H'
@@ -34,7 +38,9 @@ from .intmat import (
 from .lattices import (
     GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
 )
-from .perms import SUBGROUP_CLASS_CAP, core, right_transversal, subgroup_classes
+from .perms import (
+    SUBGROUP_CLASS_CAP, core, coset_moves, right_transversal, subgroup_classes,
+)
 
 
 @dataclass(frozen=True)
@@ -66,50 +72,29 @@ class Resolution:
             raise InternalCheckError("injection is not saturated")
 
 
-def _orbit_matrix(transversal, coset_of, cls):
-    """0/1 array with one row per orbit of cls on the cosets that
-    transversal lists, marking the cosets in that orbit; coset_of maps an
-    element's images to its coset's index."""
-    d = len(transversal)
-    seen = [False] * d
-    orbits = []
-    for start in range(d):
-        if seen[start]:
+def _orbit_matrix(moves, n):
+    """0/1 array with one row per orbit on the points 0..n-1 of the group
+    generated by the index arrays in moves (moves[j][p] is the image of
+    point p), marking the points of that orbit; orbits in order of their
+    least point."""
+    moves = [np.asarray(m).tolist() for m in moves]
+    orbit_of = [-1] * n
+    count = 0
+    for start in range(n):
+        if orbit_of[start] >= 0:
             continue
+        orbit_of[start] = count
         orbit = [start]
-        seen[start] = True
-        for i in orbit:
-            for g in cls.generators:
-                j = coset_of[(transversal[i] * g).images]
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(j)
-        orbits.append(orbit)
-    O = np.zeros((len(orbits), d), dtype=np.int64)
-    for o, orbit in enumerate(orbits):
-        O[o, orbit] = 1
+        for p in orbit:
+            for m in moves:
+                q = m[p]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = count
+                    orbit.append(q)
+        count += 1
+    O = np.zeros((count, n), dtype=np.int64)
+    O[orbit_of, np.arange(n)] = 1
     return O
-
-
-class _Summand:
-    """Z[G/H'] (x) Z^f, sent to L by
-    (coset i, e_k) |-> vectors[k] * rho(transversal[i])."""
-
-    __slots__ = ("handle", "vectors", "transversal", "coset_of", "ev")
-
-    def __init__(self, handle, transversal, coset_of, vectors, images):
-        self.handle = handle
-        self.vectors = IntMatrix(vectors)  # the picked H'-fixed vectors
-        self.transversal, self.coset_of = transversal, coset_of
-        # images[k] has row i = vectors[k] * rho(transversal[i]); row i of
-        # ev holds those rows of every vector, side by side
-        self.ev = IntMatrix(np.concatenate(images, axis=1))
-
-    def orbit_sums(self, cls):
-        """Images in L of the cls-fixed vectors of this summand, as an
-        array: one row per (orbit of cls on the cosets) x (stored vector)."""
-        O = _orbit_matrix(self.transversal, self.coset_of, cls)
-        return (O @ self.ev).reshape(-1, self.vectors.ncols)
 
 
 def _identity_resolution(L):
@@ -126,13 +111,23 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     G = L.group
     classes = subgroup_classes(G, cap=class_cap)
     fixed = [fixed_sublattice(L, cls) for cls in classes]
+    words = G.elements_with_words()
+    # Q's basis points: moves[j][p] is the image of point p under the j-th
+    # generator of G, and row p of ev is the image of point p in L
+    moves = [np.arange(0) for _ in G.generators]
+    ev = IntMatrix.zeros(0, L.rank)
     summands = []
 
     def fixed_span(cls):
-        """Hermite basis of the images of the summands' cls-fixed vectors."""
-        rows = [np.zeros((0, L.rank), dtype=np.int64)]
-        rows += [s.orbit_sums(cls) for s in summands]
-        return hnf_basis(IntMatrix(np.vstack(rows)))
+        """Hermite basis of the images in L of Q's cls-fixed vectors, the
+        sums over the orbits of cls on the points."""
+        acts = []
+        for g in cls.generators:
+            act = np.arange(ev.nrows)
+            for k in words[g]:
+                act = moves[k - 1][act]
+            acts.append(act)
+        return hnf_basis(IntMatrix(_orbit_matrix(acts, ev.nrows) @ ev))
 
     for cls, F in zip(classes, fixed):
         if F.nrows == 0:
@@ -142,53 +137,40 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
             continue
         # walk the rows of F; a row outside the span so far is picked, and
         # its cls-orbit sums join the span, so afterwards F lies in it
-        transversal, coset_of = right_transversal(G, cls)
-        own = _orbit_matrix(transversal, coset_of, cls)
-        # images[k] has row i = F[k] * rho(transversal[i])
-        images = np.stack([F.array @ L.matrix_of(t) for t in transversal], axis=1)
+        T, coset_of = right_transversal(G, cls)
+        own = _orbit_matrix(coset_moves(T, coset_of, cls.generators), len(T))
+        # images[i, k] = F[k] * rho(T[i])
+        images = np.stack([F.array @ L.matrix_of(t) for t in T])
         picked = []
-        for k, f in enumerate(F.array):
-            if hnf_coordinates(span, IntMatrix([f])) is not None:
+        for k, row in enumerate(F.array):
+            if hnf_coordinates(span, IntMatrix([row])) is not None:
                 continue
-            span = hnf_basis(vstack(span, IntMatrix(own @ IntMatrix(images[k]))))
+            span = hnf_basis(vstack(span, IntMatrix(own @ IntMatrix(images[:, k]))))
             picked.append(k)
-        summands.append(_Summand(cls, transversal, coset_of, F.array[picked], images[picked]))
-        if max_rank is not None:
-            so_far = sum(len(s.transversal) * s.vectors.nrows for s in summands)
-            if so_far > max_rank:
-                raise CapExceeded(
-                    f"cover rank {so_far} exceeds --max-rank {max_rank}")
+        # the summand's points are (coset i, picked vector k), i-major, and
+        # g sends (i, k) to (coset of T[i]*g, k)
+        f = len(picked)
+        for j, m in enumerate(coset_moves(T, coset_of, G.generators)):
+            new = ev.nrows + (np.array(m)[:, None] * f + np.arange(f)).ravel()
+            moves[j] = np.concatenate([moves[j], new])
+        ev = IntMatrix(np.concatenate([ev.array, images[:, picked].reshape(-1, L.rank)]))
+        summands.append((cls, f))
+        if max_rank is not None and ev.nrows > max_rank:
+            raise CapExceeded(f"cover rank {ev.nrows} exceeds --max-rank {max_rank}")
     # recheck every class against the final middle term; this is the
     # condition that makes the kernel coflasque, so a failure is a bug
     for cls, F in zip(classes, fixed):
         if F.nrows and hnf_coordinates(fixed_span(cls), F) is None:
             raise InternalCheckError(
                 f"cover misses the fixed lattice of {cls.describe()}")
-    rank_q = sum(len(s.transversal) * s.vectors.nrows for s in summands)
-    eye = np.eye(rank_q, dtype=np.int64)
-    mats = []
-    for g in G.generators:
-        # basis vector (coset i, stored vector k) goes to (coset of T[i]*g, k)
-        perm = []
-        offset = 0
-        for s in summands:
-            f = s.vectors.nrows
-            for rep in s.transversal:
-                j = offset + s.coset_of[(rep * g).images] * f
-                perm.extend(range(j, j + f))
-            offset += len(s.transversal) * f
-        mats.append(IntMatrix(eye[perm]))
-    Q = GLattice(G, rank_q, mats,
-                 perm_summands=tuple((s.handle, s.vectors.nrows) for s in summands))
-    EV = IntMatrix([row for s in summands for row in s.ev.array.reshape(-1, L.rank)],
-                   ncols=L.rank)
-    project = LatticeMap(Q, L, EV)
-    K = kernel_basis(EV)
+    eye = np.eye(ev.nrows, dtype=np.int64)
+    Q = GLattice(G, ev.nrows, [IntMatrix(eye[m]) for m in moves], perm_summands=summands)
+    project = LatticeMap(Q, L, ev)
+    K = kernel_basis(ev)
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
     inject = LatticeMap(N, Q, K)
-    return Resolution("coflasque", L, Q, N, inject, project,
-                      tuple((s.handle, s.vectors.nrows) for s in summands))
+    return Resolution("coflasque", L, Q, N, inject, project, Q.perm_summands)
 
 
 def _restricted_action(K: IntMatrix, Q: GLattice):
@@ -206,21 +188,22 @@ def _restricted_action(K: IntMatrix, Q: GLattice):
     return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
 
 
-def flasque_resolution(L: GLattice, check=True, class_cap=SUBGROUP_CLASS_CAP,
+def flasque_resolution(L: GLattice, class_cap=SUBGROUP_CLASS_CAP,
                        max_rank=None) -> Resolution:
     """0 -> L -> P -> M -> 0 with P permutation and M flasque,
-    obtained by dualizing a coflasque cover of dual(L)."""
+    obtained by dualizing a coflasque cover of dual(L).  The cover's middle
+    term acts by permutation matrices, so it is its own dual and serves
+    as P."""
     cof = coflasque_cover(dual(L), class_cap=class_cap, max_rank=max_rank)
-    P = dual(cof.middle)
+    P = cof.middle
     M = dual(cof.side)
     inject = LatticeMap(L, P, cof.project.matrix.transpose())
     project = LatticeMap(P, M, cof.inject.matrix.transpose())
     res = Resolution("flasque", L, P, M, inject, project, cof.summands)
-    if check:
-        ok, witness = is_flasque(M, class_cap=class_cap)
-        if not ok:
-            raise InternalCheckError(
-                f"resolution side module is not flasque (witness {witness.describe()})")
+    ok, witness = is_flasque(M, class_cap=class_cap)
+    if not ok:
+        raise InternalCheckError(
+            f"resolution side module is not flasque (witness {witness.describe()})")
     return res
 
 
@@ -238,27 +221,24 @@ def is_coflasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
     return is_flasque(dual(L), class_cap=class_cap)
 
 
-def norm_one_invariant(G, H, check=True, class_cap=SUBGROUP_CLASS_CAP, max_rank=None):
+def norm_one_invariant(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None):
     """h1 of the flasque side of a resolution of the Chevalley module.
 
     This is the group-theoretic invariant governing both the Hasse norm
     principle and weak approximation for the associated norm-one torus.
     """
-    return _pipeline(G, H, check=check, class_cap=class_cap,
-                     max_rank=max_rank).invariants
+    return _pipeline(G, H, class_cap=class_cap, max_rank=max_rank).invariants
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    group: object
-    subgroup: object
     j_rank: int
     flasque_rank: int
     middle_rank: int
     invariants: object
 
 
-def _pipeline(G, H, check=True, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
+def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
     if H.order() == G.order():
         raise ValueError("subgroup is the whole group; the quotient module "
                          "needs index >= 2")
@@ -272,10 +252,10 @@ def _pipeline(G, H, check=True, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> 
             f"core of {H.describe()} in {G.label} is nontrivial; the matrix "
             "action is unfaithful", stacklevel=3)
     J = chevalley_module(G, H)
-    res = flasque_resolution(J, check=check, class_cap=class_cap, max_rank=max_rank)
+    res = flasque_resolution(J, class_cap=class_cap, max_rank=max_rank)
     P = presentation_catalog(G)
     inv = h1(res.side, P)
-    return PipelineResult(G, H, J.rank, res.side.rank, res.middle.rank, inv)
+    return PipelineResult(J.rank, res.side.rank, res.middle.rank, inv)
 
 
 @dataclass(frozen=True)

@@ -190,13 +190,13 @@ def _flasque_sides_up_to_360():
         warnings.simplefilter("ignore")
         for G, mode in cases:
             H = _subgroup_for(G, mode)
-            res = flasque_resolution(chevalley_module(G, H), check=False)
+            res = flasque_resolution(chevalley_module(G, H))
             ok, witness = is_flasque(res.side)
             if not ok:
                 return f"{G.label}: side not flasque at {witness.describe()}"
         G = alternating(6)
         H = G.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 2, 3)], 6)])
-        res = flasque_resolution(chevalley_module(G, H), check=False)
+        res = flasque_resolution(chevalley_module(G, H))
         ok, witness = is_flasque(res.side)
         if not ok:
             return f"A6: side not flasque at {witness.describe()}"

@@ -5,7 +5,7 @@ import pytest
 from normone.errors import CapExceeded, NotASubgroupError
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
-    coset_position, cyclic, cyclic_subgroup_classes, dihedral, klein_four,
+    coset_moves, coset_position, cyclic, cyclic_subgroup_classes, dihedral, klein_four,
     product_of_cyclics, right_transversal, small_generating_set,
     subgroup_classes, symmetric,
 )
@@ -166,6 +166,9 @@ class TestTransversal:
             assert set(coset_of) == {g.images for g in G.elements()}
             for g in G.elements():
                 assert coset_of[g.images] + 1 == coset_position(G, H, T, g)
+            moves = coset_moves(T, coset_of, G.elements())
+            for g, m in zip(G.elements(), moves):
+                assert m == [coset_position(G, H, T, t * g) - 1 for t in T]
 
     def test_coset_position_rejects_outsiders(self):
         G = alternating(4)
@@ -281,6 +284,14 @@ class TestSubgroupClasses:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             subgroup_classes(alternating(7), cap=100)
+
+    def test_one_cached_list_whatever_the_cap(self):
+        # a fresh copy of A5, so no earlier test has filled its cache
+        G = PermGroup(5, alternating(5).generators, label="A5")
+        classes = subgroup_classes(G, cap=60)
+        assert subgroup_classes(G) is classes
+        with pytest.raises(CapExceeded):
+            subgroup_classes(G, cap=59)
 
     def test_cyclic_classes(self):
         G = alternating(4)

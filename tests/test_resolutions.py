@@ -6,10 +6,12 @@ import pytest
 import normone.resolutions as resolutions
 from normone.cohomology import presentation_catalog, h1, sha2_omega
 from normone.errors import CapExceeded, InternalCheckError
-from normone.intmat import AbelianInvariants, IntMatrix, snf_invariants
+from normone.intmat import (
+    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants,
+)
 from normone.lattices import (
-    GLattice, augmentation_ideal, chevalley_module, dual, perm_lattice,
-    trivial_lattice,
+    GLattice, augmentation_ideal, chevalley_module, dual, fixed_sublattice,
+    perm_lattice, trivial_lattice,
 )
 from normone.perms import (
     Permutation, alternating, cyclic, dihedral, klein_four,
@@ -90,6 +92,26 @@ class TestCoflasqueCover:
         assert calls == {"solve_left": 1,
                          "fixed_sublattice": len(subgroup_classes(G))}
 
+    @pytest.mark.parametrize("make, n", [
+        (alternating, 4), (symmetric, 4), (alternating, 5),
+    ], ids=["A4", "S4", "A5"])
+    def test_middle_term_covers_every_fixed_lattice(self, make, n):
+        # checked through Q's own fixed sublattice (a kernel), not through
+        # the orbit sums the cover builds
+        G = make(n)
+        J = chevalley_module(G, G.point_stabilizer(n))
+        L = dual(J)
+        res = coflasque_cover(L)
+        Q, EV = res.middle, res.project.matrix
+        for a in Q.action:
+            A = a.array
+            assert set(A.ravel().tolist()) <= {0, 1}
+            assert (A.sum(axis=0) == 1).all() and (A.sum(axis=1) == 1).all()
+        for cls in subgroup_classes(G):
+            image = hnf_basis(fixed_sublattice(Q, cls) * EV)
+            assert hnf_coordinates(image, fixed_sublattice(L, cls)) is not None
+        assert flasque_resolution(J).middle.action == dual(Q).action
+
 
 class TestFlasqueResolution:
     def test_perm_module_gives_zero_side(self):
@@ -116,7 +138,7 @@ class TestFlasqueResolution:
             (symmetric(4), symmetric(4).point_stabilizer(4)),
             (klein_four(), klein_four().trivial_subgroup()),
         ]:
-            res = flasque_resolution(chevalley_module(G, H), check=False)
+            res = flasque_resolution(chevalley_module(G, H))
             ok, witness = is_flasque(res.side)
             assert ok, f"{G.label}: witness {witness}"
 
