@@ -18,7 +18,7 @@ from .intmat import (
     kernel_basis, quotient_invariants, snf, snf_invariants, solve_left,
 )
 from .perms import (
-    PermGroup, Permutation, SubgroupHandle, alternating,
+    PermGroup, Permutation, alternating,
     are_conjugate_subgroups, core, coset_position, cyclic, dihedral,
     klein_four, product_of_cyclics, right_transversal, subgroup_classes,
     symmetric, trivial_group,

@@ -3,7 +3,8 @@
 Machine output is a single JSON object (or one per line in table mode) on
 stdout; human-readable progress goes to stderr.  Exit codes: 0 success,
 1 a verification command found a mismatch, 2 parse or usage error, 3 cap
-exceeded, 4 internal self-check failure.
+exceeded, 4 internal error (a failed self-check or any other exception
+outside that mapping, reported in one line).
 """
 
 from __future__ import annotations
@@ -480,12 +481,16 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InternalCheckError, AssertionError) as exc:
+    except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except (NormOneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other exception is a bug too, reported in one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .intmat import IntMatrix, hstack, kernel_basis
-from .perms import PermGroup, SubgroupHandle, coset_moves, right_transversal
+from .perms import PermGroup, coset_moves, right_transversal
 
 
 class GLattice:
@@ -111,7 +111,7 @@ def trivial_lattice(G: PermGroup) -> GLattice:
                     perm_summands=((G.as_subgroup(), 1),), label="Z")
 
 
-def _coset_permutations(G: PermGroup, H: SubgroupHandle):
+def _coset_permutations(G: PermGroup, H: PermGroup):
     """The index d of H and, for each generator g, the d x d permutation
     array of g on the sorted canonical right cosets T of H: row i is the
     unit row of the coset of T[i]*g."""
@@ -120,14 +120,14 @@ def _coset_permutations(G: PermGroup, H: SubgroupHandle):
     return len(T), [eye[m] for m in coset_moves(T, coset_of, G.generators)]
 
 
-def perm_lattice(G: PermGroup, H: SubgroupHandle):
+def perm_lattice(G: PermGroup, H: PermGroup):
     """Z[G/H]: basis the sorted canonical right cosets, permuted by G."""
     d, perms = _coset_permutations(G, H)
     return GLattice(G, d, [IntMatrix(p) for p in perms], perm_summands=((H, 1),),
                     label=f"Z[{G.label}/{H.describe()}]")
 
 
-def chevalley_module(G: PermGroup, H: SubgroupHandle) -> GLattice:
+def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
     """J_{G/H}: quotient of Z[G/H] by the norm element, rank d-1.
 
     Basis: the first d-1 canonical cosets; the last coset is dropped.
@@ -143,7 +143,7 @@ def chevalley_module(G: PermGroup, H: SubgroupHandle) -> GLattice:
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
 
 
-def augmentation_ideal(G: PermGroup, H: SubgroupHandle):
+def augmentation_ideal(G: PermGroup, H: PermGroup):
     """The kernel of the augmentation Z[G/H] -> Z, with its inclusion map.
 
     Basis: coset_i - coset_last for i < d.  With that choice the action
@@ -201,7 +201,7 @@ def induced(L: GLattice):
     return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n)))
 
 
-def fixed_sublattice(L: GLattice, S: SubgroupHandle) -> IntMatrix:
+def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
     """Saturated basis of the vectors fixed by every element of S."""
     gens = S.generators
     if not gens:

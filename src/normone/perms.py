@@ -4,20 +4,24 @@ Composition applies the left factor first: (p*q)(i) = q(p(i)).  This
 makes every action in the package a right action, matching the row-vector
 convention of the linear algebra layer.
 
-Groups at the scale handled here (order a few thousand) are enumerated
-outright; there is no Schreier-Sims machinery.  Caps guard against
-accidental blowups and surface as keyword arguments.
+A subgroup is a PermGroup too, whose `parent` is the group it was taken
+in.  Groups at the scale handled here (order a few thousand) are
+enumerated outright; there is no Schreier-Sims machinery.  The subgroup
+class search and the conjugacy test share one multiplication table per
+group, which holds |G|^2 entries, so only they build it, behind one cap
+(SUBGROUP_CLASS_CAP); transversals and cores multiply permutations.  Caps
+guard against accidental blowups and surface as keyword arguments.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 
 from .errors import CapExceeded, NotASubgroupError
 
 DEGREE_CAP = 16
 DEFAULT_MAX_ORDER = 100_000
-CONJUGACY_CAP = 5040
 SUBGROUP_CLASS_CAP = 2520
 
 
@@ -151,18 +155,25 @@ def _closure(degree, generators, cap):
 
 
 class PermGroup:
-    """A permutation group given by generators; enumerated lazily."""
+    """A permutation group given by generators; enumerated lazily.
+
+    A subgroup is a PermGroup whose `parent` is the group it was taken in
+    (None for a group that was not); its generators must lie in the parent.
+    """
 
     __slots__ = (
-        "degree", "generators", "label", "kind", "max_order",
-        "_elements", "_element_set", "_word_cache", "_class_cache",
+        "degree", "generators", "label", "kind", "max_order", "parent",
+        "_elements", "_element_set", "_word_cache", "_class_cache", "_table",
     )
 
-    def __init__(self, degree, generators, label=None, kind=None, max_order=DEFAULT_MAX_ORDER):
+    def __init__(self, degree, generators, label=None, kind=None, max_order=DEFAULT_MAX_ORDER,
+                 parent=None, _elements=None):
         gens = []
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
+            if parent is not None and g not in parent:
+                raise NotASubgroupError(f"{g.cycle_string()} is not in {parent.label}")
             if not g.is_identity() and g not in gens:
                 gens.append(g)
         object.__setattr__(self, "degree", degree)
@@ -170,23 +181,26 @@ class PermGroup:
         object.__setattr__(self, "label", label or "<group>")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "_elements", None if _elements is None else tuple(_elements))
         object.__setattr__(self, "_element_set", None)
         object.__setattr__(self, "_word_cache", {})
         object.__setattr__(self, "_class_cache", None)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable; caches are internal")
 
     def elements(self):
+        """All elements, sorted by their images; the identity comes first."""
         if self._elements is None:
             elems = tuple(_closure(self.degree, self.generators, self.max_order))
             object.__setattr__(self, "_elements", elems)
-            object.__setattr__(self, "_element_set", frozenset(elems))
         return self._elements
 
     def element_set(self):
-        self.elements()
+        if self._element_set is None:
+            object.__setattr__(self, "_element_set", frozenset(self.elements()))
         return self._element_set
 
     def order(self):
@@ -225,69 +239,58 @@ class PermGroup:
         self._word_cache[key] = words
         return words
 
+    def multiplication_table(self):
+        """(number, table, inv), built on first use.
+
+        number maps the images of each element to its place in elements();
+        table[c][a] is the number of elements()[a] * elements()[c], and
+        inv[c] that of the inverse of elements()[c].  Each list table[c] is
+        the list of c's breadth-first parent composed with one generator's
+        move, so the table costs |G| * k permutation products for k
+        generators.
+        """
+        if self._table is None:
+            elems = self.elements()
+            n = len(elems)
+            number = {p.images: i for i, p in enumerate(elems)}
+            moves = [[number[(p * g).images] for p in elems] for g in self.generators]
+            table = [None] * n
+            table[0] = list(range(n))  # elements()[0] is the identity
+            queue = [0]
+            for c in queue:
+                col = table[c]
+                for move in moves:
+                    d = move[c]
+                    if table[d] is None:
+                        table[d] = [move[a] for a in col]
+                        queue.append(d)
+            inv = [col.index(0) for col in table]
+            object.__setattr__(self, "_table", (number, table, inv))
+        return self._table
+
     def subgroup(self, generators):
-        return SubgroupHandle(self, generators)
+        return PermGroup(self.degree, [g.extend(self.degree) for g in generators],
+                         max_order=self.max_order, parent=self)
 
     def trivial_subgroup(self):
-        return SubgroupHandle(self, ())
+        return self.subgroup(())
 
     def as_subgroup(self):
-        return SubgroupHandle(self, self.generators, _elements=self.elements())
+        return PermGroup(self.degree, self.generators, max_order=self.max_order,
+                         parent=self, _elements=self.elements())
 
     def point_stabilizer(self, point):
         """Stabilizer of a point (1-based) in the natural action."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        fixed = [g for g in self.elements() if g.images[point - 1] == point - 1]
-        gens = small_generating_set(fixed)
-        return SubgroupHandle(self, gens, _elements=tuple(fixed))
-
-    def __repr__(self):
-        return f"PermGroup({self.label}, degree={self.degree})"
-
-
-class SubgroupHandle:
-    """A subgroup of a parent group, with its elements materialized."""
-
-    __slots__ = ("parent", "generators", "_elements", "_element_set")
-
-    def __init__(self, parent, generators, _elements=None):
-        gens = []
-        for g in generators:
-            g = g.extend(parent.degree) if g.degree < parent.degree else g
-            if g.degree != parent.degree:
-                raise ValueError("generator degree exceeds parent degree")
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
-        pset = parent.element_set()
-        for g in gens:
-            if g not in pset:
-                raise NotASubgroupError(f"{g.cycle_string()} is not in {parent.label}")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "generators", tuple(gens))
-        if _elements is None:
-            _elements = tuple(_closure(parent.degree, gens, parent.max_order))
-        object.__setattr__(self, "_elements", tuple(_elements))
-        object.__setattr__(self, "_element_set", frozenset(_elements))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupHandle is immutable")
-
-    def elements(self):
-        return self._elements
-
-    def element_set(self):
-        return self._element_set
-
-    def order(self):
-        return len(self._elements)
-
-    def __contains__(self, p):
-        return p in self._element_set
+        return _spanned(self, [g for g in self.elements() if g.images[point - 1] == point - 1])
 
     def is_normal(self):
-        pset = self._element_set
-        for g in self.parent.generators:
+        """Whether the group is normal in its parent (a group without one
+        is normal in itself)."""
+        parent = self.parent or self
+        pset = self.element_set()
+        for g in parent.generators:
             gi = g.inverse()
             for h in self.generators:
                 if gi * h * g not in pset:
@@ -296,7 +299,7 @@ class SubgroupHandle:
 
     def is_cyclic(self):
         n = self.order()
-        return any(e.order() == n for e in self._elements)
+        return any(e.order() == n for e in self.elements())
 
     def describe(self):
         if not self.generators:
@@ -304,7 +307,7 @@ class SubgroupHandle:
         return ",".join(g.cycle_string() for g in self.generators)
 
     def __repr__(self):
-        return f"Subgroup(order={self.order()}, gens={self.describe()})"
+        return f"PermGroup({self.label}, degree={self.degree})"
 
 
 def small_generating_set(elements):
@@ -326,11 +329,17 @@ def small_generating_set(elements):
     return tuple(gens)
 
 
+def _spanned(G, elements):
+    """The subgroup of G on the given sorted elements, generated greedily."""
+    return PermGroup(G.degree, small_generating_set(elements), max_order=G.max_order,
+                     parent=G, _elements=elements)
+
+
 def _check_subgroup(G, H):
-    if H.parent is not G:
-        # allow handles built on an equal group object
-        if H.parent.degree != G.degree or H.parent.element_set() != G.element_set():
-            raise NotASubgroupError("handle does not belong to this group")
+    """H is a subgroup of G (G itself included) when it has G's degree and
+    its generators lie in G."""
+    if H.degree != G.degree or any(g not in G for g in H.generators):
+        raise NotASubgroupError(f"<{H.describe()}> is not a subgroup of {G.label}")
 
 
 def right_transversal(G, H):
@@ -376,40 +385,46 @@ def coset_moves(transversal, coset_of, xs):
 def core(G, H):
     """Largest normal subgroup of G contained in H: the kernel of the
     action of G on the right cosets of H."""
-    _check_subgroup(G, H)
     T, coset_of = right_transversal(G, H)
     still = list(range(len(T)))
     helems = H.elements()
-    elems = tuple(sorted(h for h, m in zip(helems, coset_moves(T, coset_of, helems))
-                         if m == still))
-    return SubgroupHandle(G, small_generating_set(elems), _elements=elems)
+    return _spanned(G, sorted(h for h, m in zip(helems, coset_moves(T, coset_of, helems))
+                              if m == still))
 
 
-def _order_multiset(handle):
-    counts = {}
-    for e in handle.elements():
-        o = e.order()
-        counts[o] = counts.get(o, 0) + 1
-    return tuple(sorted(counts.items()))
+def _fingerprint(orders):
+    """Size and element-order counts of a subgroup, from the orders of its
+    elements; conjugate subgroups share it."""
+    counts = Counter(orders)
+    return sum(counts.values()), tuple(sorted(counts.items()))
 
 
-def are_conjugate_subgroups(G, H1, H2, cap=CONJUGACY_CAP):
+def _conjugates_into(table, inv, gens, target):
+    """Whether some g has g^-1 h g in target for every h in gens, all
+    elements given by their numbers in the multiplication table."""
+    cols = [table[h] for h in gens]
+    for g, ig in enumerate(inv):
+        col = table[g]
+        for hcol in cols:
+            if col[hcol[ig]] not in target:
+                break
+        else:
+            return True
+    return False
+
+
+def are_conjugate_subgroups(G, H1, H2, cap=SUBGROUP_CLASS_CAP):
     """Brute-force subgroup conjugacy test: exists g with g^-1 H1 g = H2."""
     if G.order() > cap:
         raise CapExceeded(f"|G|={G.order()} too large for brute-force conjugacy (cap {cap})")
-    if H1.order() != H2.order():
+    _check_subgroup(G, H1)
+    _check_subgroup(G, H2)
+    if (_fingerprint(p.order() for p in H1.elements())
+            != _fingerprint(p.order() for p in H2.elements())):
         return False
-    if _order_multiset(H1) != _order_multiset(H2):
-        return False
-    set2 = H2.element_set()
-    gens1 = H1.generators
-    if not gens1:
-        return True  # both trivial
-    for g in G.elements():
-        gi = g.inverse()
-        if all(gi * h * g in set2 for h in gens1):
-            return True
-    return False
+    number, table, inv = G.multiplication_table()
+    return _conjugates_into(table, inv, [number[h.images] for h in H1.generators],
+                            {number[p.images] for p in H2.elements()})
 
 
 def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
@@ -428,23 +443,18 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     if G._class_cache is not None:
         return G._class_cache
     elems = G.elements()
-    index = {p.images: i for i, p in enumerate(elems)}
-    table = []
-    for p in elems:
-        pim = p.images
-        table.append([index[tuple(q.images[x] for x in pim)] for q in elems])
-    inv = [index[p.inverse().images] for p in elems]
+    _, table, inv = G.multiplication_table()
     eorder = [p.order() for p in elems]
     half = n // 2
 
     def closure_idx(gens):
+        cols = [table[g] for g in gens]
         seen = bytearray(n)
         seen[0] = 1
         out = [0]
         for w in out:
-            row = table[w]
-            for g in gens:
-                t = row[g]
+            for col in cols:
+                t = col[w]
                 if not seen[t]:
                     seen[t] = 1
                     out.append(t)
@@ -453,13 +463,6 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
                 return list(range(n))
         return out
 
-    def fingerprint(s):
-        counts = {}
-        for i in s:
-            o = eorder[i]
-            counts[o] = counts.get(o, 0) + 1
-        return (len(s), tuple(sorted(counts.items())))
-
     classes = []  # (frozenset, gens tuple, fingerprint)
     setmap = {}
 
@@ -467,20 +470,11 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         hit = setmap.get(sset)
         if hit is not None:
             return hit, False
-        fp = fingerprint(sset)
-        for ci, (cset, cgens, cfp) in enumerate(classes):
-            if cfp != fp:
-                continue
-            for g in range(n):
-                ig = inv[g]
-                ok = True
-                for h in cgens:
-                    if table[table[ig][h]][g] not in sset:
-                        ok = False
-                        break
-                if ok:
-                    setmap[sset] = ci
-                    return ci, False
+        fp = _fingerprint(eorder[i] for i in sset)
+        for ci, (_, cgens, cfp) in enumerate(classes):
+            if cfp == fp and _conjugates_into(table, inv, cgens, sset):
+                setmap[sset] = ci
+                return ci, False
         classes.append((sset, tuple(gens), fp))
         ci = len(classes) - 1
         setmap[sset] = ci
@@ -499,6 +493,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         qi += 1
         sset, sgens, _ = classes[ci]
         slist = sorted(sset)
+        scols = [table[s] for s in slist]
         covered = bytearray(n)
         for s in slist:
             covered[s] = 1
@@ -506,24 +501,21 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         for g in range(n):
             if covered[g]:
                 continue
-            if mark_double:
-                for s1 in slist:
-                    row = table[table[s1][g]]
-                    for s2 in slist:
-                        covered[row[s2]] = 1
-            else:
-                for s1 in slist:
-                    covered[table[s1][g]] = 1
+            # mark the coset S*g, or the double coset S*g*S
+            col = table[g]
+            for s1 in slist:
+                x = col[s1]
+                if mark_double:
+                    for scol in scols:
+                        covered[scol[x]] = 1
+                else:
+                    covered[x] = 1
             tset = frozenset(closure_idx(list(sgens) + [g]))
             ti, new = register(tset, tuple(sgens) + (g,))
             if new:
                 queue.append(ti)
 
-    handles = []
-    for sset, _, _ in classes:
-        members = tuple(elems[i] for i in sorted(sset))
-        gens = small_generating_set(members)
-        handles.append(SubgroupHandle(G, gens, _elements=members))
+    handles = [_spanned(G, [elems[i] for i in sorted(sset)]) for sset, _, _ in classes]
     handles.sort(key=lambda h: (-h.order(), tuple(p.images for p in h.elements())))
     object.__setattr__(G, "_class_cache", handles)
     return handles

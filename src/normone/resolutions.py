@@ -242,12 +242,14 @@ def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResu
     if H.order() == G.order():
         raise ValueError("subgroup is the whole group; the quotient module "
                          "needs index >= 2")
-    if H.is_normal() and H.order() not in (1, G.order()):
+    # H is normal in G exactly when it is its own core
+    core_order = core(G, H).order()
+    if core_order == H.order() > 1:
         warnings.warn(
             f"{H.describe()} is normal in {G.label}; the construction still "
             "runs but the geometric setting assumes a non-normal subgroup",
             stacklevel=3)
-    if core(G, H).order() > 1:
+    if core_order > 1:
         warnings.warn(
             f"core of {H.describe()} in {G.label} is nontrivial; the matrix "
             "action is unfaithful", stacklevel=3)

@@ -122,6 +122,18 @@ class TestComputeCommand:
         # A8 subgroup enumeration is beyond the default class cap
         assert main(["compute", "A8", "--point-stabilizer", "8"]) == 3
 
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
+        # an exception outside the documented mapping is a bug: exit 4,
+        # one line on stderr, no traceback
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.delenv("NORMONE_CACHE", raising=False)
+        monkeypatch.setattr(cli, "_pipeline", broken)
+        assert main(["compute", "A4", "--point-stabilizer", "4"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error:")
+
     def test_whole_group_subgroup_rejected(self, capsys):
         # index 1 leaves no Chevalley module; clean error, not a traceback
         assert main(["compute", "S3", "--class", "1"]) == 2

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from normone.cli import main
 from normone.errors import CapExceeded, NotASubgroupError
+from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
     coset_moves, coset_position, cyclic, cyclic_subgroup_classes, dihedral, klein_four,
@@ -113,6 +115,49 @@ class TestSubgroups:
         gens = small_generating_set(G.elements())
         assert len(gens) <= 2
         assert G.subgroup(gens).order() == 12
+
+    def test_group_is_its_own_subgroup(self):
+        A4 = alternating(4)
+        assert right_transversal(A4, A4)[0] == [Permutation.identity(4)]
+        assert core(A4, A4).order() == 12
+        with pytest.raises(NotASubgroupError):
+            right_transversal(A4, symmetric(3))
+
+    def test_subgroup_is_a_group(self):
+        A6 = alternating(6)
+        H = A6.point_stabilizer(6)
+        assert H.parent is A6
+        classes = subgroup_classes(H)
+        assert all(c.parent is H for c in classes)
+        orders = [c.order() for c in classes]
+        assert orders == [c.order() for c in subgroup_classes(alternating(5))]
+        assert len(orders) == 9
+
+
+class TestMultiplicationTable:
+    @pytest.mark.parametrize("G", [symmetric(4), alternating(5), product_of_cyclics((2, 6))],
+                             ids=lambda G: G.label)
+    def test_entries_are_permutation_products(self, G):
+        number, table, inv = G.multiplication_table()
+        elems = G.elements()
+        assert [number[p.images] for p in elems] == list(range(len(elems)))
+        for c, pc in enumerate(elems):
+            assert table[c] == [number[(pa * pc).images] for pa in elems]
+            assert inv[c] == number[pc.inverse().images]
+
+    def test_only_the_class_search_builds_it(self, monkeypatch, capsys):
+        def refuse(G):
+            raise AssertionError(f"multiplication table of {G.label} built")
+
+        monkeypatch.setattr(PermGroup, "multiplication_table", refuse)
+        for G, point in ((PermGroup(5, alternating(5).generators, label="A5"), 5),
+                         (alternating(8), 8)):
+            H = G.point_stabilizer(point)
+            assert core(G, H).order() == 1
+            T, coset_of = right_transversal(G, H)
+            assert len(coset_moves(T, coset_of, G.generators)) == len(G.generators)
+            assert chevalley_module(G, H).rank == point - 1
+        assert main(["compute", "A8", "--point-stabilizer", "8"]) == 3
 
 
 class TestTransversal:

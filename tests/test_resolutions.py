@@ -228,6 +228,17 @@ class TestNormOneInvariant:
             inv = norm_one_invariant(G, H)
         assert inv.is_trivial()
 
+    def test_normality_is_judged_in_g(self):
+        # <(1 3),(2 4)> is normal in the dihedral subgroup it was taken in,
+        # but not in S4, where its core is trivial: no warning
+        G = symmetric(4)
+        D4 = G.subgroup([P([(1, 2, 3, 4)], 4), P([(1, 3)], 4)])
+        H = D4.subgroup([P([(1, 3)], 4), P([(2, 4)], 4)])
+        assert H.is_normal()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm_one_invariant(G, H)
+
     def test_nontrivial_core_warns(self):
         G = cyclic(6)
         H = G.subgroup([P([(1, 4), (2, 5), (3, 6)], 6)])
