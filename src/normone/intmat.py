@@ -6,12 +6,16 @@ holds one read-only 2-D NumPy array in a canonical dtype: int64 when
 every |entry| < _NP_CAP, else dtype=object (exact Python ints).  Products,
 sums, stacking and the eliminations all run on that array.  A product
 runs on int64 while its worst-case entry bound stays below _NP_CAP.  Each
-elimination (Hermite, Smith, back-substitution) is written once; on int64
-every destructive step is guarded by a worst-case bound, and on a
-would-be overflow the same routine reruns from the start on a
-dtype=object copy.  The arithmetic and the pivot rule (minimal nonzero
-absolute value, ties broken by position) do not depend on the dtype, so
-neither does the output.
+elimination (Hermite, Smith, back-substitution) is written once.  A step
+rewrites only the lines it changes: the rows with a nonzero entry in the
+pivot column (the columns with one in the pivot row, for Smith's column
+steps).  On int64 every step is guarded by a running upper bound on the
+largest |entry|, grown by max|multiplier| * max|pivot line| per step and
+taken exactly again only when it would reach _NP_CAP; on a would-be
+overflow the same routine reruns from the start on a dtype=object copy.
+The arithmetic and the pivot rule (minimal nonzero absolute value, ties
+broken by position) do not depend on the dtype, so neither does the
+output.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Magnitude ceiling for int64 arrays.  An elimination step can at most add
-# |q|*|pivot line| to an entry; the guards keep every intermediate strictly
-# below 2**62, and a product runs on int64 only if its bound stays below.
+# |q|*|pivot line| to an entry; the running bound keeps every product and
+# every intermediate strictly below it, and a product of matrices runs on
+# int64 only if its bound stays below.
 _NP_CAP = 1 << 59
 
 _to_int = np.frompyfunc(int, 1, 1)
@@ -236,58 +241,86 @@ def _eliminate(elim, W, *args):
     return elim(W.astype(object), *args)
 
 
-def _guard(q, line, rest):
-    """On int64, raise _Overflow unless rest - q * line stays below _NP_CAP."""
-    if line.dtype != object and (int(np.abs(q).max()) * int(np.abs(line).max())
-                                 + int(np.abs(rest).max()) >= _NP_CAP):
-        raise _Overflow
+def _start_bound(W):
+    """The running bound an elimination of the canonical array W starts
+    from: None (unguarded) on dtype=object; on int64, _NP_CAP - 1, which
+    every entry is below, so that the first step takes max|W| exactly and
+    an elimination without steps never takes it."""
+    return None if W.dtype == object else _NP_CAP - 1
 
 
-def _smallest(v):
-    """Index of the smallest nonzero |entry| of v, the first one on ties."""
-    nz = np.nonzero(v)[0]
-    return int(nz[np.argmin(np.abs(v[nz]))])
+def _grow(bound, q, line_max, W, touched):
+    """The running bound on max|W| once the entries W[touched] have taken
+    away the multiples q of a line whose largest |entry| is line_max.  A
+    bound of None (unguarded, as on dtype=object) stays None.
+
+    Each step adds max|q| * line_max to the bound.  Only when that would
+    reach _NP_CAP is max|W| taken exactly, and only when the touched
+    entries themselves could then reach it is _Overflow raised, so a
+    stale bound never sends the elimination to Python ints.
+    """
+    if bound is None:
+        return None
+    step = int(np.abs(q).max()) * line_max
+    if bound + step >= _NP_CAP:
+        bound = _bound(W)
+        if bound + step >= _NP_CAP and _bound(W[touched]) + step >= _NP_CAP:
+            raise _Overflow
+    return bound + step
 
 
 def _hermite(W, track):
     """Row Hermite elimination of the m x n array W, on [W | I_m] when
     track.  Returns (H, U or None) as arrays.
 
-    Each column's pivot is its smallest nonzero |entry|.  Entries above the
-    pivots are reduced in one bottom-up pass at the end; doing it eagerly
-    lets intermediate entries snowball.
+    Each column's pivot is its smallest nonzero |entry|, the first on
+    ties.  A step rewrites only the rows with a nonzero entry in the pivot
+    column, and on int64 it is guarded by a running bound on max|W| (see
+    `_grow`).  Entries above the pivots are reduced in one pass at the
+    end, pivot by pivot from the top; doing it eagerly lets intermediate
+    entries snowball.
     """
     m, ncols = W.shape
     if track:
         W = np.hstack([W, np.eye(m, dtype=W.dtype)])
+    bound = _start_bound(W)
     pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        col = W[r:, c]
-        if not col.any():
+        rows = r + W[r:, c].nonzero()[0]
+        if not rows.size:
             continue
+        i = rows[abs(W[rows, c]).argmin()]
+        # the rows below r still nonzero in column c once row i is swapped up
+        rows = rows[1:] if rows[0] == r else rows[rows != i]
         while True:
-            k = _smallest(col)
-            if k:
-                W[[r, r + k]] = W[[r + k, r]]
-            below = W[r + 1:, c]
-            if not below.any():
+            if i != r:
+                W[[r, i]] = W[[i, r]]
+            if not rows.size:
                 break
-            q = below // W[r, c]
-            _guard(q, W[r], W[r + 1:])
-            W[r + 1:] -= q[:, None] * W[r]
+            q = W[rows, c] // W[r, c]
+            bound = _grow(bound, q, _bound(W[r]), W, rows)
+            W[rows] -= q[:, None] * W[r]
+            rows = rows[W[rows, c].nonzero()[0]]
+            if not rows.size:
+                break
+            # a remainder is smaller than the pivot, so the next pivot is one
+            # of them, and the old pivot row it swaps with stays nonzero
+            i = rows[abs(W[rows, c]).argmin()]
         if W[r, c] < 0:
             W[r] = -W[r]
         pivots.append((r, c))
         r += 1
-    for r, c in pivots:
-        if r:
-            q = W[:r, c] // W[r, c]
-            if q.any():
-                _guard(q, W[r], W[:r])
-                W[:r] -= q[:, None] * W[r]
+    # the first pivot row has no rows above it
+    for r, c in pivots[1:]:
+        q = W[:r, c] // W[r, c]
+        rows = q.nonzero()[0]
+        if rows.size:
+            q = q[rows]
+            bound = _grow(bound, q, _bound(W[r]), W, rows)
+            W[rows] -= q[:, None] * W[r]
     return W[:, :ncols], (W[:, ncols:] if track else None)
 
 
@@ -325,14 +358,20 @@ def _back_substitute(W, r):
     rows: the X with X*H = B, or None when some row of B has none."""
     H, res = W[:r], W[r:]
     X = np.zeros((res.shape[0], r), dtype=W.dtype)
-    for k, c in enumerate((H != 0).argmax(axis=1)):
-        v = res[:, c]
+    # one pass gives each H row's max and the running bound over B's rows
+    line_max = abs(W).max(axis=1, initial=0).tolist()
+    bound = None if W.dtype == object else max(line_max[r:])
+    for k, c in enumerate((H != 0).argmax(axis=1).tolist()):
+        rows = res[:, c].nonzero()[0]
+        if not rows.size:
+            continue
+        v = res[rows, c]
         if (v % H[k, c]).any():
             return None
         q = v // H[k, c]
-        _guard(q, H[k], res)
-        res -= q[:, None] * H[k]
-        X[:, k] = q
+        bound = _grow(bound, q, line_max[k], res, rows)
+        res[rows] -= q[:, None] * H[k]
+        X[rows, k] = q
     return None if res.any() else X
 
 
@@ -404,47 +443,52 @@ def _smith(W, m, n):
     columns, so a border [[A, I_m], [I_n, 0]] around A collects U in its
     top right block and V in its bottom left one.  Each pivot is the
     smallest nonzero |entry| of the remaining block, the first in row-major
-    order on ties.  Returns (W, rank); W[i, i] for i < rank are the
-    invariant factors d1 | d2 | ..., all positive.
+    order on ties.  A row step rewrites only the rows with a nonzero entry
+    in the pivot column, a column step only the columns with one in the
+    pivot row, each guarded on int64 by a running bound (see `_grow`).
+    Returns (W, rank); W[i, i] for i < rank are the invariant factors
+    d1 | d2 | ..., all positive.
     """
+    bound = _start_bound(W)
     t = 0
     while t < m and t < n:
         sub = W[t:m, t:n]
-        nz = np.nonzero(sub)
-        if nz[0].size == 0:
+        nz = sub.nonzero()
+        if not nz[0].size:
             break
-        k = int(np.argmin(np.abs(sub[nz])))
-        bi, bj = int(nz[0][k]) + t, int(nz[1][k]) + t
+        k = abs(sub[nz]).argmin()
+        bi, bj = nz[0][k] + t, nz[1][k] + t
         if bi != t:
             W[[t, bi]] = W[[bi, t]]
         if bj != t:
             W[:, [t, bj]] = W[:, [bj, t]]
         while True:
-            col = W[t + 1:m, t]
-            if col.any():
-                q = col // W[t, t]
-                _guard(q, W[t], W[t + 1:m])
-                W[t + 1:m] -= q[:, None] * W[t]
-                if col.any():
+            rows = t + 1 + W[t + 1:m, t].nonzero()[0]
+            while rows.size:
+                q = W[rows, t] // W[t, t]
+                bound = _grow(bound, q, _bound(W[t]), W, rows)
+                W[rows] -= q[:, None] * W[t]
+                rows = rows[W[rows, t].nonzero()[0]]
+                if rows.size:
                     # a smaller remainder appeared in the column; pivot on it
-                    i = t + 1 + _smallest(col)
+                    i = rows[abs(W[rows, t]).argmin()]
                     W[[t, i]] = W[[i, t]]
-                    continue
-            row = W[t, t + 1:n]
-            if row.any():
-                q = row // W[t, t]
-                _guard(q, W[:, t], W[:, t + 1:n])
-                W[:, t + 1:n] -= W[:, t][:, None] * q
-                if row.any():
-                    j = t + 1 + _smallest(row)
+            cols = t + 1 + W[t, t + 1:n].nonzero()[0]
+            if cols.size:
+                q = W[t, cols] // W[t, t]
+                bound = _grow(bound, q, _bound(W[:, t]), W, (slice(None), cols))
+                W[:, cols] -= W[:, t][:, None] * q
+                cols = cols[W[t, cols].nonzero()[0]]
+                if cols.size:
+                    j = cols[abs(W[t, cols]).argmin()]
                     W[:, [t, j]] = W[:, [j, t]]
                     continue
             # the pivot must divide the rest of the block for the chain
-            bad = np.nonzero(W[t + 1:m, t + 1:n] % W[t, t])[0]
+            bad = (W[t + 1:m, t + 1:n] % W[t, t]).nonzero()[0]
             if not bad.size:
                 break
-            i = t + 1 + int(bad[0])
-            _guard(1, W[t], W[i])
+            i = t + 1 + bad[0]
+            bound = _grow(bound, 1, _bound(W[i]), W, t)
             W[t] += W[i]
         if W[t, t] < 0:
             W[t] = -W[t]

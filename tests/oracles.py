@@ -324,3 +324,99 @@ def lattice_pool(G, max_rank=4):
             break
     pool.extend(sums)
     return [L for L in pool if L.rank <= max_rank]
+
+
+def _smallest_below(W, rows, col):
+    """The row among rows whose entry in col is the smallest nonzero |entry|,
+    the first one on ties; None when all of them are zero."""
+    nonzero = [i for i in rows if W[i][col]]
+    return min(nonzero, key=lambda i: abs(W[i][col])) if nonzero else None
+
+
+def hermite_reference(rows, track):
+    """Row Hermite form by the dense elimination, on Python-int lists: each
+    Euclid step rewrites every row below the pivot, whether or not its
+    entry in the pivot column is zero.  Same pivot rule as the library
+    (smallest nonzero |entry| of the column, first on ties), same final
+    bottom-up reduction above the pivots.  Returns (H, U or None)."""
+    m, ncols = len(rows), len(rows[0])
+    W = [list(row) + ([int(i == j) for j in range(m)] if track else [])
+         for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        k = _smallest_below(W, range(r, m), c)
+        if k is None:
+            continue
+        while True:
+            W[r], W[k] = W[k], W[r]
+            if not any(W[i][c] for i in range(r + 1, m)):
+                break
+            for i in range(r + 1, m):
+                q = W[i][c] // W[r][c]
+                W[i] = [x - q * y for x, y in zip(W[i], W[r])]
+            k = _smallest_below(W, range(r, m), c)
+        if W[r][c] < 0:
+            W[r] = [-x for x in W[r]]
+        pivots.append((r, c))
+        r += 1
+    for r, c in pivots:
+        for i in range(r):
+            q = W[i][c] // W[r][c]
+            W[i] = [x - q * y for x, y in zip(W[i], W[r])]
+    H = [row[:ncols] for row in W]
+    return H, ([row[ncols:] for row in W] if track else None)
+
+
+def smith_reference(W, m, n):
+    """Smith elimination on the leading m x n block of the list of rows W,
+    dense, on Python ints: each row step rewrites every row below the
+    pivot and each column step every column right of it.  Row and column
+    operations act on whole rows and columns, so a border around the block
+    collects the transforms.  Same pivot rule as the library (smallest
+    nonzero |entry| of the remaining block, first in row-major order on
+    ties).  Returns (W, rank)."""
+    W = [list(row) for row in W]
+
+    def swap_columns(a, b):
+        for row in W:
+            row[a], row[b] = row[b], row[a]
+
+    t = 0
+    while t < m and t < n:
+        block = [(abs(W[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                 if W[i][j]]
+        if not block:
+            break
+        _, bi, bj = min(block)
+        W[t], W[bi] = W[bi], W[t]
+        swap_columns(t, bj)
+        while True:
+            if any(W[i][t] for i in range(t + 1, m)):
+                for i in range(t + 1, m):
+                    q = W[i][t] // W[t][t]
+                    W[i] = [x - q * y for x, y in zip(W[i], W[t])]
+                i = _smallest_below(W, range(t + 1, m), t)
+                if i is not None:
+                    W[t], W[i] = W[i], W[t]
+                    continue
+            if any(W[t][j] for j in range(t + 1, n)):
+                qs = [W[t][j] // W[t][t] for j in range(t + 1, n)]
+                for row in W:
+                    for j, q in enumerate(qs, start=t + 1):
+                        row[j] -= q * row[t]
+                nonzero = [j for j in range(t + 1, n) if W[t][j]]
+                if nonzero:
+                    swap_columns(t, min(nonzero, key=lambda j: abs(W[t][j])))
+                    continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(W[i][j] % W[t][t] for j in range(t + 1, n))), None)
+            if bad is None:
+                break
+            W[t] = [x + y for x, y in zip(W[t], W[bad])]
+        if W[t][t] < 0:
+            W[t] = [-x for x in W[t]]
+        t += 1
+    return W, t

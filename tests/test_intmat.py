@@ -10,7 +10,12 @@ from normone.intmat import (
     hstack, kernel_basis, quotient_invariants, snf, snf_invariants,
     solve_left, inverse_unimodular, vstack,
 )
-from oracles import minors_gcd, random_unimodular
+from normone.cohomology import sha2_omega
+from normone.perms import alternating, product_of_cyclics
+from normone.resolutions import norm_one_invariant
+from oracles import (
+    hermite_reference, minors_gcd, random_unimodular, smith_reference,
+)
 
 
 def mat(rows, ncols=None):
@@ -32,6 +37,73 @@ HUGE = 1 << 70
 BOUNDARY = (_NP_CAP - 1, _NP_CAP, (1 << 62) - 1, 1 << 62, (1 << 63) - 1, 1 << 63)
 huge_entries = st.one_of(st.integers(-HUGE, HUGE), st.integers(-3, 3),
                          st.sampled_from(BOUNDARY + tuple(-x for x in BOUNDARY)))
+
+
+@st.composite
+def action_blocks(draw):
+    """Sparse matrices shaped like the ones `induced` and `dimension_shift`
+    feed to kernel_basis: side by side, blocks kron(P, S) or kron(P, S) - I
+    for permutation matrices P and small square S."""
+    k, R = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        P = np.eye(k, dtype=np.int64)[draw(st.permutations(range(k)))]
+        S = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=R, max_size=R),
+                                   min_size=R, max_size=R)), dtype=np.int64)
+        blocks.append(np.kron(P, S) - draw(st.integers(0, 1)) * np.eye(k * R, dtype=np.int64))
+    return np.hstack(blocks).tolist()
+
+
+# entries of one absolute value, so that most pivot choices are ties
+tied_matrices = st.integers(1, 5).flatmap(
+    lambda v: matrices(6, st.sampled_from((0, 0, v, -v, 2 * v))))
+
+
+@st.composite
+def with_zero_lines(draw, inner):
+    """A matrix from inner with zero rows and zero columns put in."""
+    rows = [list(row) for row in draw(inner)]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(j, 0)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return rows
+
+
+reference_inputs = with_zero_lines(st.one_of(
+    action_blocks(), tied_matrices, matrices(5, st.integers(-12, 12))))
+
+
+def bordered(rows):
+    """[[A, I_m], [I_n, 0]] as lists, the array `snf` eliminates."""
+    m, n = len(rows), len(rows[0])
+    return ([row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+            + [[int(i == j) for j in range(n)] + [0] * m for i in range(n)])
+
+
+def snf_blocks(W, m, n):
+    """(U, D, V) as lists, read off the eliminated bordered array W."""
+    return ([row[n:] for row in W[:m]], [row[:n] for row in W[:m]],
+            [row[:n] for row in W[m:]])
+
+
+@pytest.fixture
+def elim_dtypes(monkeypatch):
+    """The (routine, dtype) of every elimination run while the test runs:
+    an int64 run followed by an object one is an overflow rerun."""
+    runs = []
+
+    def watched(name, elim):
+        def run(W, *args):
+            runs.append((name, W.dtype))
+            return elim(W, *args)
+        return run
+
+    for name in ("_hermite", "_smith", "_back_substitute"):
+        monkeypatch.setattr(intmat, name, watched(name, getattr(intmat, name)))
+    return runs
 
 
 def both_dtypes(elim, rows, width, *args):
@@ -105,20 +177,9 @@ class TestHNF:
             assert fast[1] == exact[1]
             assert fast[0].tolist() == exact[0].tolist()
 
-    def test_empty_input_skips_overflow_fallback(self, monkeypatch):
+    def test_empty_input_skips_overflow_fallback(self, elim_dtypes):
         # the object rerun happens only after an overflow: never for empty
         # input, which needs no elimination, nor for small entries
-        runs = []
-
-        def watched(elim):
-            def run(W, *args):
-                runs.append(W.dtype)
-                assert W.dtype != object, "object rerun without an overflow"
-                return elim(W, *args)
-            return run
-
-        monkeypatch.setattr(intmat, "_hermite", watched(intmat._hermite))
-        monkeypatch.setattr(intmat, "_smith", watched(intmat._smith))
         H, U = hnf(mat([], ncols=3))
         assert H == mat([], ncols=3) and U == mat([], ncols=0)
         H, U = hnf(IntMatrix.zeros(2, 0))
@@ -132,7 +193,9 @@ class TestHNF:
         assert snf_invariants(A) == [1, 10, 20]
         d = snf(A)
         assert d.U * A * d.V == d.D
-        assert runs
+        assert elim_dtypes
+        assert all(dtype != object for _, dtype in elim_dtypes), \
+            "object rerun without an overflow"
 
     def test_python_fallback_on_huge_entries(self):
         big = 1 << 70
@@ -140,6 +203,59 @@ class TestHNF:
         H, U = hnf(A)
         assert U * A == H
         assert abs(det(U)) == 1
+
+
+@given(reference_inputs)
+def test_eliminations_match_dense_reference(rows):
+    # the eliminations touch only the rows (columns) a pivot line reaches;
+    # the dense eliminations they replace must give the same H, U, Smith
+    # transforms and invariants, pivot for pivot, on either dtype
+    m, n = len(rows), len(rows[0])
+    H, U = hermite_reference(rows, track=True)
+    D, rank = smith_reference(bordered(rows), m, n)
+    for dtype in (np.int64, object):
+        h, u = intmat._hermite(np.array(rows, dtype=dtype), True)
+        assert (h.tolist(), u.tolist()) == (H, U)
+        W, r = intmat._smith(np.array(bordered(rows), dtype=dtype), m, n)
+        assert (W.tolist(), r) == (D, rank)
+    A = mat(rows)
+    assert hnf(A) == (mat(H), mat(U))
+    d = snf(A)
+    assert (d.U.tolist(), d.D.tolist(), d.V.tolist()) == snf_blocks(D, m, n)
+    assert snf_invariants(A) == [D[i][i] for i in range(rank)]
+
+
+class TestOverflowGuard:
+    def test_stale_bound_stays_on_int64(self, elim_dtypes):
+        # column 0 takes A times row 0 from row 1, so the running bound grows
+        # from A to 2A while the largest entry stays A; column 1 then takes B
+        # times a pivot row of max 1: 2A + B reaches _NP_CAP, but the exact
+        # max|W| + B does not, so the elimination must stay on int64
+        A = B = 3 << 56
+        assert 2 * A + B >= _NP_CAP > max(A, B) + B
+        rows = [[1, 0], [A, B], [0, 1]]
+        assert hnf(mat(rows)) == tuple(map(mat, hermite_reference(rows, True)))
+        assert elim_dtypes == [("_hermite", np.int64)]
+
+    def test_overflow_reruns_on_python_ints(self, elim_dtypes):
+        # one step takes 2**58 times a row holding 2**58: past int64
+        rows = [[1 << 58, 1], [1, 1 << 58]]
+        A = mat(rows)
+        assert A.array.dtype == np.int64
+        assert hnf(A) == tuple(map(mat, hermite_reference(rows, True)))
+        D, _ = smith_reference(bordered(rows), 2, 2)
+        d = snf(A)
+        assert (d.U.tolist(), d.D.tolist(), d.V.tolist()) == snf_blocks(D, 2, 2)
+        assert elim_dtypes == [("_hermite", np.int64), ("_hermite", object),
+                               ("_smith", np.int64), ("_smith", object)]
+
+    def test_pipelines_stay_on_int64(self, elim_dtypes):
+        G = product_of_cyclics((2, 2, 3))
+        assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
+        A5 = alternating(5)
+        assert norm_one_invariant(A5, A5.point_stabilizer(5)).is_trivial()
+        assert elim_dtypes
+        assert all(dtype == np.int64 for _, dtype in elim_dtypes)
 
 
 class TestSNF:
