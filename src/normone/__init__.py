@@ -11,7 +11,7 @@ __version__ = "0.2.0"
 
 from .errors import (
     CapExceeded, InternalCheckError, NormOneError, NotASubgroupError,
-    SpecParseError,
+    SpecParseError, UsageError,
 )
 from .intmat import (
     AbelianInvariants, IntMatrix, SmithDecomposition, det, hnf, hnf_basis,

@@ -172,10 +172,6 @@ def resolve_subgroup(G, args):
     return G.subgroup(gens)
 
 
-def _subgroup_text(H):
-    return H.describe()
-
-
 RECORD_KEYS = frozenset({"group", "subgroup", "j_rank", "flasque_rank", "h1",
                          "verdict", "ms", "version"})
 _DECIMAL = re.compile(r"[1-9][0-9]*")
@@ -184,7 +180,7 @@ _DECIMAL = re.compile(r"[1-9][0-9]*")
 def _record(spec_text, H, result, elapsed_ms, v: Verdict):
     return {
         "group": spec_text,
-        "subgroup": _subgroup_text(H),
+        "subgroup": H.describe(),
         "j_rank": result.j_rank,
         "flasque_rank": result.flasque_rank,
         "h1": [str(t) for t in result.invariants.torsion],
@@ -202,7 +198,7 @@ def _cache_dir(args):
 
 def _cache_key(spec_text, H):
     payload = json.dumps(
-        {"group": spec_text, "subgroup": _subgroup_text(H), "version": __version__},
+        {"group": spec_text, "subgroup": H.describe(), "version": __version__},
         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -266,7 +262,7 @@ def _compute_record(spec_text, G, H, args):
     if directory:
         cached = _cache_read(directory, key)
         if cached is not None:
-            print(f"cache hit for {spec_text} / {_subgroup_text(H)}", file=sys.stderr)
+            print(f"cache hit for {spec_text} / {H.describe()}", file=sys.stderr)
             return cached
     t0 = time.monotonic()
     result = _pipeline(G, H, max_rank=args.max_rank, class_cap=args.max_order)
@@ -390,7 +386,7 @@ def cmd_sha_oracle(args):
     ms = int((time.monotonic() - t0) * 1000)
     record = {
         "group": str(spec),
-        "subgroup": _subgroup_text(H),
+        "subgroup": H.describe(),
         "sha2_omega": [str(t) for t in inv.torsion],
         "ms": ms,
         "version": __version__,
@@ -484,11 +480,11 @@ def main(argv=None):
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (NormOneError, ValueError) as exc:
+    except NormOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # any other exception is a bug too, reported in one line
+        # any other exception, ValueError included, is a bug: one line
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

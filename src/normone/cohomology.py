@@ -1,6 +1,8 @@
 """Cohomology of G-lattices.
 
-H^1 is computed from a finite presentation of the acting group: a
+Tate H^-1 is the torsion of one Smith form; the pipeline takes its H^1
+from it by duality.  `h1` computes H^1 from a finite presentation of the
+acting group instead, for `sha2_omega` and as the tests' cross-check: a
 1-cocycle is determined by its generator values, subject to one linear
 condition per relator.  The cocycle rule for right modules is fixed once
 and for all as
@@ -8,9 +10,8 @@ and for all as
     c(uv) = c(u) * rho(v) + c(v),      c(x^-1) = -c(x) * rho(x)^-1,
 
 so coboundaries are m |-> m * rho(x) - m.  Unknown counts scale with the
-generator count rather than |G|, which is what makes the A6/A7 pipeline
-feasible; a brute-force bar-complex computation exists in the test suite
-as an independent oracle for small groups.
+generator count rather than |G|; a brute-force bar-complex computation
+exists in the test suite as an independent oracle for small groups.
 """
 
 from __future__ import annotations
@@ -179,11 +180,10 @@ class Cocycle:
 class _H1Data:
     """Everything h1 computes, kept for restriction maps."""
 
-    __slots__ = ("lattice", "presentation", "mats", "invs", "Z1", "B1")
+    __slots__ = ("lattice", "mats", "invs", "Z1", "B1")
 
-    def __init__(self, lattice, presentation, mats, invs, Z1, B1):
+    def __init__(self, lattice, mats, invs, Z1, B1):
         self.lattice = lattice
-        self.presentation = presentation
         self.mats = mats
         self.invs = invs
         self.Z1 = Z1
@@ -236,7 +236,7 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
     G = L.group
     if P.ngens == 0:
         empty = IntMatrix([], ncols=0)
-        return _H1Data(L, P, (), (), empty, IntMatrix([], ncols=0))
+        return _H1Data(L, (), (), empty, IntMatrix([], ncols=0))
     span = G.elements_with_words(alphabet=P.images)
     if len(span) != G.order():
         raise ValueError("presentation images do not generate the acting group")
@@ -254,7 +254,7 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
         K = hnf_basis(Kn * K) if Kn.nrows else IntMatrix([], ncols=dim)
     ident = IntMatrix.identity(R)
     B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
-    return _H1Data(L, P, mats, invs, K, B1)
+    return _H1Data(L, mats, invs, K, B1)
 
 
 def h1(L: GLattice, P: Presentation) -> AbelianInvariants:
@@ -297,11 +297,8 @@ def tate_cyclic(c: Permutation, L: GLattice):
     ident = IntMatrix.identity(L.rank)
     N = _norm_matrix(rho, m)
     diff = rho - ident
-    fixed = kernel_basis(diff)
-    h0 = quotient_invariants(fixed, N)
-    h1_ = quotient_invariants(kernel_basis(N), diff)
-    return (AbelianInvariants(0, h0.torsion) if h0.free_rank == 0 else h0,
-            AbelianInvariants(0, h1_.torsion) if h1_.free_rank == 0 else h1_)
+    return (quotient_invariants(kernel_basis(diff), N),
+            quotient_invariants(kernel_basis(N), diff))
 
 
 def tate_minus1(S, L: GLattice) -> AbelianInvariants:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes, so raising the right class matters:
-parse errors -> 2, cap overruns -> 3, broken internal invariants -> 4.
+parse and usage errors -> 2, cap overruns -> 3, anything else -> 4.
 """
 
 
@@ -15,6 +15,10 @@ class SpecParseError(NormOneError):
 
 class CapExceeded(NormOneError):
     """A configurable size cap (group order, coset count, ...) was hit."""
+
+
+class UsageError(NormOneError):
+    """Input that parses but names nothing to compute, e.g. index 1."""
 
 
 class NotASubgroupError(NormOneError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, UsageError
 from .intmat import IntMatrix, hstack, kernel_basis
 from .perms import PermGroup, coset_moves, right_transversal
 
@@ -138,7 +138,7 @@ def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
     """
     d, perms = _coset_permutations(G, H)
     if d < 2:
-        raise ValueError("index must be at least 2")
+        raise UsageError("index must be at least 2")
     mats = [IntMatrix(p[:-1, :-1] - p[:-1, -1:]) for p in perms]
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
 
@@ -152,7 +152,7 @@ def augmentation_ideal(G: PermGroup, H: PermGroup):
     P = perm_lattice(G, H)
     d = P.rank
     if d < 2:
-        raise ValueError("index must be at least 2")
+        raise UsageError("index must be at least 2")
     # coset_i - coset_last goes to coset_sigma(i) - coset_sigma(last)
     mats = [IntMatrix((p.array[:-1] - p.array[-1])[:, :-1]) for p in P.action]
     I = GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")

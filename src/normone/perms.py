@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from math import lcm
 
-from .errors import CapExceeded, NotASubgroupError
+from .errors import CapExceeded, NotASubgroupError, UsageError
 
 DEGREE_CAP = 16
 DEFAULT_MAX_ORDER = 100_000
@@ -282,7 +282,7 @@ class PermGroup:
     def point_stabilizer(self, point):
         """Stabilizer of a point (1-based) in the natural action."""
         if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
+            raise UsageError(f"point {point} out of range 1..{self.degree}")
         return _spanned(self, [g for g in self.elements() if g.images[point - 1] == point - 1])
 
     def is_normal(self):

@@ -18,8 +18,10 @@ onto for every class, which is exactly the condition forcing the kernel
 to be coflasque.
 
 Flasque resolutions arise by dualizing the cover of the dual lattice, and
-the headline computation is h1 of the flasque term for the Chevalley
-module of (G, H).
+the headline computation is H^1 of the flasque term F for the Chevalley
+module of (G, H).  By duality (Brown, Cohomology of Groups, VI.7) that
+finite group is Tate H^-1(G, dual F), the torsion of one Smith form, so
+no presentation of G is needed; the tests check it against `h1`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import h1, presentation_catalog, tate_minus1
-from .errors import CapExceeded, InternalCheckError
+from .cohomology import tate_minus1
+from .errors import CapExceeded, InternalCheckError, UsageError
 from .intmat import (
     IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants,
     solve_left, vstack,
@@ -222,7 +224,7 @@ def is_coflasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
 
 
 def norm_one_invariant(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None):
-    """h1 of the flasque side of a resolution of the Chevalley module.
+    """H^1 of the flasque side of a resolution of the Chevalley module.
 
     This is the group-theoretic invariant governing both the Hasse norm
     principle and weak approximation for the associated norm-one torus.
@@ -240,7 +242,7 @@ class PipelineResult:
 
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
     if H.order() == G.order():
-        raise ValueError("subgroup is the whole group; the quotient module "
+        raise UsageError("subgroup is the whole group; the quotient module "
                          "needs index >= 2")
     # H is normal in G exactly when it is its own core
     core_order = core(G, H).order()
@@ -255,8 +257,9 @@ def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResu
             "action is unfaithful", stacklevel=3)
     J = chevalley_module(G, H)
     res = flasque_resolution(J, class_cap=class_cap, max_rank=max_rank)
-    P = presentation_catalog(G)
-    inv = h1(res.side, P)
+    inv = tate_minus1(G, dual(res.side))   # dual to H^1(G, F); |G| kills it
+    if any(G.order() % t for t in inv.torsion):
+        raise InternalCheckError(f"H^1 invariants {inv.torsion} do not divide |G|")
     return PipelineResult(J.rank, res.side.rank, res.middle.rank, inv)
 
 

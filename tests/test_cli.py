@@ -124,15 +124,26 @@ class TestComputeCommand:
 
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
         # an exception outside the documented mapping is a bug: exit 4,
-        # one line on stderr, no traceback
-        def broken(*args, **kwargs):
-            raise KeyError("lost")
-
+        # one line on stderr, no traceback; a ValueError from inside the
+        # program too, since user input raises NormOneError subclasses
         monkeypatch.delenv("NORMONE_CACHE", raising=False)
-        monkeypatch.setattr(cli, "_pipeline", broken)
-        assert main(["compute", "A4", "--point-stabilizer", "4"]) == 4
+        for exc in (KeyError("lost"), ValueError("inconsistent shapes")):
+            def broken(*args, exc=exc, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(cli, "_pipeline", broken)
+            assert main(["compute", "A4", "--point-stabilizer", "4"]) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("internal error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "A4", "--point-stabilizer", "0"],
+        ["sha-oracle", "S3", "--class", "1"],
+    ])
+    def test_unusable_subgroup_choice_exit_code(self, argv, capsys):
+        assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("internal error:")
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_whole_group_subgroup_rejected(self, capsys):
         # index 1 leaves no Chevalley module; clean error, not a traceback
