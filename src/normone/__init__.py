@@ -15,7 +15,7 @@ from .errors import (
 )
 from .intmat import (
     AbelianInvariants, IntMatrix, SmithDecomposition, det, hnf, hnf_basis,
-    kernel_basis, quotient_invariants, snf, snf_invariants, solve_left,
+    kernel_basis, quotient_invariants, snf, snf_invariants,
 )
 from .perms import (
     PermGroup, Permutation, alternating,

@@ -29,10 +29,7 @@ from .perms import (
     are_conjugate_subgroups, cyclic, dihedral, product_of_cyclics,
     subgroup_classes, symmetric,
 )
-from .fpgroups import (
-    DEFAULT_MAX_COSETS, preimage_an, schur_cover_sn, todd_coxeter,
-    verify_commutator_claim,
-)
+from .fpgroups import DEFAULT_MAX_COSETS, preimage_an, verify_commutator_claim
 from .resolutions import Verdict, _pipeline
 
 DEFAULT_MAX_RANK = 4096
@@ -356,22 +353,21 @@ def cmd_verify_schur(args):
     n = args.n
     if n < 4:
         raise NormOneError(f"verify-schur needs n >= 4 (got {n})")
-    # n > 6 is a cap: schur_cover_sn raises before any factorial is taken
-    cover = schur_cover_sn(n)
-    expected_u = 2 * math.factorial(n)
-    table = todd_coxeter(cover, (), max_cosets=args.max_cosets)
+    # n > 6 is a cap: preimage_an raises before any factorial is taken
     data = preimage_an(n, max_cosets=args.max_cosets)
-    claim = verify_commutator_claim(n)
+    cover_order = data.regular.coset_count
+    expected_u = 2 * math.factorial(n)
+    claim = verify_commutator_claim(data)
     record = {
         "n": n,
-        "cover_order": table.coset_count,
+        "cover_order": cover_order,
         "cover_order_expected": expected_u,
         "even_preimage_order": data.v_order,
         "even_preimage_index": data.index_table.coset_count,
         "commutator_claim": claim,
     }
     print(json.dumps(record, sort_keys=True))
-    ok = (table.coset_count == expected_u and data.v_order == math.factorial(n)
+    ok = (cover_order == expected_u and data.v_order == math.factorial(n)
           and data.index_table.coset_count == 2 and claim)
     print(("PASS" if ok else "FAIL") + f" schur checks for n={n}", file=sys.stderr)
     return 0 if ok else 1

@@ -233,6 +233,13 @@ def _relator_blocks(word, mats, invs, R):
 
 
 def h1_data(L: GLattice, P: Presentation) -> _H1Data:
+    """Cocycles Z1 and coboundaries B1 of L, over P's generator values.
+
+    Z1 is the lattice of generator values that every relator's blocks
+    kill, found by one kernel of all the blocks side by side; its rows
+    are therefore a Hermite basis with full row rank.  B1 holds the
+    coboundaries of L's basis vectors.
+    """
     G = L.group
     if P.ngens == 0:
         empty = IntMatrix([], ncols=0)
@@ -242,19 +249,12 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
         raise ValueError("presentation images do not generate the acting group")
     mats = tuple(L.matrix_of(img) for img in P.images)
     invs = tuple(L.matrix_of(img.inverse()) for img in P.images)
-    s, R = P.ngens, L.rank
-    dim = s * R
-    K = IntMatrix.identity(dim)
-    for w in P.relators:
-        if not w or K.nrows == 0:
-            continue
-        B = vstack(*_relator_blocks(w, mats, invs, R))
-        M = K * B
-        Kn = kernel_basis(M)
-        K = hnf_basis(Kn * K) if Kn.nrows else IntMatrix([], ncols=dim)
+    R = L.rank
+    blocks = [vstack(*_relator_blocks(w, mats, invs, R)) for w in P.relators if w]
+    Z1 = kernel_basis(hstack(*blocks)) if blocks else IntMatrix.identity(P.ngens * R)
     ident = IntMatrix.identity(R)
     B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
-    return _H1Data(L, mats, invs, K, B1)
+    return _H1Data(L, mats, invs, Z1, B1)
 
 
 def h1(L: GLattice, P: Presentation) -> AbelianInvariants:
@@ -325,7 +325,6 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
 class ShiftData:
     """0 -> L -> Ind(L) -> shifted -> 0, with explicit maps."""
 
-    induced_lattice: GLattice
     embed: LatticeMap
     shifted: GLattice
     project: LatticeMap
@@ -349,13 +348,7 @@ def dimension_shift(L: GLattice) -> ShiftData:
                        label=f"shift({L.label})" if L.label else None)
     if not (emb.matrix * proj).is_zero():
         raise InternalCheckError("projection does not kill the embedded copy")
-    return ShiftData(I, emb, shifted, LatticeMap(I, shifted, proj))
-
-
-def _relation_lattice(Z1: IntMatrix, B1: IntMatrix) -> IntMatrix:
-    """{x : x * Z1 lies in the row lattice of B1}, as rows."""
-    K = kernel_basis(vstack(Z1, B1))
-    return hnf_basis(IntMatrix(K.array[:, :Z1.nrows], ncols=Z1.nrows))
+    return ShiftData(emb, shifted, LatticeMap(I, shifted, proj))
 
 
 def sha2_omega(G: PermGroup, H, cap=SHA_ORDER_CAP) -> AbelianInvariants:
@@ -380,7 +373,11 @@ def sha2_omega(G: PermGroup, H, cap=SHA_ORDER_CAP) -> AbelianInvariants:
     z = data.Z1.nrows
     if z == 0:
         return AbelianInvariants(0, ())
-    R_s = _relation_lattice(data.Z1, data.B1)
+    # Z1 is a Hermite basis of full row rank, so the coordinates of the
+    # coboundaries in it span {x : x * Z1 is a coboundary}
+    R_s = hnf_coordinates(data.Z1, data.B1)
+    if R_s is None:
+        raise InternalCheckError("coboundaries escape the cocycle lattice")
     img_words = G.elements_with_words(alphabet=P.images)
     R = J1.rank
     # each generator's values of all the cocycles, one row per cocycle

@@ -15,6 +15,8 @@ from .errors import CapExceeded, InternalCheckError
 from .perms import Permutation
 
 DEFAULT_MAX_COSETS = 100_000
+# the largest n whose Schur cover of S_n is enumerated
+MAX_SCHUR_N = 6
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class CosetTable:
 
     coset_count: int
     action: tuple          # Permutation per generator
-    subgroup_words: tuple
 
     def word_permutation(self, word):
         p = Permutation.identity(self.coset_count)
@@ -185,7 +186,7 @@ def todd_coxeter(fp: FpGroup, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS) 
         if sorted(images) != list(range(count)):
             raise InternalCheckError("generator column is not a bijection")
         perms.append(Permutation(images))
-    result = CosetTable(count, tuple(perms), subgroup_words)
+    result = CosetTable(count, tuple(perms))
 
     # definitive verification: relators trivial everywhere, subgroup fixes 1
     for w in fp.relators:
@@ -197,13 +198,13 @@ def todd_coxeter(fp: FpGroup, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS) 
     return result
 
 
-def schur_cover_sn(n, cap=6) -> FpGroup:
+def schur_cover_sn(n) -> FpGroup:
     """The extended symmetric-group presentation on z, t_1..t_{n-1}:
     z^2 = 1, z central, t_i^2 = z, (t_i t_{i+1})^3 = z, and
     t_i t_j = z t_j t_i for |i - j| >= 2.
     """
-    if not 4 <= n <= cap:
-        raise CapExceeded(f"n={n} outside supported range 4..{cap}")
+    if not 4 <= n <= MAX_SCHUR_N:
+        raise CapExceeded(f"n={n} outside supported range 4..{MAX_SCHUR_N}")
     z = 1
     t = lambda i: i + 1  # t_i, 1-based i
     rels = [(z, z)]
@@ -225,21 +226,20 @@ class PreimageData:
     """The index-2 preimage of the even part inside the covering group."""
 
     n: int
-    cover: FpGroup
-    e_words: tuple            # words t_1 t_{i+1} for i = 1..n-2
+    regular: CosetTable       # the cover's regular representation
     index_table: CosetTable   # cosets of <z, e_i> in the cover (index 2)
     v_generators: tuple       # faithful perms of z, e_1..e_{n-2}, degree = order
     v_order: int
 
 
-def preimage_an(n, cap=6, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:
+def preimage_an(n, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:
     """Enumerate <z, e_1..e_{n-2}> in the cover and extract its regular action.
 
     e_i := t_1 t_{i+1}.  The subgroup must have index 2; its own order is
     read off from the orbit of the base coset in the cover's regular
     representation.
     """
-    cover = schur_cover_sn(n, cap=cap)
+    cover = schur_cover_sn(n)
     e_words = tuple((2, i + 2) for i in range(1, n - 1))
     sub_words = ((1,),) + e_words
     index_table = todd_coxeter(cover, sub_words, max_cosets=max_cosets)
@@ -264,13 +264,12 @@ def preimage_an(n, cap=6, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:
     restricted = tuple(
         Permutation(tuple(pos[g.images[p]] for p in orbit)) for g in gens
     )
-    return PreimageData(n, cover, e_words, index_table, restricted, len(orbit))
+    return PreimageData(n, regular, index_table, restricted, len(orbit))
 
 
-def verify_commutator_claim(n, cap=6) -> bool:
+def verify_commutator_claim(data: PreimageData) -> bool:
     """Check z = [e_1^-1 e_2 e_1, e_2] in the even preimage, with the
     commutator convention [g, h] = g h g^-1 h^-1."""
-    data = preimage_an(n, cap=cap)
     z, e1, e2 = data.v_generators[0], data.v_generators[1], data.v_generators[2]
     a = e1.inverse() * e2 * e1
     comm = a * e2 * a.inverse() * e2.inverse()

@@ -217,9 +217,6 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "0"
 
 
-TRIVIAL_GROUP = AbelianInvariants(0, ())
-
-
 def _matmul(A, B):
     """Exact A @ B of two canonical arrays: on int64 while the entry bound
     inner * max|A| * max|B| stays below _NP_CAP, else on Python ints."""
@@ -386,7 +383,14 @@ def _coordinates(H, B):
 def hnf_coordinates(H: IntMatrix, B: IntMatrix):
     """X with X*H = B, for H in Hermite form without zero rows (as
     hnf_basis and kernel_basis return it); None when some row of B is not
-    in H's row lattice.  Back-substitution only, no elimination of H."""
+    in H's row lattice.  Back-substitution only, no elimination of H.
+
+    This is the one way to take coordinates: a lattice whose coordinates
+    are wanted is brought to Hermite form once, where it is built, and
+    every right-hand side is then solved against it.  H has full row
+    rank, so X is unique."""
+    if B.ncols != H.ncols:
+        raise ValueError("right-hand side length does not match column count")
     X = _coordinates(H.array, B.array)
     return None if X is None else IntMatrix(X)
 
@@ -400,30 +404,6 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     H, U = _hnf(A.array, track=True)
     K, _ = _hnf(U[~(H != 0).any(axis=1)], track=False)
     return IntMatrix(_nonzero_rows(K))
-
-
-def solve_left(A: IntMatrix, B):
-    """Integer solutions of X*A = B, or None if some row of B has none.
-
-    B is an IntMatrix of right-hand sides, one per row, and the result is
-    an IntMatrix; a single vector b is the one-row case and gives a list.
-    One Hermite form of A serves every row: all rows are back-substituted
-    against it at once, and the coefficients are mapped through its
-    transform in one product.  When A has full row rank the solution is
-    unique.
-    """
-    single = not isinstance(B, IntMatrix)
-    if single:
-        B = IntMatrix([B])
-    if B.ncols != A.ncols:
-        raise ValueError("right-hand side length does not match column count")
-    H, U = _hnf(A.array, track=True)
-    nz = (H != 0).any(axis=1)
-    X = _coordinates(H[nz], B.array)
-    if X is None:
-        return None
-    X = _matmul(X, U[nz])
-    return X[0].tolist() if single else IntMatrix(X)
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:

@@ -162,7 +162,7 @@ class PermGroup:
     """
 
     __slots__ = (
-        "degree", "generators", "label", "kind", "max_order", "parent",
+        "degree", "generators", "_label", "kind", "max_order", "parent",
         "_elements", "_element_set", "_word_cache", "_class_cache", "_table",
     )
 
@@ -178,7 +178,7 @@ class PermGroup:
                 gens.append(g)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "label", label or "<group>")
+        object.__setattr__(self, "_label", label)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "parent", parent)
@@ -190,6 +190,11 @@ class PermGroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("PermGroup is immutable; caches are internal")
+
+    @property
+    def label(self):
+        """The name given at construction, else the generators in <...>."""
+        return self._label or f"<{self.describe()}>"
 
     def elements(self):
         """All elements, sorted by their images; the identity comes first."""

@@ -34,8 +34,7 @@ import numpy as np
 from .cohomology import tate_minus1
 from .errors import CapExceeded, InternalCheckError, UsageError
 from .intmat import (
-    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants,
-    solve_left, vstack,
+    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants, vstack,
 )
 from .lattices import (
     GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
@@ -178,13 +177,14 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
 def _restricted_action(K: IntMatrix, Q: GLattice):
     """Action on the sublattice spanned by the rows of K (must be stable).
 
-    K*a for every generator a is stacked into one right-hand side, so a
-    single Hermite form of K serves all rows; K has full row rank, so the
-    solution is unique.  The result is split into one matrix per generator.
+    K is a Hermite basis, as kernel_basis returns it, so the coordinates
+    of K*a in it come from back-substitution alone, with no elimination;
+    K*a for every generator a is stacked so one pass serves them all.  The
+    result is split into one matrix per generator.
     """
     r = K.nrows
-    X = solve_left(K, IntMatrix([row for a in Q.action for row in (K * a).array],
-                                ncols=K.ncols))
+    X = hnf_coordinates(K, IntMatrix([row for a in Q.action for row in (K * a).array],
+                                     ncols=K.ncols))
     if X is None:
         raise InternalCheckError("kernel is not stable under the action")
     return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]

@@ -1,8 +1,10 @@
 import random
+import re
 import warnings
 
 import pytest
 
+import normone.cohomology as cohomology
 from normone.cohomology import (
     dimension_shift, h1, h1_data, presentation_catalog, sha2_omega,
     tate_cyclic, tate_minus1,
@@ -68,6 +70,13 @@ class TestPresentationCatalog:
         G = PermGroup(4, [P([(1, 2, 3, 4)], 4)])
         with pytest.raises(NormOneError):
             presentation_catalog(G)
+
+    def test_unlabeled_group_is_named_by_its_generators(self):
+        S = alternating(5).point_stabilizer(5)
+        assert S.label == f"<{S.describe()}>" == "<(2 3 4),(1 2)(3 4)>"
+        with pytest.raises(NormOneError, match=re.escape(
+                "no catalog presentation for <(2 3 4),(1 2)(3 4)>")):
+            sha2_omega(S, S.point_stabilizer(4))
 
 
 class TestH1:
@@ -273,6 +282,25 @@ def test_cocycles_vanish_on_relators():
         for c in data.cocycles():
             for w in pres.relators:
                 assert data.value_at(c.values, w) == [0] * J.rank
+
+
+def test_h1_data_takes_one_kernel_for_all_relators(monkeypatch):
+    G = symmetric(4)
+    pres = presentation_catalog(G)
+    assert len(pres.relators) > 1
+    J = chevalley_module(G, G.point_stabilizer(4))
+    calls = []
+    kernel_basis = cohomology.kernel_basis
+
+    def counted(A):
+        calls.append(A)
+        return kernel_basis(A)
+    monkeypatch.setattr(cohomology, "kernel_basis", counted)
+    data = h1_data(J, pres)
+    # one kernel of every relator's blocks side by side
+    assert len(calls) == 1
+    assert calls[0].ncols == len(pres.relators) * J.rank
+    assert data.Z1.nrows > 0
 
 
 def test_h1_inverse_matrices_invert_the_generators():

@@ -74,8 +74,8 @@ class TestEvenPreimage:
     def test_commutator_claim(self):
         # verified in the finite quotients for these n, which is weaker than
         # the abstract derivation from the defining relations
-        assert verify_commutator_claim(4)
-        assert verify_commutator_claim(5)
+        assert verify_commutator_claim(preimage_an(4))
+        assert verify_commutator_claim(preimage_an(5))
 
     def test_trivial_commutator_sanity(self):
         # [e2, e2] is the identity, not the central involution

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import normone.intmat as intmat
 from normone.intmat import (
     AbelianInvariants, IntMatrix, _NP_CAP, _Overflow, det, hnf, hnf_basis,
-    hstack, kernel_basis, quotient_invariants, snf, snf_invariants,
-    solve_left, inverse_unimodular, vstack,
+    hnf_coordinates, hstack, kernel_basis, quotient_invariants, snf,
+    snf_invariants, inverse_unimodular, vstack,
 )
 from normone.cohomology import sha2_omega
 from normone.perms import alternating, product_of_cyclics
@@ -185,7 +185,7 @@ class TestHNF:
         H, U = hnf(IntMatrix.zeros(2, 0))
         assert H == IntMatrix.zeros(2, 0) and U == IntMatrix.identity(2)
         assert kernel_basis(IntMatrix.zeros(2, 0)) == IntMatrix.identity(2)
-        assert solve_left(mat([], ncols=2), mat([[0, 0]])) == mat([[]])
+        assert hnf_coordinates(hnf_basis(mat([], ncols=2)), mat([[0, 0]])) == mat([[]])
         assert snf_invariants(mat([], ncols=2)) == []
         A = mat([[6, 4, 2], [2, 8, 9], [0, 0, 5]])
         H, U = hnf(A)
@@ -359,52 +359,54 @@ class TestQuotient:
 
 
 class TestSolveInverse:
+    # hnf_coordinates solves X*H = B against a Hermite basis H, here hnf_basis(A)
     def test_solve_identity(self):
-        assert solve_left(IntMatrix.identity(3), [4, 5, 6]) == [4, 5, 6]
+        H = hnf_basis(IntMatrix.identity(3))
+        assert hnf_coordinates(H, mat([[4, 5, 6]])) == mat([[4, 5, 6]])
 
     def test_parity_obstruction(self):
-        assert solve_left(mat([[2]]), [1]) is None
+        assert hnf_coordinates(hnf_basis(mat([[2]])), mat([[1]])) is None
 
     def test_diagonal(self):
-        assert solve_left(mat([[2, 0], [0, 3]]), [4, 3]) == [2, 1]
+        H = hnf_basis(mat([[2, 0], [0, 3]]))
+        assert hnf_coordinates(H, mat([[4, 3]])) == mat([[2, 1]])
 
     @given(small_matrices)
     def test_solve_round_trip(self, rows):
-        A = mat(rows)
-        x = [i - 2 for i in range(A.nrows)]
-        b = IntMatrix([x]) * A
-        sol = solve_left(A, b.data[0])
-        assert sol is not None
-        assert IntMatrix([sol]) * A == b
+        H = hnf_basis(mat(rows))
+        x = mat([[i - 2 for i in range(H.nrows)]], ncols=H.nrows)
+        # H has full row rank, so the coordinates are x itself
+        assert hnf_coordinates(H, x * H) == x
 
     @given(small_matrices, st.integers(0, 2 ** 30))
     def test_matrix_form_agrees_with_vector_form(self, rows, seed):
         rng = random.Random(seed)
-        A = mat(rows)
+        H = hnf_basis(mat(rows))
         B = []
         for _ in range(rng.randint(1, 4)):
-            b = (mat([[rng.randint(-3, 3) for _ in range(A.nrows)]]) * A).row(0)
+            x = mat([[rng.randint(-3, 3) for _ in range(H.nrows)]], ncols=H.nrows)
+            b = (x * H).row(0)
             if rng.random() < 0.3:
-                b[rng.randrange(A.ncols)] += 1
+                b[rng.randrange(H.ncols)] += 1
             B.append(b)
-        X = solve_left(A, mat(B))
-        each = [solve_left(A, b) for b in B]
+        X = hnf_coordinates(H, mat(B))
+        each = [hnf_coordinates(H, mat([b])) for b in B]
         if any(x is None for x in each):
             assert X is None
         else:
-            assert X == mat(each, ncols=A.nrows)
-            assert X * A == mat(B)
+            assert X == vstack(*each)
+            assert X * H == mat(B)
 
     def test_matrix_form_none_if_any_row_unsolvable(self):
-        A = mat([[2, 0], [0, 3]])
-        assert solve_left(A, mat([[4, 3], [2, 6]])) == mat([[2, 1], [1, 2]])
-        assert solve_left(A, mat([[4, 3], [1, 0], [2, 6]])) is None
+        H = hnf_basis(mat([[2, 0], [0, 3]]))
+        assert hnf_coordinates(H, mat([[4, 3], [2, 6]])) == mat([[2, 1], [1, 2]])
+        assert hnf_coordinates(H, mat([[4, 3], [1, 0], [2, 6]])) is None
 
     def test_matrix_form_zero_rows(self):
-        A = mat([[2, 0, 1], [0, 3, 0]])
-        assert solve_left(A, mat([], ncols=3)) == mat([], ncols=2)
+        H = hnf_basis(mat([[2, 0, 1], [0, 3, 0]]))
+        assert hnf_coordinates(H, mat([], ncols=3)) == mat([], ncols=2)
         with pytest.raises(ValueError):
-            solve_left(A, mat([], ncols=2))
+            hnf_coordinates(H, mat([], ncols=2))
 
     def test_inverse_unimodular(self):
         rng = random.Random(7)

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import normone.intmat as intmat
 import normone.resolutions as resolutions
 from normone.cohomology import presentation_catalog, h1, sha2_omega
 from normone.errors import CapExceeded, InternalCheckError
@@ -71,26 +72,36 @@ class TestCoflasqueCover:
         assert resolutions._restricted_action(IntMatrix([[1, 1]]), Q) == [IntMatrix([[1]])]
 
     def test_one_elimination_per_cover(self, monkeypatch):
-        # one solve_left for the whole restricted action, and one fixed
-        # sublattice per class shared by the greedy pass and the recheck
-        calls = {"solve_left": 0, "fixed_sublattice": 0}
+        # the restricted action back-substitutes against the kernel's
+        # Hermite basis and runs no Hermite elimination of its own, and one
+        # fixed sublattice per class serves the greedy pass and the recheck
+        calls = {"_hermite": 0, "fixed_sublattice": 0}
+        inside = []
 
-        def counted(name):
-            fn = getattr(resolutions, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
-            monkeypatch.setattr(resolutions, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("solve_left")
-        counted("fixed_sublattice")
+        counted(intmat, "_hermite")
+        counted(resolutions, "fixed_sublattice")
+        restricted = resolutions._restricted_action
+
+        def restricted_counted(*args):
+            before = calls["_hermite"]
+            out = restricted(*args)
+            inside.append(calls["_hermite"] - before)
+            return out
+        monkeypatch.setattr(resolutions, "_restricted_action", restricted_counted)
         G = alternating(4)
         L = dual(chevalley_module(G, G.point_stabilizer(4)))
         res = coflasque_cover(L)
         assert res.side.rank > 0
-        assert calls == {"solve_left": 1,
-                         "fixed_sublattice": len(subgroup_classes(G))}
+        assert inside == [0]
+        assert calls["fixed_sublattice"] == len(subgroup_classes(G))
 
     @pytest.mark.parametrize("make, n", [
         (alternating, 4), (symmetric, 4), (alternating, 5),
