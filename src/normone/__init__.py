@@ -28,7 +28,7 @@ from .lattices import (
     dual, dual_map, fixed_sublattice, induced, perm_lattice, trivial_lattice,
 )
 from .cohomology import (
-    Cocycle, Presentation, dimension_shift, h1, presentation_catalog,
+    Presentation, dimension_shift, h1, presentation_catalog,
     sha2_omega, tate_cyclic, tate_minus1,
 )
 from .fpgroups import (

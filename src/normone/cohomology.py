@@ -1,11 +1,13 @@
 """Cohomology of G-lattices.
 
 Tate H^-1 is the torsion of one Smith form; the pipeline takes its H^1
-from it by duality.  `h1` computes H^1 from a finite presentation of the
-acting group instead, for `sha2_omega` and as the tests' cross-check: a
-1-cocycle is determined by its generator values, subject to one linear
-condition per relator.  The cocycle rule for right modules is fixed once
-and for all as
+from it by duality, and `sha2_omega` takes Sha^2_omega from one more
+Smith form by the same duality.  `h1` computes H^1 from a finite
+presentation of the acting group instead, as the tests' cross-check
+only, and the presentation catalog exists for it: a 1-cocycle is
+determined by its generator values, subject to one linear condition per
+relator.  The cocycle rule for right modules is fixed once and for all
+as
 
     c(uv) = c(u) * rho(v) + c(v),      c(x^-1) = -c(x) * rho(x)^-1,
 
@@ -22,10 +24,10 @@ import numpy as np
 
 from .errors import CapExceeded, InternalCheckError, NormOneError
 from .intmat import (
-    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hnf_coordinates,
-    hstack, kernel_basis, quotient_invariants, snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, exact_array, hstack, kernel_basis,
+    quotient_invariants, snf_invariants, vstack,
 )
-from .lattices import GLattice, LatticeMap, chevalley_module, induced
+from .lattices import GLattice, LatticeMap, chevalley_module, dual, induced
 from .perms import Permutation, PermGroup, cyclic_subgroup_classes
 
 SHA_ORDER_CAP = 24
@@ -164,41 +166,20 @@ def _ensure_valid(P: Presentation, G: PermGroup):
     _validated.add(key)
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """A 1-cocycle given by its value (a lattice row vector) on each
-    presentation generator."""
-
-    lattice: GLattice
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(tuple(int(x) for x in v) for v in self.values))
-
-
 class _H1Data:
-    """Everything h1 computes, kept for restriction maps."""
+    """Everything h1 computes: generator matrices, cocycles, coboundaries."""
 
-    __slots__ = ("lattice", "mats", "invs", "Z1", "B1")
+    __slots__ = ("mats", "invs", "Z1", "B1")
 
-    def __init__(self, lattice, mats, invs, Z1, B1):
-        self.lattice = lattice
+    def __init__(self, mats, invs, Z1, B1):
         self.mats = mats
         self.invs = invs
         self.Z1 = Z1
         self.B1 = B1
 
-    def cocycles(self):
-        R = self.lattice.rank
-        return [Cocycle(self.lattice, [row[j * R:(j + 1) * R] for j in range(len(self.mats))])
-                for row in self.Z1.tolist()]
-
     def value_at(self, values, word):
         """Value of the cocycle with the given generator values at the
-        element word (over presentation generators), as a list.  Each
-        value may also be a stack of rows, one per cocycle, to evaluate
-        many cocycles at once."""
+        element word (over presentation generators), as a list."""
         values = [exact_array(v) for v in values]
         acc = np.zeros_like(values[0])
         for letter in word:
@@ -243,7 +224,7 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
     G = L.group
     if P.ngens == 0:
         empty = IntMatrix([], ncols=0)
-        return _H1Data(L, (), (), empty, IntMatrix([], ncols=0))
+        return _H1Data((), (), empty, IntMatrix([], ncols=0))
     span = G.elements_with_words(alphabet=P.images)
     if len(span) != G.order():
         raise ValueError("presentation images do not generate the acting group")
@@ -254,7 +235,7 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
     Z1 = kernel_basis(hstack(*blocks)) if blocks else IntMatrix.identity(P.ngens * R)
     ident = IntMatrix.identity(R)
     B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
-    return _H1Data(L, mats, invs, Z1, B1)
+    return _H1Data(mats, invs, Z1, B1)
 
 
 def h1(L: GLattice, P: Presentation) -> AbelianInvariants:
@@ -351,72 +332,52 @@ def dimension_shift(L: GLattice) -> ShiftData:
     return ShiftData(emb, shifted, LatticeMap(I, shifted, proj))
 
 
-def sha2_omega(G: PermGroup, H, cap=SHA_ORDER_CAP) -> AbelianInvariants:
-    """Kernel of restriction on H^2(G, J_{G/H}), computed by shifting.
+def sha2_omega(G: PermGroup, H) -> AbelianInvariants:
+    """Sha^2_omega(G, J_{G/H}), the kernel of restriction from H^2(G, J)
+    to all cyclic subgroups, as the torsion of one Smith form.
 
-    H^2(G, J) = H^1(G, J1) for the shifted module J1, and the defining
-    restriction product over all g in G collapses to one factor per
-    nontrivial cyclic subgroup class: Res_g factors through <g>, the
-    restriction class is conjugation-invariant, and the trivial subgroup
-    has no cohomology.  Small |G| only: the shifted module has rank
+    Dimension shifting gives H^2(S, J) = H^1(S, J1) for every subgroup S,
+    and H^1(S, J1) is dual to Tate H^-1(S, M) = ker(N_S) / M*I_S for
+    M = dual(J1) (Brown, Cohomology of Groups, VI.7), the duality the
+    pipeline uses.  Restriction G -> C is dual to corestriction C -> G,
+    which on Tate H^-1 is induced by the identity of M.  So Sha^2_omega is
+    dual to
+
+        ker(N_G) / (M*I_G + sum over cyclic C of ker(N_C)),
+
+    and a finite abelian group has the invariants of its dual.  One
+    cyclic subgroup per class suffices: a conjugate contributes
+    ker(N_C) * rho(g), equal to ker(N_C) modulo M*I_G.  Each ker(N_C) lies
+    in ker(N_G), the saturation of M*I_G, so the quotient is the torsion
+    of Z^r modulo the stacked rows of rho(s) - 1 over the generators s and
+    a basis of each ker(N_C).  Small |G| only: M has rank
     (|G|-1) * rank(J).
+
+    Self-checks: J^G = 0 gives (J1)^G, hence M^G, rank rank(J), so the
+    Smith rank, that of M*I_G, is rank(M) - rank(J); a ker(N_C) row
+    outside ker(N_G) would raise it.  Every invariant divides |G|, which
+    kills H^2(G, J).
     """
-    if G.order() > cap:
-        raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {cap}")
+    if G.order() > SHA_ORDER_CAP:
+        raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
     J = chevalley_module(G, H)
-    shift = dimension_shift(J)
-    J1 = shift.shifted
-    P = presentation_catalog(G)
-    if P.ngens == 0:
+    M = dual(dimension_shift(J).shifted)
+    if M.rank == 0:
         return AbelianInvariants(0, ())
-    data = h1_data(J1, P)
-    z = data.Z1.nrows
-    if z == 0:
-        return AbelianInvariants(0, ())
-    # Z1 is a Hermite basis of full row rank, so the coordinates of the
-    # coboundaries in it span {x : x * Z1 is a coboundary}
-    R_s = hnf_coordinates(data.Z1, data.B1)
-    if R_s is None:
-        raise InternalCheckError("coboundaries escape the cocycle lattice")
-    img_words = G.elements_with_words(alphabet=P.images)
-    R = J1.rank
-    # each generator's values of all the cocycles, one row per cocycle
-    values = [data.Z1.array[:, j * R:(j + 1) * R] for j in range(P.ngens)]
-    phi_blocks = []
-    rel_blocks = []
+    ident = IntMatrix.identity(M.rank)
+    rows = [M.matrix_of(s) - ident for s in G.generators]
     for cls in cyclic_subgroup_classes(G):
         m = cls.order()
         gen = next(e for e in cls.elements() if e.order() == m)
-        rho = J1.matrix_of(gen)
-        Kc = kernel_basis(_norm_matrix(rho, m))
-        if Kc.nrows == 0:
-            continue
-        # kernel_basis returns HNF-canonical rows, so coordinates come
-        # straight from back-substitution against them
-        rel = hnf_coordinates(Kc, rho - IntMatrix.identity(R))
-        phi = hnf_coordinates(Kc, IntMatrix(data.value_at(values, img_words[gen]),
-                                            ncols=R))
-        if rel is None or phi is None:
-            raise InternalCheckError("restricted value escapes ker(N)")
-        rel_blocks.append(rel)
-        phi_blocks.append(phi)
-    if not phi_blocks:
-        pre = IntMatrix.identity(z)
-    else:
-        phi = hstack(*phi_blocks)
-        # the relations of the blocks, block-diagonally
-        R_T = np.zeros((sum(b.nrows for b in rel_blocks), phi.ncols),
-                       dtype=np.result_type(*[b.array for b in rel_blocks]))
-        r = c = 0
-        for b in rel_blocks:
-            R_T[r:r + b.nrows, c:c + b.ncols] = b.array
-            r, c = r + b.nrows, c + b.ncols
-        K = kernel_basis(vstack(phi, IntMatrix(R_T)))
-        pre = hnf_basis(IntMatrix(K.array[:, :z], ncols=z))
-    try:
-        inv = quotient_invariants(pre, R_s)
-    except ValueError as exc:
-        raise InternalCheckError(f"coboundary relations escape: {exc}") from exc
-    if inv.free_rank:
-        raise InternalCheckError("sha2_omega came out infinite; action broken")
-    return inv
+        rows.append(kernel_basis(_norm_matrix(M.matrix_of(gen), m)))
+    d = snf_invariants(vstack(*rows))
+    if len(d) != M.rank - J.rank:
+        raise InternalCheckError(
+            f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "
+            f"{M.rank - J.rank}: a cyclic norm kernel escapes ker(N_G)")
+    torsion = tuple(x for x in d if x > 1)
+    if any(G.order() % x for x in torsion):
+        raise InternalCheckError(
+            f"sha2_omega over {G.label} has invariants {torsion} not "
+            f"dividing |G|={G.order()}")
+    return AbelianInvariants(0, torsion)

@@ -225,7 +225,6 @@ def schur_cover_sn(n) -> FpGroup:
 class PreimageData:
     """The index-2 preimage of the even part inside the covering group."""
 
-    n: int
     regular: CosetTable       # the cover's regular representation
     index_table: CosetTable   # cosets of <z, e_i> in the cover (index 2)
     v_generators: tuple       # faithful perms of z, e_1..e_{n-2}, degree = order
@@ -264,7 +263,7 @@ def preimage_an(n, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:
     restricted = tuple(
         Permutation(tuple(pos[g.images[p]] for p in orbit)) for g in gens
     )
-    return PreimageData(n, regular, index_table, restricted, len(orbit))
+    return PreimageData(regular, index_table, restricted, len(orbit))
 
 
 def verify_commutator_claim(data: PreimageData) -> bool:

@@ -10,7 +10,9 @@ enumerated outright; there is no Schreier-Sims machinery.  The subgroup
 class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP); transversals and cores multiply permutations.  Caps
-guard against accidental blowups and surface as keyword arguments.
+guard against accidental blowups.  The two that callers set, a group's
+`max_order` and `subgroup_classes(cap=)`, are keyword arguments; the
+others are the module constants.
 """
 
 from __future__ import annotations
@@ -418,10 +420,11 @@ def _conjugates_into(table, inv, gens, target):
     return False
 
 
-def are_conjugate_subgroups(G, H1, H2, cap=SUBGROUP_CLASS_CAP):
+def are_conjugate_subgroups(G, H1, H2):
     """Brute-force subgroup conjugacy test: exists g with g^-1 H1 g = H2."""
-    if G.order() > cap:
-        raise CapExceeded(f"|G|={G.order()} too large for brute-force conjugacy (cap {cap})")
+    if G.order() > SUBGROUP_CLASS_CAP:
+        raise CapExceeded(f"|G|={G.order()} too large for brute-force conjugacy "
+                          f"(cap {SUBGROUP_CLASS_CAP})")
     _check_subgroup(G, H1)
     _check_subgroup(G, H2)
     if (_fingerprint(p.order() for p in H1.elements())
@@ -526,9 +529,9 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     return handles
 
 
-def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
+def cyclic_subgroup_classes(G):
     """Nontrivial cyclic classes from subgroup_classes, largest first."""
-    return [h for h in subgroup_classes(G, cap) if h.order() > 1 and h.is_cyclic()]
+    return [h for h in subgroup_classes(G) if h.order() > 1 and h.is_cyclic()]
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +548,16 @@ def _cached(kind, builder):
     return got
 
 
-def _check_degree(n, cap):
-    if n > cap:
-        raise CapExceeded(f"degree {n} exceeds catalog cap {cap}")
+def _check_degree(n):
+    if n > DEGREE_CAP:
+        raise CapExceeded(f"degree {n} exceeds catalog cap {DEGREE_CAP}")
 
 
-def alternating(n, degree_cap=DEGREE_CAP):
+def alternating(n):
     """A_n with standard generators (1 2 3) and the n- or (n-1)-cycle."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_degree(n, degree_cap)
+    _check_degree(n)
 
     def build():
         if n <= 2:
@@ -571,11 +574,11 @@ def alternating(n, degree_cap=DEGREE_CAP):
     return _cached(("A", n), build)
 
 
-def symmetric(n, degree_cap=DEGREE_CAP):
+def symmetric(n):
     """S_n with standard generators (1 2) and (1 2 ... n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_degree(n, degree_cap)
+    _check_degree(n)
 
     def build():
         if n == 1:
@@ -590,10 +593,10 @@ def symmetric(n, degree_cap=DEGREE_CAP):
     return _cached(("S", n), build)
 
 
-def cyclic(n, degree_cap=DEGREE_CAP):
+def cyclic(n):
     if n < 1:
         raise ValueError("n must be positive")
-    _check_degree(n, degree_cap)
+    _check_degree(n)
 
     def build():
         if n == 1:
@@ -604,11 +607,11 @@ def cyclic(n, degree_cap=DEGREE_CAP):
     return _cached(("C", n), build)
 
 
-def dihedral(n, degree_cap=DEGREE_CAP):
+def dihedral(n):
     """Dihedral group of order 2n."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_degree(n, degree_cap)
+    _check_degree(n)
 
     def build():
         if n == 1:
@@ -625,14 +628,14 @@ def dihedral(n, degree_cap=DEGREE_CAP):
     return _cached(("D", n), build)
 
 
-def product_of_cyclics(parts, degree_cap=DEGREE_CAP):
+def product_of_cyclics(parts):
     """C_{n1} x C_{n2} x ... acting on disjoint blocks."""
     parts = tuple(int(p) for p in parts)
     if any(p < 1 for p in parts):
         raise ValueError("cyclic orders must be positive")
     active = tuple(p for p in parts if p > 1)
     degree = sum(active) if active else 1
-    _check_degree(degree, degree_cap)
+    _check_degree(degree)
 
     def build():
         gens = []

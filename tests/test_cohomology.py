@@ -9,7 +9,7 @@ from normone.cohomology import (
     dimension_shift, h1, h1_data, presentation_catalog, sha2_omega,
     tate_cyclic, tate_minus1,
 )
-from normone.errors import CapExceeded, NormOneError
+from normone.errors import CapExceeded, InternalCheckError, NormOneError
 from normone.intmat import AbelianInvariants, IntMatrix
 from normone.lattices import (
     GLattice, chevalley_module, direct_sum, dual, perm_lattice,
@@ -76,7 +76,7 @@ class TestPresentationCatalog:
         assert S.label == f"<{S.describe()}>" == "<(2 3 4),(1 2)(3 4)>"
         with pytest.raises(NormOneError, match=re.escape(
                 "no catalog presentation for <(2 3 4),(1 2)(3 4)>")):
-            sha2_omega(S, S.point_stabilizer(4))
+            presentation_catalog(S)
 
 
 class TestH1:
@@ -263,15 +263,59 @@ class TestSha2Omega:
         with pytest.raises(CapExceeded):
             sha2_omega(G, G.point_stabilizer(5))
 
+    def test_one_smith_form_and_no_presentation(self, monkeypatch):
+        # Sha^2_omega comes from Tate H^-1 of the dual by corestriction, so
+        # no presentation is built, checked or used on the way
+        import sys
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a presentation reached sha2_omega")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "normone":
+                continue
+            for attr in ("presentation_catalog", "h1_data", "todd_coxeter"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        calls = []
+        snf_invariants = cohomology.snf_invariants
+
+        def counted(A):
+            calls.append(A)
+            return snf_invariants(A)
+        monkeypatch.setattr(cohomology, "snf_invariants", counted)
+        V4, A4 = klein_four(), alternating(4)
+        assert sha2_omega(V4, V4.trivial_subgroup()) == AbelianInvariants(0, (2,))
+        assert sha2_omega(A4, A4.point_stabilizer(4)) == AbelianInvariants(0, (2,))
+        assert len(calls) == 2
+
+    def test_rank_check_catches_a_stray_norm_kernel(self, monkeypatch):
+        # rows outside ker(N_C) raise the rank of the stacked matrix above
+        # rank(M) - rank(J)
+        kernel_basis = cohomology.kernel_basis
+
+        def stray(A):
+            K = kernel_basis(A)
+            return IntMatrix.identity(A.nrows) if K.nrows else K
+        monkeypatch.setattr(cohomology, "kernel_basis", stray)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="Smith rank"):
+            sha2_omega(G, G.point_stabilizer(4))
+
+
+def generator_values(data, row):
+    """A Z1 row cut into its values on the presentation generators."""
+    R = len(row) // len(data.mats)
+    return [row[j * R:(j + 1) * R] for j in range(len(data.mats))]
+
 
 def test_h1_data_exposes_cocycles():
     G = cyclic(2)
     data = h1_data(sign_lattice(), presentation_catalog(G))
     assert data.Z1.nrows == 1
     # cocycle value at the generator word is the stored generator value
-    cocycles = data.cocycles()
-    assert cocycles[0].values[0] == tuple(data.Z1.data[0])
-    assert data.value_at(cocycles[0].values, (1,)) == list(data.Z1.data[0])
+    row = data.Z1.data[0]
+    assert data.value_at(generator_values(data, row), (1,)) == list(row)
 
 
 def test_cocycles_vanish_on_relators():
@@ -279,9 +323,9 @@ def test_cocycles_vanish_on_relators():
         pres = presentation_catalog(G)
         J = chevalley_module(G, G.point_stabilizer(G.degree))
         data = h1_data(J, pres)
-        for c in data.cocycles():
+        for row in data.Z1.data:
             for w in pres.relators:
-                assert data.value_at(c.values, w) == [0] * J.rank
+                assert data.value_at(generator_values(data, row), w) == [0] * J.rank
 
 
 def test_h1_data_takes_one_kernel_for_all_relators(monkeypatch):

@@ -241,10 +241,19 @@ class TestNormOneInvariant:
         assert norm_one_invariant(A5, A5.point_stabilizer(5)).is_trivial()
 
     def test_groups_outside_the_catalog(self):
-        # point stabilizers have no catalog kind, hence no presentation
+        # point stabilizers have no catalog kind, hence no presentation;
+        # sha2_omega needs none either, so it checks every small class
         S = alternating(5).point_stabilizer(5)
         assert S.kind is None and S.order() == 12
         assert norm_one_invariant(S, S.point_stabilizer(4)) == Z2
+        indices = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the index-3 class is normal
+            for H in subgroup_classes(S):
+                if 2 <= S.order() // H.order() <= 8:
+                    assert sha2_omega(S, H) == norm_one_invariant(S, H), H.describe()
+                    indices.append(S.order() // H.order())
+        assert sorted(indices) == [3, 4, 6]
         T = alternating(6).point_stabilizer(6)
         assert T.kind is None and T.order() == 60
         assert norm_one_invariant(T, T.point_stabilizer(5)).is_trivial()
