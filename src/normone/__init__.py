@@ -1,10 +1,13 @@
 """normone: cohomological obstructions for norm-one tori.
 
-Given a finite permutation group G and a subgroup H, the pipeline builds
-the Chevalley module J_{G/H}, takes a flasque resolution, and computes
-H^1 of the flasque term — the finite abelian group that governs the Hasse
+Given a finite permutation group G and a subgroup H, the pipeline computes
+H^1(G, F) for the flasque term F of a resolution 0 -> J_{G/H} -> P -> F -> 0
+of the Chevalley module — the finite abelian group that governs the Hasse
 norm principle and weak approximation for the norm-one torus of a degree
-[G:H] field extension with Galois closure group G.
+[G:H] field extension with Galois closure group G.  It builds the
+augmentation ideal I_{G/H} = dual J_{G/H} and one coflasque cover
+0 -> N -> P -> I_{G/H} -> 0, whose transpose is that resolution with
+F = dual N, and takes H^1(G, F) as the dual of Tate H^-1(G, N).
 """
 
 __version__ = "0.2.0"
@@ -21,7 +24,7 @@ from .perms import (
     PermGroup, Permutation, alternating,
     are_conjugate_subgroups, core, coset_position, cyclic, dihedral,
     klein_four, product_of_cyclics, right_transversal, subgroup_classes,
-    symmetric, trivial_group,
+    symmetric,
 )
 from .lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
@@ -36,6 +39,6 @@ from .fpgroups import (
     verify_commutator_claim,
 )
 from .resolutions import (
-    Resolution, Verdict, coflasque_cover, flasque_resolution, is_coflasque,
-    is_flasque, norm_one_invariant, verdict,
+    Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
+    norm_one_invariant, verdict,
 )

@@ -193,19 +193,25 @@ def _cache_dir(args):
     return os.environ.get("NORMONE_CACHE")
 
 
-def _cache_key(spec_text, H):
-    payload = json.dumps(
-        {"group": spec_text, "subgroup": H.describe(), "version": __version__},
-        sort_keys=True)
+def _cache_key(query):
+    payload = json.dumps(query, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _record_problem(record):
+def _record_problem(record, query):
     """Why a cached record cannot be served, or None if it can: it must
-    have the record key set, an h1 of decimal strings > 1 in divisibility
-    order, and the verdict that h1 implies."""
+    have the record key set, the query's group spec, subgroup and version,
+    ranks and ms that are ints >= 0, an h1 of decimal strings > 1 in
+    divisibility order, and the verdict that h1 implies."""
     if not isinstance(record, dict) or set(record) != RECORD_KEYS:
         return "wrong record keys"
+    for name, want in query.items():
+        if record[name] != want:
+            return f"{name} is not {want!r}"
+    for name in ("j_rank", "flasque_rank", "ms"):
+        x = record[name]
+        if type(x) is not int or x < 0:
+            return f"{name} is not an int >= 0"
     h1 = record["h1"]
     if not (isinstance(h1, list)
             and all(isinstance(t, str) and _DECIMAL.fullmatch(t) for t in h1)):
@@ -219,7 +225,7 @@ def _record_problem(record):
     return None
 
 
-def _cache_read(directory, key):
+def _cache_read(directory, key, query):
     path = os.path.join(directory, key + ".json")
     if not os.path.exists(path):
         return None
@@ -230,7 +236,7 @@ def _cache_read(directory, key):
         problem = str(exc)
     else:
         record = blob.get("record") if isinstance(blob, dict) else None
-        problem = _record_problem(record)
+        problem = _record_problem(record, query)
         if problem is None:
             return record
     print(f"warning: unreadable cache entry {path} ({problem}); recomputing",
@@ -255,9 +261,11 @@ def _cache_write(directory, key, record):
 
 def _compute_record(spec_text, G, H, args):
     directory = _cache_dir(args)
-    key = _cache_key(spec_text, H)
+    # the fields the key hashes; a served record must carry the same values
+    query = {"group": spec_text, "subgroup": H.describe(), "version": __version__}
+    key = _cache_key(query)
     if directory:
-        cached = _cache_read(directory, key)
+        cached = _cache_read(directory, key, query)
         if cached is not None:
             print(f"cache hit for {spec_text} / {H.describe()}", file=sys.stderr)
             return cached

@@ -652,7 +652,3 @@ def product_of_cyclics(parts):
 
 def klein_four():
     return product_of_cyclics((2, 2))
-
-
-def trivial_group(degree=1):
-    return PermGroup(degree, (), label="1", kind=("C", 1))

@@ -1,4 +1,4 @@
-"""Coflasque covers and flasque resolutions, and the end-to-end invariant.
+"""Coflasque covers, the flasque/coflasque checks, and the end-to-end invariant.
 
 A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
 Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
@@ -17,11 +17,14 @@ construction is guarded by an explicit recheck that Q^{H'} -> L^{H'} is
 onto for every class, which is exactly the condition forcing the kernel
 to be coflasque.
 
-Flasque resolutions arise by dualizing the cover of the dual lattice, and
-the headline computation is H^1 of the flasque term F for the Chevalley
-module of (G, H).  By duality (Brown, Cohomology of Groups, VI.7) that
-finite group is Tate H^-1(G, dual F), the torsion of one Smith form, so
-no presentation of G is needed; the tests check it against `h1`.
+The headline computation is H^1(G, F) for the flasque term F of a
+resolution 0 -> J -> P -> F -> 0 of the Chevalley module J of (G, H).
+That resolution is the transpose of a coflasque cover 0 -> N -> P -> I -> 0
+of the augmentation ideal I = dual J, with F = dual N (Colliot-Thelene -
+Sansuc), so the pipeline builds only the cover.  By duality (Brown,
+Cohomology of Groups, VI.7) H^1(G, F) is dual to Tate H^-1(G, N), the
+torsion of one Smith form, so no presentation of G is needed; the tests
+check it against `h1`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .intmat import (
     IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants, vstack,
 )
 from .lattices import (
-    GLattice, LatticeMap, chevalley_module, dual, fixed_sublattice,
+    GLattice, LatticeMap, augmentation_ideal, dual, fixed_sublattice,
 )
 from .perms import (
     SUBGROUP_CLASS_CAP, core, coset_moves, right_transversal, subgroup_classes,
@@ -46,20 +49,17 @@ from .perms import (
 
 @dataclass(frozen=True)
 class Resolution:
-    """0 -> side -> middle -> base -> 0 (coflasque) or
-    0 -> base -> middle -> side -> 0 (flasque); middle is permutation."""
+    """A coflasque cover 0 -> side -> middle -> base -> 0, middle a
+    permutation lattice; construction checks that the ranks add up, that
+    the composite map is zero and that both maps are saturated."""
 
-    kind: str
     base: GLattice
     middle: GLattice
     side: GLattice
     inject: LatticeMap
     project: LatticeMap
-    summands: tuple
 
     def __post_init__(self):
-        if self.kind not in ("coflasque", "flasque"):
-            raise ValueError("kind must be coflasque or flasque")
         if self.middle.rank != self.base.rank + self.side.rank:
             raise InternalCheckError("ranks are not additive")
         if self.inject.matrix.nrows and self.project.matrix.ncols:
@@ -102,7 +102,7 @@ def _identity_resolution(L):
     zero = GLattice(L.group, 0, [IntMatrix([], ncols=0)] * len(L.group.generators))
     inject = LatticeMap(zero, L, IntMatrix([], ncols=L.rank))
     project = LatticeMap(L, L, IntMatrix.identity(L.rank))
-    return Resolution("coflasque", L, L, zero, inject, project, L.perm_summands)
+    return Resolution(L, L, zero, inject, project)
 
 
 def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> Resolution:
@@ -171,7 +171,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
     inject = LatticeMap(N, Q, K)
-    return Resolution("coflasque", L, Q, N, inject, project, Q.perm_summands)
+    return Resolution(L, Q, N, inject, project)
 
 
 def _restricted_action(K: IntMatrix, Q: GLattice):
@@ -188,25 +188,6 @@ def _restricted_action(K: IntMatrix, Q: GLattice):
     if X is None:
         raise InternalCheckError("kernel is not stable under the action")
     return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
-
-
-def flasque_resolution(L: GLattice, class_cap=SUBGROUP_CLASS_CAP,
-                       max_rank=None) -> Resolution:
-    """0 -> L -> P -> M -> 0 with P permutation and M flasque,
-    obtained by dualizing a coflasque cover of dual(L).  The cover's middle
-    term acts by permutation matrices, so it is its own dual and serves
-    as P."""
-    cof = coflasque_cover(dual(L), class_cap=class_cap, max_rank=max_rank)
-    P = cof.middle
-    M = dual(cof.side)
-    inject = LatticeMap(L, P, cof.project.matrix.transpose())
-    project = LatticeMap(P, M, cof.inject.matrix.transpose())
-    res = Resolution("flasque", L, P, M, inject, project, cof.summands)
-    ok, witness = is_flasque(M, class_cap=class_cap)
-    if not ok:
-        raise InternalCheckError(
-            f"resolution side module is not flasque (witness {witness.describe()})")
-    return res
 
 
 def is_flasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
@@ -255,12 +236,17 @@ def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResu
         warnings.warn(
             f"core of {H.describe()} in {G.label} is nontrivial; the matrix "
             "action is unfaithful", stacklevel=3)
-    J = chevalley_module(G, H)
-    res = flasque_resolution(J, class_cap=class_cap, max_rank=max_rank)
-    inv = tate_minus1(G, dual(res.side))   # dual to H^1(G, F); |G| kills it
+    # 0 -> N -> P -> I -> 0 transposes to 0 -> J -> P -> F -> 0, F = dual N
+    I, _ = augmentation_ideal(G, H)
+    cof = coflasque_cover(I, class_cap=class_cap, max_rank=max_rank)
+    ok, witness = is_coflasque(cof.side, class_cap=class_cap)
+    if not ok:
+        raise InternalCheckError(
+            f"flasque term dual(N) is not flasque (witness {witness.describe()})")
+    inv = tate_minus1(G, cof.side)   # dual to H^1(G, F); |G| kills it
     if any(G.order() % t for t in inv.torsion):
         raise InternalCheckError(f"H^1 invariants {inv.torsion} do not divide |G|")
-    return PipelineResult(J.rank, res.side.rank, res.middle.rank, inv)
+    return PipelineResult(I.rank, cof.side.rank, cof.middle.rank, inv)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ import pytest
 from normone.cohomology import h1, presentation_catalog, sha2_omega
 from normone.errors import CapExceeded
 from normone.intmat import AbelianInvariants, IntMatrix, det, snf
-from normone.lattices import chevalley_module
+from normone.lattices import chevalley_module, dual
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
     klein_four, product_of_cyclics, symmetric,
 )
-from normone.resolutions import flasque_resolution, is_flasque, norm_one_invariant
+from normone.resolutions import coflasque_cover, is_flasque, norm_one_invariant
 from oracles import bar_h1, lattice_pool, twist_lattice
 
 P = Permutation.from_cycles
@@ -190,17 +190,21 @@ def _flasque_sides_up_to_360():
         warnings.simplefilter("ignore")
         for G, mode in cases:
             H = _subgroup_for(G, mode)
-            res = flasque_resolution(chevalley_module(G, H))
-            ok, witness = is_flasque(res.side)
+            ok, witness = is_flasque(_flasque_side(chevalley_module(G, H)))
             if not ok:
                 return f"{G.label}: side not flasque at {witness.describe()}"
         G = alternating(6)
         H = G.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 2, 3)], 6)])
-        res = flasque_resolution(chevalley_module(G, H))
-        ok, witness = is_flasque(res.side)
+        ok, witness = is_flasque(_flasque_side(chevalley_module(G, H)))
         if not ok:
             return f"A6: side not flasque at {witness.describe()}"
     return None
+
+
+def _flasque_side(L):
+    """F in 0 -> L -> P -> F -> 0: the dual of the kernel of a coflasque
+    cover of dual(L), whose transpose is that resolution."""
+    return dual(coflasque_cover(dual(L)).side)
 
 
 def _subgroup_for(G, mode):

@@ -185,15 +185,25 @@ class TestCache:
         assert "unreadable cache" in out.err
         assert json.loads(out.out)["h1"] == []
 
-    @pytest.mark.parametrize("bad", [{}, {"h1": "oops"}])
+    @pytest.mark.parametrize("bad", [
+        {}, {"h1": "oops"},
+        # (field, value): one field of the stored record changed; a record
+        # is served only for its own query, with ranks and ms ints >= 0
+        ("group", "S4"), ("subgroup", "(1 2)"), ("version", "9.9"),
+        ("flasque_rank", "lots"), ("j_rank", -1), ("j_rank", 3.0),
+        ("ms", True),
+    ])
     def test_invalid_cached_record_recomputes(self, tmp_path, capsys, bad):
         args = ["compute", "A4", "--point-stabilizer", "4",
                 "--cache-dir", str(tmp_path)]
         assert main(args) == 0
-        capsys.readouterr()
+        fresh = json.loads(capsys.readouterr().out)
         (name,) = os.listdir(tmp_path)
         with open(tmp_path / name) as fh:
             blob = json.load(fh)
+        if isinstance(bad, tuple):
+            field, value = bad
+            bad = {**blob["record"], field: value}
         blob["record"] = bad
         with open(tmp_path / name, "w") as fh:
             json.dump(blob, fh)
@@ -203,6 +213,8 @@ class TestCache:
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert set(record) == RECORD_KEYS and record["h1"] == ["2"]
+        assert {k: v for k, v in record.items() if k != "ms"} == \
+            {k: v for k, v in fresh.items() if k != "ms"}
         assert "unreadable cache" in out.err and "Traceback" not in out.err
 
     def test_cache_stores_only_the_record(self, tmp_path, capsys):

@@ -111,10 +111,18 @@ class TestAugmentationIdeal:
             assert sum(row) == 0  # lands in the augmentation kernel
 
     def test_equals_dual_of_chevalley(self):
+        # the pipeline covers I in place of dual(J), so every verify-paper
+        # row and a group outside the catalog are pinned here
+        A4, A5, A6 = alternating(4), alternating(5), alternating(6)
+        S = A5.point_stabilizer(5)
         for G, H in [
-            (alternating(4), alternating(4).subgroup([P([(1, 2, 3)], 4)])),
+            (A4, A4.subgroup([P([(1, 2, 3)], 4)])),
             (symmetric(3), symmetric(3).subgroup([P([(2, 3)], 3)])),
-            (alternating(5), alternating(5).point_stabilizer(5)),
+            (A5, A5.point_stabilizer(5)),
+            (A6, A6.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 2, 3)], 6)])),
+            (A6, A6.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 4), (5, 6)], 6)])),
+            (alternating(7), alternating(7).point_stabilizer(7)),
+            (S, S.point_stabilizer(4)),
         ]:
             I, _ = augmentation_ideal(G, H)
             Jd = dual(chevalley_module(G, H))

@@ -19,8 +19,7 @@ from normone.perms import (
     product_of_cyclics, subgroup_classes, symmetric,
 )
 from normone.resolutions import (
-    coflasque_cover, flasque_resolution, is_coflasque, is_flasque,
-    norm_one_invariant, verdict,
+    coflasque_cover, is_coflasque, is_flasque, norm_one_invariant, verdict,
 )
 
 P = Permutation.from_cycles
@@ -29,6 +28,12 @@ Z2 = AbelianInvariants(0, (2,))
 
 def sign_lattice():
     return GLattice(cyclic(2), 1, [IntMatrix([[-1]])])
+
+
+def flasque_side(L):
+    """F in 0 -> L -> P -> F -> 0: the dual of the kernel of a coflasque
+    cover of dual(L), whose transpose is that resolution."""
+    return dual(coflasque_cover(dual(L)).side)
 
 
 class TestCoflasqueCover:
@@ -49,7 +54,6 @@ class TestCoflasqueCover:
         G = alternating(4)
         I, _ = augmentation_ideal(G, G.point_stabilizer(4))
         res = coflasque_cover(I)
-        assert res.kind == "coflasque"
         assert res.middle.rank == res.base.rank + res.side.rank
         ok, witness = is_coflasque(res.side)
         assert ok, f"kernel fails coflasqueness at {witness}"
@@ -121,27 +125,26 @@ class TestCoflasqueCover:
         for cls in subgroup_classes(G):
             image = hnf_basis(fixed_sublattice(Q, cls) * EV)
             assert hnf_coordinates(image, fixed_sublattice(L, cls)) is not None
-        assert flasque_resolution(J).middle.action == dual(Q).action
+        # a permutation lattice is its own dual, so Q is also the middle
+        # term of the transposed resolution 0 -> J -> Q -> F -> 0
+        assert dual(Q).action == Q.action
 
 
 class TestFlasqueResolution:
     def test_perm_module_gives_zero_side(self):
         G = symmetric(3)
         L = perm_lattice(G, G.subgroup([P([(2, 3)], 3)]))
-        res = flasque_resolution(L)
-        assert res.side.rank == 0
+        assert flasque_side(L).rank == 0
 
     def test_a4_side_has_z2_h1(self):
         G = alternating(4)
         J = chevalley_module(G, G.point_stabilizer(4))
-        res = flasque_resolution(J)
-        assert h1(res.side, presentation_catalog(G)) == Z2
+        assert h1(flasque_side(J), presentation_catalog(G)) == Z2
 
     def test_a5_side_vanishes(self):
         G = alternating(5)
         J = chevalley_module(G, G.point_stabilizer(5))
-        res = flasque_resolution(J)
-        assert h1(res.side, presentation_catalog(G)).is_trivial()
+        assert h1(flasque_side(J), presentation_catalog(G)).is_trivial()
 
     def test_sides_are_flasque(self):
         for G, H in [
@@ -149,8 +152,7 @@ class TestFlasqueResolution:
             (symmetric(4), symmetric(4).point_stabilizer(4)),
             (klein_four(), klein_four().trivial_subgroup()),
         ]:
-            res = flasque_resolution(chevalley_module(G, H))
-            ok, witness = is_flasque(res.side)
+            ok, witness = is_flasque(flasque_side(chevalley_module(G, H)))
             assert ok, f"{G.label}: witness {witness}"
 
 
@@ -293,6 +295,57 @@ class TestNormOneInvariant:
             inv = norm_one_invariant(G, H)
         assert inv.is_trivial()
 
+    def test_pipeline_builds_one_exact_sequence(self, monkeypatch):
+        # one coflasque cover of I = dual(J) carries everything: one
+        # Resolution, and one dual, taken by the coflasque self-check
+        import sys
+        import normone.lattices as lattices
+        made, duals, inside = [], [], []
+        resolution, dual_fn = resolutions.Resolution, lattices.dual
+        check = resolutions.is_coflasque
+
+        def counted_resolution(*args):
+            made.append(args)
+            return resolution(*args)
+
+        def counted_dual(L):
+            duals.append(bool(inside))
+            return dual_fn(L)
+
+        def watched_check(*args, **kwargs):
+            inside.append(True)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(resolutions, "Resolution", counted_resolution)
+        monkeypatch.setattr(resolutions, "is_coflasque", watched_check)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "normone" and getattr(module, "dual", None) is dual_fn:
+                monkeypatch.setattr(module, "dual", counted_dual)
+        G = alternating(4)
+        assert resolutions._pipeline(G, G.point_stabilizer(4)).invariants == Z2
+        assert len(made) == 1
+        assert duals == [True]
+
+    def test_flasque_self_check_fires(self, monkeypatch):
+        G = alternating(4)
+        monkeypatch.setattr(resolutions, "is_flasque", lambda *a, **k: (False, G))
+        with pytest.raises(InternalCheckError, match="not flasque"):
+            resolutions._pipeline(G, G.point_stabilizer(4))
+
+    def test_divisibility_check_fires(self, monkeypatch):
+        G = alternating(4)
+        tate = resolutions.tate_minus1
+
+        def z5_on_g(S, L):
+            return AbelianInvariants(0, (5,)) if S is G else tate(S, L)
+
+        monkeypatch.setattr(resolutions, "tate_minus1", z5_on_g)
+        with pytest.raises(InternalCheckError, match="do not divide"):
+            resolutions._pipeline(G, G.point_stabilizer(4))
+
     def test_max_rank_cap(self):
         G = alternating(4)
         with pytest.raises(CapExceeded):
@@ -348,7 +401,7 @@ def test_oracle_agreement_across_subgroup_classes():
                 inv = norm_one_invariant(G, H)
                 assert sha2_omega(G, H) == inv, \
                     f"routes disagree on {G.label} / {H.describe()}"
-                side = flasque_resolution(chevalley_module(G, H)).side
+                side = flasque_side(chevalley_module(G, H))
                 assert h1(side, presentation_catalog(G)) == inv, \
                     f"presentation route disagrees on {G.label} / {H.describe()}"
                 checked += 1
