@@ -10,6 +10,7 @@ outside that mapping, reported in one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -174,10 +175,10 @@ RECORD_KEYS = frozenset({"group", "subgroup", "j_rank", "flasque_rank", "h1",
 _DECIMAL = re.compile(r"[1-9][0-9]*")
 
 
-def _record(spec_text, H, result, elapsed_ms, v: Verdict):
+def _record(spec_text, subgroup, result, elapsed_ms, v: Verdict):
     return {
         "group": spec_text,
-        "subgroup": H.describe(),
+        "subgroup": subgroup,
         "j_rank": result.j_rank,
         "flasque_rank": result.flasque_rank,
         "h1": [str(t) for t in result.invariants.torsion],
@@ -227,11 +228,11 @@ def _record_problem(record, query):
 
 def _cache_read(directory, key, query):
     path = os.path.join(directory, key + ".json")
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError) as exc:
         problem = str(exc)
     else:
@@ -261,18 +262,19 @@ def _cache_write(directory, key, record):
 
 def _compute_record(spec_text, G, H, args):
     directory = _cache_dir(args)
+    subgroup = H.describe()
     # the fields the key hashes; a served record must carry the same values
-    query = {"group": spec_text, "subgroup": H.describe(), "version": __version__}
+    query = {"group": spec_text, "subgroup": subgroup, "version": __version__}
     key = _cache_key(query)
     if directory:
         cached = _cache_read(directory, key, query)
         if cached is not None:
-            print(f"cache hit for {spec_text} / {H.describe()}", file=sys.stderr)
+            print(f"cache hit for {spec_text} / {subgroup}", file=sys.stderr)
             return cached
     t0 = time.monotonic()
     result = _pipeline(G, H, max_rank=args.max_rank, class_cap=args.max_order)
     ms = int((time.monotonic() - t0) * 1000)
-    record = _record(spec_text, H, result, ms, Verdict.of(result.invariants))
+    record = _record(spec_text, subgroup, result, ms, Verdict.of(result.invariants))
     if directory:
         try:
             _cache_write(directory, key, record)
@@ -428,7 +430,11 @@ def _add_cap_flags(p, *caps):
                        help=f"middle-term rank cap (default {DEFAULT_MAX_RANK})")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use: parsing leaves
+    it unchanged (each call gets a fresh Namespace) and help text is
+    formatted, terminal width included, when it is printed."""
     parser = argparse.ArgumentParser(
         prog="normone",
         description="Hasse-norm-principle / weak-approximation obstructions "

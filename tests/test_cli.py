@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -281,6 +284,38 @@ class TestCache:
         assert record["flasque_rank"] != 43
         assert len(os.listdir(tmp_path)) == 2
 
+    def test_missing_entry_is_a_silent_miss(self, tmp_path, capsys):
+        # no entry (the directory may not exist yet) is a miss, not a
+        # warning; so is an entry removed between a check and the read
+        args = ["compute", "A4", "--point-stabilizer", "4",
+                "--cache-dir", str(tmp_path / "new")]
+        assert main(args) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["h1"] == ["2"]
+        assert out.err.splitlines() == ["A4 / (1 2 3): H1 = Z/2 "
+                                        f"({json.loads(out.out)['ms']} ms)"]
+        query = {"group": "A4", "subgroup": "(1 2 3)", "version": normone.__version__}
+        with mock.patch("os.path.exists", return_value=True):
+            assert cli._cache_read(str(tmp_path), cli._cache_key(query), query) is None
+        assert capsys.readouterr().err == ""
+
+    def test_hit_describes_the_subgroup_once(self, tmp_path, capsys, monkeypatch):
+        args = ["compute", "A4", "--point-stabilizer", "4",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        calls = []
+        describe = cli.PermGroup.describe
+
+        def counted(self):
+            calls.append(self)
+            return describe(self)
+
+        monkeypatch.setattr(cli.PermGroup, "describe", counted)
+        assert main(args) == 0
+        assert "cache hit for A4 / (1 2 3)" in capsys.readouterr().err
+        assert len(calls) == 1
+
     def test_unwritable_cache_dir_warns(self, tmp_path, capsys):
         # a regular file where the directory should be: the write fails,
         # the record is still printed and the exit code is still 0
@@ -298,8 +333,6 @@ class TestCache:
 
 
 def test_cold_runs_are_deterministic():
-    import subprocess
-    import sys
     records = []
     for _ in range(2):
         proc = subprocess.run(
@@ -346,6 +379,101 @@ class TestOtherCommands:
         assert main(["verify-paper", "--max-n", "4"]) == 0
         out = capsys.readouterr()
         assert "PASS A4" in out.err
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it."""
+
+    @pytest.fixture(autouse=True)
+    def no_cache(self, monkeypatch):
+        monkeypatch.delenv("NORMONE_CACHE", raising=False)
+
+    @staticmethod
+    def run(argv):
+        """main(argv) -> (exit code, record without ms)."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        record = json.loads(out.getvalue())
+        record.pop("ms")
+        return rc, record
+
+    def test_values_do_not_leak_into_the_next_call(self, monkeypatch):
+        ranks = []
+        pipeline = cli._pipeline
+
+        def recorded(G, H, max_rank, class_cap):
+            ranks.append(max_rank)
+            return pipeline(G, H, max_rank=max_rank, class_cap=class_cap)
+
+        monkeypatch.setattr(cli, "_pipeline", recorded)
+        argv = ["compute", "A4", "--point-stabilizer", "4"]
+        first = self.run(argv + ["--max-rank", "5000"])
+        assert first[0] == 0 and self.run(argv) == first
+        assert ranks == [5000, 4096]
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        argv = ["compute", "A4", "--point-stabilizer", "4"]
+        before = self.run(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-rank", "0"])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert before[0] == 0 and self.run(argv) == before
+
+    def test_repeated_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ["compute", "A4", "--point-stabilizer", "4", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        built.clear()
+        for _ in range(20):
+            assert main(argv) == 0
+        assert "cache hit" in capsys.readouterr().err
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    built.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import normone.cli as cli\n"
+                "print(len(built), cli.build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"]],
+                             ids=["top-level", "compute"])
+    def test_help_is_the_same_on_every_call(self, argv, capsys, monkeypatch):
+        def show_help():
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "60")
+        first = show_help()
+        assert show_help() == first
+        # the width is read when help is printed, not when the parser is
+        # built: a wider terminal gets the help a new parser would print
+        monkeypatch.setenv("COLUMNS", "140")
+        wide = show_help()
+        assert wide != first
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert capsys.readouterr().out == wide
 
 
 def test_readme_compute_example_is_live(capsys):
