@@ -218,8 +218,8 @@ def h1_data(L: GLattice, P: Presentation) -> _H1Data:
 
     Z1 is the lattice of generator values that every relator's blocks
     kill, found by one kernel of all the blocks side by side; its rows
-    are therefore a Hermite basis with full row rank.  B1 holds the
-    coboundaries of L's basis vectors.
+    are a saturated basis with full row rank.  B1 holds the coboundaries
+    of L's basis vectors.
     """
     G = L.group
     if P.ngens == 0:

@@ -329,10 +329,6 @@ def _hnf(A, track):
     return _eliminate(_hermite, A, track)
 
 
-def _nonzero_rows(H):
-    return H[(H != 0).any(axis=1)]
-
-
 def hnf(A: IntMatrix):
     """Row Hermite normal form.
 
@@ -347,7 +343,7 @@ def hnf(A: IntMatrix):
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
     H, _ = _hnf(A.array, track=False)
-    return IntMatrix(_nonzero_rows(H))
+    return IntMatrix(H[(H != 0).any(axis=1)])
 
 
 def _back_substitute(W, r):
@@ -382,8 +378,8 @@ def _coordinates(H, B):
 
 def hnf_coordinates(H: IntMatrix, B: IntMatrix):
     """X with X*H = B, for H in Hermite form without zero rows (as
-    hnf_basis and kernel_basis return it); None when some row of B is not
-    in H's row lattice.  Back-substitution only, no elimination of H.
+    hnf_basis returns it); None when some row of B is not in H's row
+    lattice.  Back-substitution only, no elimination of H.
 
     This is the one way to take coordinates: a lattice whose coordinates
     are wanted is brought to Hermite form once, where it is built, and
@@ -399,11 +395,11 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the left integer kernel {x : x*A = 0}, as rows.
 
     The basis is saturated: every integer solution is an integer
-    combination of the rows.  Rows are HNF-canonicalized.
+    combination of the rows.  They are U's rows at the zero rows of one
+    tracked Hermite form U*A = H, not a Hermite basis (take hnf_basis).
     """
     H, U = _hnf(A.array, track=True)
-    K, _ = _hnf(U[~(H != 0).any(axis=1)], track=False)
-    return IntMatrix(_nonzero_rows(K))
+    return IntMatrix(U[~(H != 0).any(axis=1)])
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:
@@ -463,7 +459,9 @@ def _smith(W, m, n):
                     j = cols[abs(W[t, cols]).argmin()]
                     W[:, [t, j]] = W[:, [j, t]]
                     continue
-            # the pivot must divide the rest of the block for the chain
+            # the pivot must divide the rest of the block (a unit one does)
+            if abs(W[t, t]) == 1:
+                break
             bad = (W[t + 1:m, t + 1:n] % W[t, t]).nonzero()[0]
             if not bad.size:
                 break

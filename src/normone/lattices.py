@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError, UsageError
-from .intmat import IntMatrix, hstack, kernel_basis
+from .intmat import IntMatrix, hnf_basis, hstack, kernel_basis
 from .perms import PermGroup, coset_moves, right_transversal
 
 
@@ -202,10 +202,10 @@ def induced(L: GLattice):
 
 
 def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
-    """Saturated basis of the vectors fixed by every element of S."""
+    """Hermite basis of the vectors fixed by every element of S."""
     gens = S.generators
     if not gens:
         return IntMatrix.identity(L.rank)
     ident = IntMatrix.identity(L.rank)
     blocks = [L.matrix_of(s) - ident for s in gens]
-    return kernel_basis(hstack(*blocks))
+    return hnf_basis(kernel_basis(hstack(*blocks)))

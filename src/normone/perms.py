@@ -435,24 +435,16 @@ def are_conjugate_subgroups(G, H1, H2):
                             {number[p.images] for p in H2.elements()})
 
 
-def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
-    """Conjugacy-class representatives of all subgroups of G.
-
-    Breadth-first cyclic extension: seed with the classes of cyclic
-    subgroups, then repeatedly extend each known class rep S by single
-    elements, deduplicating by brute-force conjugacy.  Extensions only
-    run over (double) coset representatives since <S, s1*g*s2> = <S, g>.
-    The result includes the trivial subgroup and G, sorted by decreasing
-    order with ties broken by the sorted element tuple.
-    """
+def _cyclic_classes(G, cap):
+    """Seed the subgroup class search of G with the trivial class, then
+    one class per conjugacy class of cyclic subgroups, in element order.
+    Returns (classes, closure_idx, register) on the numbers of
+    G.multiplication_table(); register(sset, gens) -> (index, new)."""
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
-    if G._class_cache is not None:
-        return G._class_cache
-    elems = G.elements()
     _, table, inv = G.multiplication_table()
-    eorder = [p.order() for p in elems]
+    eorder = [p.order() for p in G.elements()]
     half = n // 2
 
     def closure_idx(gens):
@@ -489,12 +481,37 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         return ci, True
 
     register(frozenset([0]), ())
-    queue = []
     for i in range(1, n):
-        sset = frozenset(closure_idx([i]))
-        ci, new = register(sset, (i,))
-        if new:
-            queue.append(ci)
+        register(frozenset(closure_idx([i])), (i,))
+    return classes, closure_idx, register
+
+
+def _class_handles(G, classes):
+    """The classes' subgroups, sorted as subgroup_classes returns them."""
+    elems = G.elements()
+    handles = [_spanned(G, [elems[i] for i in sorted(sset)]) for sset, _, _ in classes]
+    handles.sort(key=lambda h: (-h.order(), tuple(p.images for p in h.elements())))
+    return handles
+
+
+def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
+    """Conjugacy-class representatives of all subgroups of G.
+
+    Breadth-first cyclic extension: seed with the classes of cyclic
+    subgroups, then repeatedly extend each known class rep S by single
+    elements, deduplicating by brute-force conjugacy.  Extensions only
+    run over (double) coset representatives since <S, s1*g*s2> = <S, g>.
+    The result includes the trivial subgroup and G, sorted by decreasing
+    order with ties broken by the sorted element tuple.
+    """
+    n = G.order()
+    # a cached list is returned only within the cap
+    if G._class_cache is not None and n <= cap:
+        return G._class_cache
+    classes, closure_idx, register = _cyclic_classes(G, cap)
+    _, table, _ = G.multiplication_table()
+    # every class but the trivial one is extended
+    queue = list(range(1, len(classes)))
     qi = 0
     while qi < len(queue):
         ci = queue[qi]
@@ -523,15 +540,15 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
             if new:
                 queue.append(ti)
 
-    handles = [_spanned(G, [elems[i] for i in sorted(sset)]) for sset, _, _ in classes]
-    handles.sort(key=lambda h: (-h.order(), tuple(p.images for p in h.elements())))
+    handles = _class_handles(G, classes)
     object.__setattr__(G, "_class_cache", handles)
     return handles
 
 
 def cyclic_subgroup_classes(G):
-    """Nontrivial cyclic classes from subgroup_classes, largest first."""
-    return [h for h in subgroup_classes(G) if h.order() > 1 and h.is_cyclic()]
+    """The nontrivial cyclic classes of subgroup_classes(G), the same
+    representatives in the same order, from its seeding step alone."""
+    return _class_handles(G, _cyclic_classes(G, SUBGROUP_CLASS_CAP)[0][1:])
 
 
 # ---------------------------------------------------------------------------

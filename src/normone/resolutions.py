@@ -167,7 +167,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     eye = np.eye(ev.nrows, dtype=np.int64)
     Q = GLattice(G, ev.nrows, [IntMatrix(eye[m]) for m in moves], perm_summands=summands)
     project = LatticeMap(Q, L, ev)
-    K = kernel_basis(ev)
+    K = hnf_basis(kernel_basis(ev))
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
     inject = LatticeMap(N, Q, K)
@@ -177,8 +177,8 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
 def _restricted_action(K: IntMatrix, Q: GLattice):
     """Action on the sublattice spanned by the rows of K (must be stable).
 
-    K is a Hermite basis, as kernel_basis returns it, so the coordinates
-    of K*a in it come from back-substitution alone, with no elimination;
+    K is a Hermite basis (the cover takes hnf_basis of its kernel for
+    this), so the coordinates of K*a in it come from back-substitution;
     K*a for every generator a is stacked so one pass serves them all.  The
     result is split into one matrix per generator.
     """

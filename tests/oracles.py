@@ -8,8 +8,8 @@ never share a code path.
 from itertools import combinations
 
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, det, kernel_basis, quotient_invariants,
-    vstack,
+    AbelianInvariants, IntMatrix, det, hnf_basis, kernel_basis,
+    quotient_invariants, vstack,
 )
 from normone.perms import Permutation
 
@@ -111,7 +111,8 @@ def _bar2_lattices(elems, rho, R):
                 add(pair[(g, h * kk)], col, ident, +1)
                 add(pair[(g, h)], col, rho[pos[kk]], -1)
                 col += 1
-    Z2 = kernel_basis(IntMatrix(C, ncols=ncols))
+    # a Hermite basis, since sha2_omega_bar takes coordinates in it
+    Z2 = hnf_basis(kernel_basis(IntMatrix(C, ncols=ncols)))
 
     B = []
     for gi in range(n):
@@ -136,7 +137,7 @@ def sha2_omega_bar(G, H):
     of dimension shifting and of presentations.  Tiny groups only."""
     from normone.lattices import chevalley_module
     from normone.perms import cyclic_subgroup_classes
-    from normone.intmat import hnf_basis, hnf_coordinates, hstack
+    from normone.intmat import hnf_coordinates, hstack
 
     J = chevalley_module(G, H)
     R = J.rank

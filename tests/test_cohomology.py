@@ -263,6 +263,18 @@ class TestSha2Omega:
         with pytest.raises(CapExceeded):
             sha2_omega(G, G.point_stabilizer(5))
 
+    def test_no_full_subgroup_search(self, monkeypatch):
+        # the oracle needs the cyclic classes only, which the seeding step
+        # of the class search gives without extending them
+        import normone.perms as perms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sha2_omega enumerated every subgroup class")
+        monkeypatch.setattr(perms, "subgroup_classes", refuse)
+        for G in (symmetric(4), dihedral(6)):
+            G = PermGroup(G.degree, G.generators, label=G.label)
+            assert sha2_omega(G, G.point_stabilizer(G.degree)).is_trivial()
+
     def test_one_smith_form_and_no_presentation(self, monkeypatch):
         # Sha^2_omega comes from Tate H^-1 of the dual by corestriction, so
         # no presentation is built, checked or used on the way

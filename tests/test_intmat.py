@@ -311,8 +311,24 @@ class TestKernel:
         assert K == mat([[1, 1]])
 
     def test_primitive_solution(self):
+        # the basis is saturated, not Hermite: compare Hermite forms
         K = kernel_basis(mat([[2], [4]]))
-        assert K == mat([[2, -1]])
+        assert hnf_basis(K) == mat([[2, -1]])
+
+    def test_one_elimination(self, monkeypatch):
+        # the kernel rows come from the tracked elimination as they are,
+        # with no second, canonicalizing Hermite pass
+        calls = []
+        hermite = intmat._hermite
+
+        def counted(*args):
+            calls.append(args)
+            return hermite(*args)
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        A = mat([[1, 2], [3, 4], [5, 6], [7, 8]])
+        K = kernel_basis(A)
+        assert K.nrows == 2 and (K * A).is_zero()
+        assert len(calls) == 1
 
     @given(small_matrices)
     def test_kernel_saturated(self, rows):

@@ -343,6 +343,21 @@ class TestSubgroupClasses:
         cyc = cyclic_subgroup_classes(G)
         assert sorted(c.order() for c in cyc) == [2, 3]
 
+    @pytest.mark.parametrize("G", [
+        *(cyclic(n) for n in range(2, 13)), klein_four(),
+        *(product_of_cyclics(ns) for ns in ((2, 4), (2, 2, 2), (3, 3), (2, 6))),
+        symmetric(3), alternating(4), symmetric(4),
+        *(dihedral(n) for n in range(3, 13)), alternating(5),
+    ], ids=lambda G: G.label)
+    def test_cyclic_classes_match_the_full_search(self, G):
+        # the seeding step alone gives the nontrivial cyclic classes of the
+        # full search: the same representatives, generators and order
+        G = PermGroup(G.degree, G.generators, label=G.label)
+        full = [h for h in subgroup_classes(G) if h.order() > 1 and h.is_cyclic()]
+        cyc = cyclic_subgroup_classes(G)
+        assert [h.elements() for h in cyc] == [h.elements() for h in full]
+        assert [h.generators for h in cyc] == [h.generators for h in full]
+
 
 class TestWords:
     def test_c3(self):

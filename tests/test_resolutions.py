@@ -107,6 +107,21 @@ class TestCoflasqueCover:
         assert inside == [0]
         assert calls["fixed_sublattice"] == len(subgroup_classes(G))
 
+    @pytest.mark.parametrize("make, n", [(alternating, 4), (symmetric, 4)],
+                             ids=["A4", "S4"])
+    def test_fixed_lattices_and_kernel_are_hermite(self, make, n):
+        # kernel_basis returns a saturated basis only; the cover's greedy
+        # walk over each fixed lattice and its back-substitution against
+        # the kernel K both need the Hermite basis, which they take
+        G = make(n)
+        for L in (chevalley_module(G, G.point_stabilizer(n)),
+                  augmentation_ideal(G, G.point_stabilizer(n))[0]):
+            for cls in subgroup_classes(G):
+                F = fixed_sublattice(L, cls)
+                assert F == hnf_basis(F)
+            K = coflasque_cover(L).inject.matrix
+            assert K.nrows and K == hnf_basis(K)
+
     @pytest.mark.parametrize("make, n", [
         (alternating, 4), (symmetric, 4), (alternating, 5),
     ], ids=["A4", "S4", "A5"])
