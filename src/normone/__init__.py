@@ -28,11 +28,11 @@ from .perms import (
 )
 from .lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, dual_map, fixed_sublattice, induced, perm_lattice, trivial_lattice,
+    dual, dual_map, fixed_sublattice, perm_lattice, trivial_lattice,
 )
 from .cohomology import (
-    Presentation, dimension_shift, h1, presentation_catalog,
-    sha2_omega, tate_cyclic, tate_minus1,
+    Presentation, h1, presentation_catalog, sha2_omega, tate_cyclic,
+    tate_minus1,
 )
 from .fpgroups import (
     CosetTable, FpGroup, preimage_an, schur_cover_sn, todd_coxeter,

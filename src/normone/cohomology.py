@@ -2,7 +2,8 @@
 
 Tate H^-1 is the torsion of one Smith form; the pipeline takes its H^1
 from it by duality, and `sha2_omega` takes Sha^2_omega from one more
-Smith form by the same duality.  `h1` computes H^1 from a finite
+Smith form by the same duality, over the kernel of a free cover
+Z[G]^r -> I_{G/H} of the augmentation ideal.  `h1` computes H^1 from a finite
 presentation of the acting group instead, as the tests' cross-check
 only, and the presentation catalog exists for it: a 1-cocycle is
 determined by its generator values, subject to one linear condition per
@@ -19,18 +20,24 @@ exists in the test suite as an independent oracle for small groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import CapExceeded, InternalCheckError, NormOneError
 from .intmat import (
-    AbelianInvariants, IntMatrix, exact_array, hstack, kernel_basis,
-    quotient_invariants, snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hstack,
+    kernel_basis, quotient_invariants, snf_invariants, vstack,
 )
-from .lattices import GLattice, LatticeMap, chevalley_module, dual, induced
-from .perms import Permutation, PermGroup, cyclic_subgroup_classes
+from .lattices import (
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, direct_sum,
+    perm_lattice,
+)
+from .perms import (
+    Permutation, PermGroup, cyclic_subgroup_classes, right_transversal,
+)
 
-SHA_ORDER_CAP = 24
+SHA_ORDER_CAP = 360
 
 
 @dataclass(frozen=True)
@@ -302,79 +309,83 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
-@dataclass(frozen=True)
-class ShiftData:
-    """0 -> L -> Ind(L) -> shifted -> 0, with explicit maps."""
-
-    embed: LatticeMap
-    shifted: GLattice
-    project: LatticeMap
-
-
-def dimension_shift(L: GLattice) -> ShiftData:
-    """Cokernel of the split embedding L -> Ind(L); shifts Tate degree by one.
-
-    The embedding sends v to sum_x x (x) v, so its rows and the basis
-    vectors x (x) e_j with x past the first element x0 form a basis of
-    Ind(L).  In it, the coordinate of w on x (x) e_j is w[x, j] - w[x0, j]:
-    that is the projection onto the cokernel, and the vectors x (x) e_j
-    themselves are the section.
-    """
-    I, emb = induced(L)
-    R, N = L.rank, I.rank
-    proj = IntMatrix(np.vstack([-np.tile(np.eye(R, dtype=np.int64), len(L.group.elements()) - 1),
-                                np.eye(N - R, dtype=np.int64)]))
-    mats = [IntMatrix(a.array[R:] @ proj) for a in I.action]
-    shifted = GLattice(L.group, N - R, mats,
-                       label=f"shift({L.label})" if L.label else None)
-    if not (emb.matrix * proj).is_zero():
-        raise InternalCheckError("projection does not kill the embedded copy")
-    return ShiftData(emb, shifted, LatticeMap(I, shifted, proj))
+def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
+    """The free cover Z[G]^r -> I_{G/H} of `sha2_omega`, checked to be
+    onto; each copy of Z[G] is perm_lattice(G, 1), on G.elements()."""
+    I, _ = augmentation_ideal(G, H)
+    picked = []
+    span = H
+    for s in G.generators:
+        if span.order() == G.order():
+            break
+        if s not in span:
+            picked.append(s)
+            span = G.subgroup(list(H.generators) + picked)
+    # e_g in copy j goes to the coset of g minus that of s_j*g, whose
+    # coordinates in I's basis coset_i - coset_last are its first d-1
+    T, coset_of = right_transversal(G, H)
+    eye = np.eye(len(T), dtype=np.int64)
+    images = np.array([eye[coset_of[g.images]] - eye[coset_of[(s * g).images]]
+                       for s in picked for g in G.elements()])[:, :-1]
+    free = reduce(direct_sum, [perm_lattice(G, G.trivial_subgroup())] * len(picked))
+    cover = LatticeMap(free, I, IntMatrix(images))
+    if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
+        raise InternalCheckError(f"free cover of I over {G.label} is not onto")
+    return cover
 
 
 def sha2_omega(G: PermGroup, H) -> AbelianInvariants:
     """Sha^2_omega(G, J_{G/H}), the kernel of restriction from H^2(G, J)
     to all cyclic subgroups, as the torsion of one Smith form.
 
-    Dimension shifting gives H^2(S, J) = H^1(S, J1) for every subgroup S,
-    and H^1(S, J1) is dual to Tate H^-1(S, M) = ker(N_S) / M*I_S for
-    M = dual(J1) (Brown, Cohomology of Groups, VI.7), the duality the
-    pipeline uses.  Restriction G -> C is dual to corestriction C -> G,
-    which on Tate H^-1 is induced by the identity of M.  So Sha^2_omega is
-    dual to
+    Cover I = I_{G/H} by Z[G]^r, sending e_g in copy j to (H - H*s_j)*g.
+    The s_j are taken greedily from G's generators, each only when it is
+    outside <H, s_1, ..., s_(j-1)>, until that group is G.  They generate
+    I, since H - H*gs = (H - H*s) + (H - H*g)*s and H - H*hs = H - H*s for
+    h in H.  Each pick at least doubles the subgroup, so r <= log2 [G:H],
+    and the kernel K has rank r|G| - ([G:H] - 1), at most
+    (|G| - 1)([G:H] - 1), with equality only at index 2, where r = 1.
+    The transpose 0 -> J -> Z[G]^r -> dual(K) -> 0 has a free middle
+    term, so H^2(S, J) = H^1(S, dual K) for every subgroup S, naturally
+    in S, and that is dual to Tate H^-1(S, K) = ker(N_S) / K*I_S (Brown,
+    Cohomology of Groups, VI.7), the duality the pipeline uses.
+    Restriction G -> C is dual to corestriction C -> G, which on Tate
+    H^-1 is induced by the identity of K.  So Sha^2_omega is dual to
 
-        ker(N_G) / (M*I_G + sum over cyclic C of ker(N_C)),
+        ker(N_G) / (K*I_G + sum over cyclic C of ker(N_C)),
 
     and a finite abelian group has the invariants of its dual.  One
     cyclic subgroup per class suffices: a conjugate contributes
-    ker(N_C) * rho(g), equal to ker(N_C) modulo M*I_G.  Each ker(N_C) lies
-    in ker(N_G), the saturation of M*I_G, so the quotient is the torsion
-    of Z^r modulo the stacked rows of rho(s) - 1 over the generators s and
-    a basis of each ker(N_C).  Small |G| only: M has rank
-    (|G|-1) * rank(J).
+    ker(N_C) * rho(g), equal to ker(N_C) modulo K*I_G.  Each ker(N_C) lies
+    in ker(N_G), the saturation of K*I_G, so the quotient is the torsion
+    of Z^rank(K) modulo the stacked rows of rho(s) - 1 over the generators
+    s and a basis of each ker(N_C), the kernel of K*N_C on Z[G]^r.
 
-    Self-checks: J^G = 0 gives (J1)^G, hence M^G, rank rank(J), so the
-    Smith rank, that of M*I_G, is rank(M) - rank(J); a ker(N_C) row
-    outside ker(N_G) would raise it.  Every invariant divides |G|, which
-    kills H^2(G, J).
+    Self-checks: the cover is onto.  K^G has rank r, since (Z[G]^r)^G has
+    rank r and I^G = 0, so the Smith rank, that of K*I_G, is
+    rank(K) - r; a ker(N_C) row outside ker(N_G) would raise it.  Every
+    invariant divides |G|, which kills H^2(G, J).
     """
     if G.order() > SHA_ORDER_CAP:
         raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
-    J = chevalley_module(G, H)
-    M = dual(dimension_shift(J).shifted)
-    if M.rank == 0:
-        return AbelianInvariants(0, ())
-    ident = IntMatrix.identity(M.rank)
-    rows = [M.matrix_of(s) - ident for s in G.generators]
+    cover = _free_cover(G, H)
+    free = cover.source
+    K = hnf_basis(kernel_basis(cover.matrix))
+    ident = IntMatrix.identity(K.nrows)
+    rows = [a - ident for a in _restricted_action(K, free)]
+    number, table, _ = G.multiplication_table()
+    copies = K.array.reshape(K.nrows, -1, G.order())
     for cls in cyclic_subgroup_classes(G):
-        m = cls.order()
-        gen = next(e for e in cls.elements() if e.order() == m)
-        rows.append(kernel_basis(_norm_matrix(M.matrix_of(gen), m)))
+        # column g of K*rho(c^-1) is column g*c of K, copy by copy, and
+        # summed over the elements c of C these make K*N_C
+        KN = sum(copies[:, :, table[number[c.images]]] for c in cls.elements())
+        rows.append(kernel_basis(IntMatrix(KN.reshape(K.nrows, free.rank))))
     d = snf_invariants(vstack(*rows))
-    if len(d) != M.rank - J.rank:
+    r = free.rank // G.order()
+    if len(d) != K.nrows - r:
         raise InternalCheckError(
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "
-            f"{M.rank - J.rank}: a cyclic norm kernel escapes ker(N_G)")
+            f"{K.nrows - r}: a cyclic norm kernel escapes ker(N_G)")
     torsion = tuple(x for x in d if x > 1)
     if any(G.order() % x for x in torsion):
         raise InternalCheckError(

@@ -4,7 +4,7 @@ Actions are stored as one unimodular matrix per group generator; a row
 vector v transforms as v * rho(g).  All the modules the pipeline needs
 live here: coset permutation modules Z[G/H], the augmentation ideal, the
 Chevalley module J_{G/H} (cokernel of 1 -> N_{G/H}), duals, direct sums,
-induced modules, and fixed sublattices.
+fixed sublattices, and the action on a stable sublattice.
 
 Maps between lattices are stored explicitly and checked for equivariance
 at construction; silent transpose/side mistakes are the dominant failure
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError, UsageError
-from .intmat import IntMatrix, hnf_basis, hstack, kernel_basis
+from .intmat import IntMatrix, hnf_basis, hnf_coordinates, hstack, kernel_basis
 from .perms import PermGroup, coset_moves, right_transversal
 
 
@@ -185,22 +185,6 @@ def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:
     return GLattice(L1.group, r1 + r2, mats, perm_summands=summands)
 
 
-def induced(L: GLattice):
-    """Z[G] tensor L with the diagonal right action, plus the norm-style
-    embedding sum_x (x tensor v); the embedding splits over Z."""
-    G = L.group
-    elems = G.elements()
-    n = len(elems)
-    pos = {p: i for i, p in enumerate(elems)}
-    R = L.rank
-    eye = np.eye(n, dtype=np.int64)
-    # block (x, x*g) of the action of g is rho(g)
-    mats = [IntMatrix(np.kron(eye[[pos[x * g] for x in elems]], rho.array))
-            for g, rho in zip(G.generators, L.action)]
-    I = GLattice(G, n * R, mats, label=f"Ind({L.label})" if L.label else None)
-    return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n)))
-
-
 def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
     """Hermite basis of the vectors fixed by every element of S."""
     gens = S.generators
@@ -209,3 +193,19 @@ def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
     ident = IntMatrix.identity(L.rank)
     blocks = [L.matrix_of(s) - ident for s in gens]
     return hnf_basis(kernel_basis(hstack(*blocks)))
+
+
+def _restricted_action(K: IntMatrix, L: GLattice):
+    """Action on the sublattice spanned by the rows of K (must be stable).
+
+    K is a Hermite basis (callers take hnf_basis of a kernel for this),
+    so the coordinates of K*a in it come from back-substitution; K*a for
+    every generator a is stacked so one pass serves them all.  The result
+    is split into one matrix per generator.
+    """
+    r = K.nrows
+    X = hnf_coordinates(K, IntMatrix([row for a in L.action for row in (K * a).array],
+                                     ncols=K.ncols))
+    if X is None:
+        raise InternalCheckError("kernel is not stable under the action")
+    return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(L.action))]

@@ -40,7 +40,8 @@ from .intmat import (
     IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants, vstack,
 )
 from .lattices import (
-    GLattice, LatticeMap, augmentation_ideal, dual, fixed_sublattice,
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, dual,
+    fixed_sublattice,
 )
 from .perms import (
     SUBGROUP_CLASS_CAP, core, coset_moves, right_transversal, subgroup_classes,
@@ -172,22 +173,6 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     N = GLattice(G, K.nrows, nmats)
     inject = LatticeMap(N, Q, K)
     return Resolution(L, Q, N, inject, project)
-
-
-def _restricted_action(K: IntMatrix, Q: GLattice):
-    """Action on the sublattice spanned by the rows of K (must be stable).
-
-    K is a Hermite basis (the cover takes hnf_basis of its kernel for
-    this), so the coordinates of K*a in it come from back-substitution;
-    K*a for every generator a is stacked so one pass serves them all.  The
-    result is split into one matrix per generator.
-    """
-    r = K.nrows
-    X = hnf_coordinates(K, IntMatrix([row for a in Q.action for row in (K * a).array],
-                                     ncols=K.ncols))
-    if X is None:
-        raise InternalCheckError("kernel is not stable under the action")
-    return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(Q.action))]
 
 
 def is_flasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):

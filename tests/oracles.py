@@ -2,16 +2,22 @@
 
 Everything here recomputes a quantity the library produces by a faster
 route, using the most literal definition available, so the two sides
-never share a code path.
+never share a code path.  The dimension shift through Ind J, which the
+library's `sha2_omega` replaced by a free cover of I_{G/H}, lives here as
+`sha2_omega_shift`.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from normone.intmat import (
     AbelianInvariants, IntMatrix, det, hnf_basis, kernel_basis,
-    quotient_invariants, vstack,
+    quotient_invariants, snf_invariants, vstack,
 )
-from normone.perms import Permutation
+from normone.lattices import GLattice, LatticeMap, chevalley_module, dual
+from normone.perms import Permutation, cyclic_subgroup_classes
 
 
 def brute_closure(degree, gens):
@@ -135,8 +141,6 @@ def _bar2_lattices(elems, rho, R):
 def sha2_omega_bar(G, H):
     """Kernel of restriction on bar-complex H^2(G, J_{G/H}): independent
     of dimension shifting and of presentations.  Tiny groups only."""
-    from normone.lattices import chevalley_module
-    from normone.perms import cyclic_subgroup_classes
     from normone.intmat import hnf_coordinates, hstack
 
     J = chevalley_module(G, H)
@@ -198,6 +202,72 @@ def sha2_omega_bar(G, H):
         K = kernel_basis(vstack(phi, IntMatrix(rel_rows, ncols=total)))
         pre = hnf_basis(IntMatrix([list(r[:z]) for r in K.data], ncols=z))
     return quotient_invariants(pre, R_s)
+
+
+def induced(L):
+    """Z[G] tensor L with the diagonal right action, plus the norm-style
+    embedding sum_x (x tensor v); the embedding splits over Z."""
+    G = L.group
+    elems = G.elements()
+    n = len(elems)
+    pos = {p: i for i, p in enumerate(elems)}
+    R = L.rank
+    eye = np.eye(n, dtype=np.int64)
+    # block (x, x*g) of the action of g is rho(g)
+    mats = [IntMatrix(np.kron(eye[[pos[x * g] for x in elems]], rho.array))
+            for g, rho in zip(G.generators, L.action)]
+    I = GLattice(G, n * R, mats, label=f"Ind({L.label})" if L.label else None)
+    return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n)))
+
+
+@dataclass(frozen=True)
+class ShiftData:
+    """0 -> L -> Ind(L) -> shifted -> 0, with explicit maps."""
+
+    embed: LatticeMap
+    shifted: GLattice
+    project: LatticeMap
+
+
+def dimension_shift(L):
+    """Cokernel of the split embedding L -> Ind(L); shifts Tate degree by one.
+
+    The embedding sends v to sum_x x (x) v, so its rows and the basis
+    vectors x (x) e_j with x past the first element x0 form a basis of
+    Ind(L).  In it, the coordinate of w on x (x) e_j is w[x, j] - w[x0, j]:
+    that is the projection onto the cokernel, and the vectors x (x) e_j
+    themselves are the section.
+    """
+    I, emb = induced(L)
+    R, N = L.rank, I.rank
+    proj = IntMatrix(np.vstack([-np.tile(np.eye(R, dtype=np.int64), len(L.group.elements()) - 1),
+                                np.eye(N - R, dtype=np.int64)]))
+    mats = [IntMatrix(a.array[R:] @ proj) for a in I.action]
+    shifted = GLattice(L.group, N - R, mats,
+                       label=f"shift({L.label})" if L.label else None)
+    assert (emb.matrix * proj).is_zero(), "projection misses the embedded copy"
+    return ShiftData(emb, shifted, LatticeMap(I, shifted, proj))
+
+
+def sha2_omega_shift(G, H):
+    """Sha^2_omega(G, J_{G/H}) through the dimension shift
+    0 -> J -> Ind J -> J1 -> 0: the torsion of Z^rank(M) modulo the rows
+    rho(s) - 1 over G's generators and a basis of ker(N_C) for each
+    cyclic class C, for M = dual(J1) of rank (|G| - 1) * rank(J).  N_C is
+    the literal sum of rho(c) over the elements of C."""
+    J = chevalley_module(G, H)
+    M = dual(dimension_shift(J).shifted)
+    ident = IntMatrix.identity(M.rank)
+    rows = [M.matrix_of(s) - ident for s in G.generators]
+    for cls in cyclic_subgroup_classes(G):
+        norm = IntMatrix.zeros(M.rank, M.rank)
+        for c in cls.elements():
+            norm = norm + M.matrix_of(c)
+        rows.append(kernel_basis(norm))
+    d = snf_invariants(vstack(*rows))
+    # M^G has rank rank(J), so M*I_G has rank rank(M) - rank(J)
+    assert len(d) == M.rank - J.rank, "a cyclic norm kernel escapes ker(N_G)"
+    return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
 def tate_minus1_literal(S, L):

@@ -6,11 +6,10 @@ import pytest
 
 import normone.cohomology as cohomology
 from normone.cohomology import (
-    dimension_shift, h1, h1_data, presentation_catalog, sha2_omega,
-    tate_cyclic, tate_minus1,
+    h1, h1_data, presentation_catalog, sha2_omega, tate_cyclic, tate_minus1,
 )
 from normone.errors import CapExceeded, InternalCheckError, NormOneError
-from normone.intmat import AbelianInvariants, IntMatrix
+from normone.intmat import AbelianInvariants, IntMatrix, kernel_basis
 from normone.lattices import (
     GLattice, chevalley_module, direct_sum, dual, perm_lattice,
     trivial_lattice,
@@ -20,8 +19,8 @@ from normone.perms import (
     dihedral, klein_four, product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, elementary_divisors, lattice_pool, tate_minus1_literal,
-    twist_lattice,
+    bar_h1, dimension_shift, elementary_divisors, lattice_pool,
+    sha2_omega_shift, tate_minus1_literal, twist_lattice,
 )
 
 P = Permutation.from_cycles
@@ -227,6 +226,20 @@ class TestDimensionShift:
                     assert h0_L == h1_shift, f"{G.label} rank {L.rank}"
 
 
+def _shift_pairs():
+    V4, S3, A4, D4 = klein_four(), symmetric(3), alternating(4), dihedral(4)
+    C222, S4 = product_of_cyclics((2, 2, 2)), symmetric(4)
+    return [
+        ("V4/1", V4, V4.trivial_subgroup()),
+        ("S3/C2", S3, S3.subgroup([P([(1, 2)], 3)])),
+        ("A4/A3", A4, A4.point_stabilizer(4)),
+        ("A4/C2", A4, A4.subgroup([P([(1, 2), (3, 4)], 4)])),
+        ("D4/C2 noncentral", D4, D4.subgroup([P([(2, 4)], 4)])),
+        ("C2^3/C2", C222, C222.subgroup([P([(1, 2)], 6)])),
+        ("S4/S3", S4, S4.point_stabilizer(4)),
+    ]
+
+
 class TestSha2Omega:
     def test_matches_degree_two_bar_complex(self):
         # fully independent route: 2-cocycles on all of GxG, restriction by
@@ -259,9 +272,38 @@ class TestSha2Omega:
         assert sha2_omega(G, G.point_stabilizer(4)) == AbelianInvariants(0, (2,))
 
     def test_cap(self):
-        G = symmetric(5)
+        G = symmetric(6)
         with pytest.raises(CapExceeded):
-            sha2_omega(G, G.point_stabilizer(5))
+            sha2_omega(G, G.point_stabilizer(6))
+
+    def test_matches_dimension_shift(self):
+        # the route through Ind J that the free cover replaced
+        for name, G, H in _shift_pairs():
+            assert sha2_omega(G, H) == sha2_omega_shift(G, H), name
+
+    def test_free_cover_ranks(self):
+        # r <= log2 d, so K is never larger than the shifted module of
+        # rank (|G|-1)(d-1), and the greedy r is 1 at index 2
+        A5 = alternating(5)
+        pairs = _shift_pairs() + [("A5/A4", A5, A5.point_stabilizer(5))]
+        for name, G, H in pairs:
+            n, d = G.order(), G.order() // H.order()
+            cover = cohomology._free_cover(G, H)
+            r, rank = cover.source.rank // n, kernel_basis(cover.matrix).nrows
+            assert cover.source.rank == r * n and cover.target.rank == d - 1, name
+            assert 2 ** r <= d, name
+            assert rank == r * n - (d - 1) <= (n - 1) * (d - 1), name
+            if d == 2:
+                assert r == 1, name
+            if name == "A5/A4":
+                assert rank == 56
+
+    def test_matches_pipeline_on_point_stabilizers(self):
+        # the paper's A4 and A5 rows, and S5
+        from normone.resolutions import norm_one_invariant
+        for G in (alternating(4), alternating(5), symmetric(5)):
+            H = G.point_stabilizer(G.degree)
+            assert sha2_omega(G, H) == norm_one_invariant(G, H), G.label
 
     def test_no_full_subgroup_search(self, monkeypatch):
         # the oracle needs the cyclic classes only, which the seeding step
@@ -303,7 +345,7 @@ class TestSha2Omega:
 
     def test_rank_check_catches_a_stray_norm_kernel(self, monkeypatch):
         # rows outside ker(N_C) raise the rank of the stacked matrix above
-        # rank(M) - rank(J)
+        # rank(K) - r
         kernel_basis = cohomology.kernel_basis
 
         def stray(A):

@@ -41,8 +41,8 @@ huge_entries = st.one_of(st.integers(-HUGE, HUGE), st.integers(-3, 3),
 
 @st.composite
 def action_blocks(draw):
-    """Sparse matrices shaped like the ones `induced` and `dimension_shift`
-    feed to kernel_basis: side by side, blocks kron(P, S) or kron(P, S) - I
+    """Sparse matrices shaped like the ones the oracles' `induced` and
+    `dimension_shift` feed to kernel_basis: side by side, blocks kron(P, S) or kron(P, S) - I
     for permutation matrices P and small square S."""
     k, R = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     blocks = []

@@ -7,9 +7,10 @@ from normone.intmat import (
 )
 from normone.lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, dual_map, fixed_sublattice, induced, perm_lattice, trivial_lattice,
+    dual, dual_map, fixed_sublattice, perm_lattice, trivial_lattice,
 )
 from normone.perms import Permutation, alternating, cyclic, klein_four, symmetric
+from oracles import induced
 
 P = Permutation.from_cycles
 

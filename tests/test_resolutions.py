@@ -11,8 +11,8 @@ from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants,
 )
 from normone.lattices import (
-    GLattice, augmentation_ideal, chevalley_module, dual, fixed_sublattice,
-    perm_lattice, trivial_lattice,
+    GLattice, _restricted_action, augmentation_ideal, chevalley_module, dual,
+    fixed_sublattice, perm_lattice, trivial_lattice,
 )
 from normone.perms import (
     Permutation, alternating, cyclic, dihedral, klein_four,
@@ -72,8 +72,8 @@ class TestCoflasqueCover:
         G = cyclic(2)
         Q = perm_lattice(G, G.trivial_subgroup())
         with pytest.raises(InternalCheckError, match="not stable"):
-            resolutions._restricted_action(IntMatrix([[1, 0]]), Q)
-        assert resolutions._restricted_action(IntMatrix([[1, 1]]), Q) == [IntMatrix([[1]])]
+            _restricted_action(IntMatrix([[1, 0]]), Q)
+        assert _restricted_action(IntMatrix([[1, 1]]), Q) == [IntMatrix([[1]])]
 
     def test_one_elimination_per_cover(self, monkeypatch):
         # the restricted action back-substitutes against the kernel's
