@@ -17,23 +17,18 @@ from .errors import (
     SpecParseError, UsageError,
 )
 from .intmat import (
-    AbelianInvariants, IntMatrix, SmithDecomposition, det, hnf, hnf_basis,
-    kernel_basis, quotient_invariants, snf, snf_invariants,
+    AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, snf_invariants,
 )
 from .perms import (
     PermGroup, Permutation, alternating,
-    are_conjugate_subgroups, core, coset_position, cyclic, dihedral,
-    klein_four, product_of_cyclics, right_transversal, subgroup_classes,
-    symmetric,
+    are_conjugate_subgroups, core, cyclic, dihedral, product_of_cyclics,
+    right_transversal, subgroup_classes, symmetric,
 )
 from .lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, dual_map, fixed_sublattice, perm_lattice, trivial_lattice,
+    dual, fixed_sublattice, perm_lattice,
 )
-from .cohomology import (
-    Presentation, h1, presentation_catalog, sha2_omega, tate_cyclic,
-    tate_minus1,
-)
+from .cohomology import sha2_omega, tate_minus1
 from .fpgroups import (
     CosetTable, FpGroup, preimage_an, schur_cover_sn, todd_coxeter,
     verify_commutator_claim,

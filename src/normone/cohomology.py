@@ -3,290 +3,34 @@
 Tate H^-1 is the torsion of one Smith form; the pipeline takes its H^1
 from it by duality, and `sha2_omega` takes Sha^2_omega from one more
 Smith form by the same duality, over the kernel of a free cover
-Z[G]^r -> I_{G/H} of the augmentation ideal.  `h1` computes H^1 from a finite
-presentation of the acting group instead, as the tests' cross-check
-only, and the presentation catalog exists for it: a 1-cocycle is
-determined by its generator values, subject to one linear condition per
-relator.  The cocycle rule for right modules is fixed once and for all
-as
-
-    c(uv) = c(u) * rho(v) + c(v),      c(x^-1) = -c(x) * rho(x)^-1,
-
-so coboundaries are m |-> m * rho(x) - m.  Unknown counts scale with the
-generator count rather than |G|; a brute-force bar-complex computation
-exists in the test suite as an independent oracle for small groups.
+Z[G]^r -> I_{G/H} of the augmentation ideal.  No presentation of the
+acting group is needed; the tests' independent routes (the bar complex,
+H^1 from a presentation, the dimension shift) live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import CapExceeded, InternalCheckError, NormOneError
+from .errors import CapExceeded, InternalCheckError
 from .intmat import (
-    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hstack,
-    kernel_basis, quotient_invariants, snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, snf_invariants,
+    vstack,
 )
 from .lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, direct_sum,
     perm_lattice,
 )
-from .perms import (
-    Permutation, PermGroup, cyclic_subgroup_classes, right_transversal,
-)
+from .perms import PermGroup, cyclic_subgroup_classes, right_transversal
 
 SHA_ORDER_CAP = 360
 
-
-@dataclass(frozen=True)
-class Presentation:
-    """Finite presentation with a permutation image for each generator.
-
-    Words are tuples of nonzero ints, +k / -k for the k-th generator and
-    its inverse.   The images need not be the group's stored generators;
-    they only have to generate.
-    """
-
-    ngens: int
-    relators: tuple
-    images: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "relators",
-                           tuple(tuple(int(x) for x in w) for w in self.relators))
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.ngens:
-            raise ValueError("one image per generator required")
-        for w in self.relators:
-            for letter in w:
-                if letter == 0 or abs(letter) > self.ngens:
-                    raise ValueError(f"bad letter {letter}")
-
-    def evaluate(self, word) -> Permutation:
-        if not self.images:
-            raise ValueError("presentation has no generators")
-        p = Permutation.identity(self.images[0].degree)
-        for letter in word:
-            g = self.images[abs(letter) - 1]
-            p = p * (g if letter > 0 else g.inverse())
-        return p
-
-
+# Always empty: the library keeps no presentations.  Kept only because
+# bench/workloads.forget_presentations clears them before each sweep pair.
 _catalog = {}
 _validated = set()
-
-
-def presentation_catalog(G: PermGroup) -> Presentation:
-    """Catalog presentation for groups built by the perms constructors."""
-    if G.kind is None:
-        raise NormOneError(f"no catalog presentation for {G.label}")
-    got = _catalog.get(G.kind)
-    if got is None:
-        got = _build_presentation(G)
-        _catalog[G.kind] = got
-    _ensure_valid(got, G)
-    return got
-
-
-def _build_presentation(G: PermGroup) -> Presentation:
-    kind, param = G.kind
-    if kind == "C":
-        n = param
-        if n == 1:
-            return Presentation(0, (), (), "C1")
-        return Presentation(1, ((1,) * n,), (G.generators[0],), f"C{n}")
-    if kind == "C*":
-        parts = [p for p in param if p > 1]
-        rels = []
-        for k, p in enumerate(parts):
-            rels.append((k + 1,) * p)
-        for k in range(len(parts)):
-            for l in range(k + 1, len(parts)):
-                rels.append((k + 1, l + 1, -(k + 1), -(l + 1)))
-        return Presentation(len(parts), tuple(rels), G.generators, G.label)
-    if kind == "D":
-        n = param
-        if n == 1:
-            return Presentation(1, ((1, 1),), (G.generators[0],), "D1")
-        rels = ((1,) * n, (2, 2), (1, 2, 1, 2))
-        return Presentation(2, rels, G.generators, f"D{n}")
-    if kind == "S":
-        n = param
-        if n == 1:
-            return Presentation(0, (), (), "S1")
-        images = tuple(Permutation.from_cycles([(i, i + 1)], degree=n)
-                       for i in range(1, n))
-        rels = []
-        for i in range(1, n):
-            rels.append((i, i))
-        for i in range(1, n - 1):
-            rels.append((i, i + 1) * 3)
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                rels.append((i, j) * 2)
-        return Presentation(n - 1, tuple(rels), images, f"S{n}")
-    if kind == "A":
-        n = param
-        if n <= 2:
-            return Presentation(0, (), (), G.label)
-        t1 = Permutation.from_cycles([(1, 2)], degree=n)
-        images = tuple(
-            t1 * Permutation.from_cycles([(i + 1, i + 2)], degree=n)
-            for i in range(1, n - 1)
-        )
-        if n == 3:
-            return Presentation(1, ((1, 1, 1),), images, "A3")
-        rels = [(1, 1, 1)]
-        for i in range(2, n - 1):
-            rels.append((i, i))
-        for i in range(1, n - 2):
-            rels.append((i, i + 1) * 3)
-        for i in range(1, n - 1):
-            for j in range(i + 2, n - 1):
-                rels.append((i, j) * 2)
-        return Presentation(n - 2, tuple(rels), images, f"A{n}")
-    raise NormOneError(f"no catalog presentation for kind {kind!r}")
-
-
-def _ensure_valid(P: Presentation, G: PermGroup):
-    """Images satisfy the relators, generate G, and the presented group
-    has the right order (checked once by coset enumeration)."""
-    key = (G.kind, id(P))
-    if key in _validated:
-        return
-    for w in P.relators:
-        if not P.evaluate(w).is_identity():
-            raise InternalCheckError(f"catalog relator {w} fails on images")
-    if P.ngens:
-        span = G.elements_with_words(alphabet=P.images)
-        if len(span) != G.order():
-            raise InternalCheckError("presentation images do not generate")
-        from .fpgroups import FpGroup, todd_coxeter
-        table = todd_coxeter(FpGroup(P.ngens, P.relators), ())
-        if table.coset_count != G.order():
-            raise InternalCheckError(
-                f"presentation of {G.label} enumerates to {table.coset_count}, "
-                f"expected {G.order()}")
-    _validated.add(key)
-
-
-class _H1Data:
-    """Everything h1 computes: generator matrices, cocycles, coboundaries."""
-
-    __slots__ = ("mats", "invs", "Z1", "B1")
-
-    def __init__(self, mats, invs, Z1, B1):
-        self.mats = mats
-        self.invs = invs
-        self.Z1 = Z1
-        self.B1 = B1
-
-    def value_at(self, values, word):
-        """Value of the cocycle with the given generator values at the
-        element word (over presentation generators), as a list."""
-        values = [exact_array(v) for v in values]
-        acc = np.zeros_like(values[0])
-        for letter in word:
-            j = abs(letter) - 1
-            if letter > 0:
-                acc = acc @ self.mats[j] + values[j]
-            else:
-                acc = (acc - values[j]) @ self.invs[j]
-        return acc.tolist()
-
-
-def _relator_blocks(word, mats, invs, R):
-    """Coefficient blocks B_j with c(word) = sum_j c_j * B_j.
-
-    Built from suffix products: the letter at position k contributes
-    T_k (or -rho^-1 * T_k for an inverse letter) to its generator's block,
-    where T_k is rho of the suffix after position k.
-    """
-    s = len(mats)
-    suffix = [None] * (len(word) + 1)
-    suffix[len(word)] = IntMatrix.identity(R)
-    for k in range(len(word) - 1, -1, -1):
-        letter = word[k]
-        m = mats[letter - 1] if letter > 0 else invs[-letter - 1]
-        suffix[k] = m * suffix[k + 1]
-    blocks = [IntMatrix.zeros(R, R) for _ in range(s)]
-    for k, letter in enumerate(word):
-        j = abs(letter) - 1
-        contrib = suffix[k + 1] if letter > 0 else -(invs[j] * suffix[k + 1])
-        blocks[j] = blocks[j] + contrib
-    return blocks
-
-
-def h1_data(L: GLattice, P: Presentation) -> _H1Data:
-    """Cocycles Z1 and coboundaries B1 of L, over P's generator values.
-
-    Z1 is the lattice of generator values that every relator's blocks
-    kill, found by one kernel of all the blocks side by side; its rows
-    are a saturated basis with full row rank.  B1 holds the coboundaries
-    of L's basis vectors.
-    """
-    G = L.group
-    if P.ngens == 0:
-        empty = IntMatrix([], ncols=0)
-        return _H1Data((), (), empty, IntMatrix([], ncols=0))
-    span = G.elements_with_words(alphabet=P.images)
-    if len(span) != G.order():
-        raise ValueError("presentation images do not generate the acting group")
-    mats = tuple(L.matrix_of(img) for img in P.images)
-    invs = tuple(L.matrix_of(img.inverse()) for img in P.images)
-    R = L.rank
-    blocks = [vstack(*_relator_blocks(w, mats, invs, R)) for w in P.relators if w]
-    Z1 = kernel_basis(hstack(*blocks)) if blocks else IntMatrix.identity(P.ngens * R)
-    ident = IntMatrix.identity(R)
-    B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
-    return _H1Data(mats, invs, Z1, B1)
-
-
-def h1(L: GLattice, P: Presentation) -> AbelianInvariants:
-    """H^1(G, L) as invariant factors, via the presentation."""
-    if L.rank == 0 or P.ngens == 0:
-        return AbelianInvariants(0, ())
-    data = h1_data(L, P)
-    try:
-        inv = quotient_invariants(data.Z1, data.B1)
-    except ValueError as exc:
-        raise InternalCheckError(
-            f"coboundaries escape the cocycle lattice over {L.group.label}: "
-            f"{exc}") from exc
-    if inv.free_rank:
-        raise InternalCheckError(
-            f"H^1 came out with free rank {inv.free_rank} over {L.group.label} "
-            f"(rank {L.rank}); the action is broken")
-    return inv
-
-
-def _norm_matrix(rho: IntMatrix, m: int) -> IntMatrix:
-    acc = IntMatrix.identity(rho.nrows)
-    cur = IntMatrix.identity(rho.nrows)
-    for _ in range(m - 1):
-        cur = cur * rho
-        acc = acc + cur
-    return acc
-
-
-def tate_cyclic(c: Permutation, L: GLattice):
-    """(Tate H^0, H^1) of the cyclic group <c> acting on L.
-
-    With N = 1 + rho + ... + rho^(m-1):  H^0 = fixed / image(N),
-    H^1 = ker(N) / image(rho - 1).
-    """
-    if L.rank == 0:
-        return AbelianInvariants(0, ()), AbelianInvariants(0, ())
-    m = c.order()
-    rho = L.matrix_of(c)
-    ident = IntMatrix.identity(L.rank)
-    N = _norm_matrix(rho, m)
-    diff = rho - ident
-    return (quotient_invariants(kernel_basis(diff), N),
-            quotient_invariants(kernel_basis(N), diff))
 
 
 def tate_minus1(S, L: GLattice) -> AbelianInvariants:

@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms, kernels,
-and finite abelian quotients.
+"""Exact integer linear algebra: Hermite bases, coordinates against them,
+kernels and Smith invariant factors (`hnf_basis`, `hnf_coordinates`,
+`kernel_basis`, `snf_invariants`).
 
 Everything here is exact over arbitrary-precision integers.  An IntMatrix
 holds one read-only 2-D NumPy array in a canonical dtype: int64 when
@@ -171,16 +172,6 @@ class IntMatrix:
 
 
 @dataclass(frozen=True)
-class SmithDecomposition:
-    """U*A*V = D with U, V unimodular and D = diag(d1 | d2 | ... | dr)."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    rank: int
-
-
-@dataclass(frozen=True)
 class AbelianInvariants:
     """A finitely generated abelian group Z^free_rank + sum Z/t_i.
 
@@ -329,17 +320,6 @@ def _hnf(A, track):
     return _eliminate(_hermite, A, track)
 
 
-def hnf(A: IntMatrix):
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, U*A = H, H in row-echelon form with
-    positive pivots and the entries above each pivot reduced into
-    [0, pivot).  H is unique for this convention.
-    """
-    H, U = _hnf(A.array, track=True)
-    return IntMatrix(H), IntMatrix(U)
-
-
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
     H, _ = _hnf(A.array, track=False)
@@ -402,22 +382,13 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix(U[~(H != 0).any(axis=1)])
 
 
-def inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular square matrix."""
-    if A.nrows != A.ncols:
-        raise ValueError("not square")
-    H, U = _hnf(A.array, track=True)
-    if not np.array_equal(H, np.eye(A.nrows, dtype=np.int64)):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix(U)
-
-
 def _smith(W, m, n):
     """Smith elimination on the leading m x n block of W, in place.
 
     Row operations act on whole rows and column operations on whole
     columns, so a border [[A, I_m], [I_n, 0]] around A collects U in its
-    top right block and V in its bottom left one.  Each pivot is the
+    top right block and V in its bottom left one (the tests check
+    U*A*V = D that way).  Each pivot is the
     smallest nonzero |entry| of the remaining block, the first in row-major
     order on ties.  A row step rewrites only the rows with a nonzero entry
     in the pivot column, a column step only the columns with one in the
@@ -480,62 +451,6 @@ def snf_invariants(A: IntMatrix):
         return []
     W, rank = _eliminate(_smith, A.array, A.nrows, A.ncols)
     return W.diagonal()[:rank].tolist()
-
-
-def snf(A: IntMatrix) -> SmithDecomposition:
-    """Full Smith decomposition U*A*V = D with transforms.
-
-    The same elimination as `snf_invariants`, run on the bordered array
-    [[A, I_m], [I_n, 0]]: its row operations build U and its column
-    operations build V in the same pass.
-    """
-    m, n = A.nrows, A.ncols
-    border = np.block([[A.array, np.eye(m, dtype=np.int64)],
-                       [np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)]])
-    W, rank = _eliminate(_smith, border, m, n)
-    return SmithDecomposition(IntMatrix(W[:m, n:]), IntMatrix(W[:m, :n]),
-                              IntMatrix(W[m:, :n]), rank=rank)
-
-
-def quotient_invariants(Z: IntMatrix, B: IntMatrix) -> AbelianInvariants:
-    """Structure of (row lattice of Z) / (row lattice of B).
-
-    Every row of B must lie in Z's row lattice; raises ValueError otherwise.
-    """
-    if Z.ncols != B.ncols:
-        raise ValueError("ambient dimensions differ")
-    Hz = hnf_basis(Z)
-    coefs = _coordinates(Hz.array, B.array)
-    if coefs is None:
-        raise ValueError("quotient_invariants: B is not contained in Z's lattice")
-    d = snf_invariants(IntMatrix(coefs))
-    torsion = tuple(x for x in d if x > 1)
-    return AbelianInvariants(Hz.nrows - len(d), torsion)
-
-
-def det(A: IntMatrix):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if A.nrows != A.ncols:
-        raise ValueError("not square")
-    n = A.nrows
-    if n == 0:
-        return 1
-    M = A.tolist()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def vstack(*mats):

@@ -105,12 +105,6 @@ class LatticeMap:
         return f"LatticeMap({self.source!r} -> {self.target!r})"
 
 
-def trivial_lattice(G: PermGroup) -> GLattice:
-    one = IntMatrix.identity(1)
-    return GLattice(G, 1, [one] * len(G.generators),
-                    perm_summands=((G.as_subgroup(), 1),), label="Z")
-
-
 def _coset_permutations(G: PermGroup, H: PermGroup):
     """The index d of H and, for each generator g, the d x d permutation
     array of g on the sorted canonical right cosets T of H: row i is the
@@ -166,10 +160,6 @@ def dual(L: GLattice) -> GLattice:
     mats = [L.matrix_of(g.inverse()).transpose() for g in L.group.generators]
     return GLattice(L.group, L.rank, mats, perm_summands=L.perm_summands,
                     label=f"dual({L.label})" if L.label else None)
-
-
-def dual_map(f: LatticeMap) -> LatticeMap:
-    return LatticeMap(dual(f.target), dual(f.source), f.matrix.transpose())
 
 
 def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:

@@ -79,18 +79,6 @@ class Permutation:
             inv[x] = i
         return Permutation(inv)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
 
@@ -225,7 +213,8 @@ class PermGroup:
         Words are tuples of 1-based generator indices (right-to-left
         application is never needed: index k means "multiply by
         alphabet[k-1] on the right").  Defaults to the group's own
-        generators, in which case the map covers the whole group.
+        generators, in which case the map covers the whole group; the
+        program always takes that default.
         """
         key = tuple(p.images for p in alphabet) if alphabet is not None else None
         cached = self._word_cache.get(key)
@@ -282,31 +271,11 @@ class PermGroup:
     def trivial_subgroup(self):
         return self.subgroup(())
 
-    def as_subgroup(self):
-        return PermGroup(self.degree, self.generators, max_order=self.max_order,
-                         parent=self, _elements=self.elements())
-
     def point_stabilizer(self, point):
         """Stabilizer of a point (1-based) in the natural action."""
         if not 1 <= point <= self.degree:
             raise UsageError(f"point {point} out of range 1..{self.degree}")
         return _spanned(self, [g for g in self.elements() if g.images[point - 1] == point - 1])
-
-    def is_normal(self):
-        """Whether the group is normal in its parent (a group without one
-        is normal in itself)."""
-        parent = self.parent or self
-        pset = self.element_set()
-        for g in parent.generators:
-            gi = g.inverse()
-            for h in self.generators:
-                if gi * h * g not in pset:
-                    return False
-        return True
-
-    def is_cyclic(self):
-        n = self.order()
-        return any(e.order() == n for e in self.elements())
 
     def describe(self):
         if not self.generators:
@@ -370,17 +339,6 @@ def right_transversal(G, H):
         for h in helems:
             coset_of[(h * g).images] = i
     return reps, coset_of
-
-
-def coset_position(G, H, transversal, p):
-    """1-based position of the coset H*p in the transversal."""
-    if p not in G.element_set():
-        raise ValueError("element is not in the group")
-    hset = H.element_set()
-    for i, rep in enumerate(transversal, start=1):
-        if p * rep.inverse() in hset:
-            return i
-    raise ValueError("element lies in no listed coset (not in the group?)")
 
 
 def coset_moves(transversal, coset_of, xs):
@@ -666,6 +624,3 @@ def product_of_cyclics(parts):
 
     return _cached(("C*", parts), build)
 
-
-def klein_four():
-    return product_of_cyclics((2, 2))

@@ -24,7 +24,8 @@ of the augmentation ideal I = dual J, with F = dual N (Colliot-Thelene -
 Sansuc), so the pipeline builds only the cover.  By duality (Brown,
 Cohomology of Groups, VI.7) H^1(G, F) is dual to Tate H^-1(G, N), the
 torsion of one Smith form, so no presentation of G is needed; the tests
-check it against `h1`.
+check it against H^1 from a presentation and from the bar complex, both
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations

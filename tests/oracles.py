@@ -1,23 +1,146 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles and reference routines for the test suite.
 
 Everything here recomputes a quantity the library produces by a faster
 route, using the most literal definition available, so the two sides
-never share a code path.  The dimension shift through Ind J, which the
-library's `sha2_omega` replaced by a free cover of I_{G/H}, lives here as
-`sha2_omega_shift`.
+never share a code path.  H^1 has two references: `bar_h1`, the bar
+complex on all of G, and `h1`, from a finite presentation of G (the
+catalog of `presentation_catalog`).  The dimension shift through Ind J,
+which the library's `sha2_omega` replaced by a free cover of I_{G/H},
+lives here as `sha2_omega_shift`.  `hnf` and `snf` expose the transforms
+of the library's own eliminations, which the program itself never
+needs.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
+import normone.intmat as intmat
+from normone.errors import InternalCheckError, NormOneError
+from normone.fpgroups import CosetTable, FpGroup, todd_coxeter
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, det, hnf_basis, kernel_basis,
-    quotient_invariants, snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hnf_coordinates,
+    hstack, kernel_basis, snf_invariants, vstack,
 )
-from normone.lattices import GLattice, LatticeMap, chevalley_module, dual
-from normone.perms import Permutation, cyclic_subgroup_classes
+from normone.lattices import (
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
+    dual, perm_lattice,
+)
+from normone.perms import Permutation, cyclic_subgroup_classes, subgroup_classes
+
+
+# ---------------------------------------------------------------------------
+# the library's eliminations with their transforms, and exact helpers
+
+def hnf(A):
+    """Row Hermite normal form (H, U): U unimodular, U*A = H, H in
+    row-echelon form with positive pivots and the entries above each
+    pivot reduced into [0, pivot).  The library's tracked elimination."""
+    H, U = intmat._hnf(A.array, track=True)
+    return IntMatrix(H), IntMatrix(U)
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U*A*V = D with U, V unimodular and D = diag(d1 | d2 | ... | dr)."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    rank: int
+
+
+def snf(A):
+    """Full Smith decomposition: the library's Smith elimination, run on
+    the bordered array [[A, I_m], [I_n, 0]], whose row operations build U
+    and whose column operations build V in the same pass."""
+    m, n = A.nrows, A.ncols
+    border = np.block([[A.array, np.eye(m, dtype=np.int64)],
+                       [np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)]])
+    W, rank = intmat._eliminate(intmat._smith, border, m, n)
+    return SmithDecomposition(IntMatrix(W[:m, n:]), IntMatrix(W[:m, :n]),
+                              IntMatrix(W[m:, :n]), rank=rank)
+
+
+def inverse_unimodular(A):
+    """Exact inverse of a unimodular square matrix: U of its Hermite form."""
+    if A.nrows != A.ncols:
+        raise ValueError("not square")
+    H, U = hnf(A)
+    if H != IntMatrix.identity(A.nrows):
+        raise ValueError("matrix is not unimodular")
+    return U
+
+
+def quotient_invariants(Z, B):
+    """Structure of (row lattice of Z) / (row lattice of B).
+
+    Every row of B must lie in Z's row lattice; raises ValueError otherwise.
+    """
+    if Z.ncols != B.ncols:
+        raise ValueError("ambient dimensions differ")
+    Hz = hnf_basis(Z)
+    coefs = hnf_coordinates(Hz, B)
+    if coefs is None:
+        raise ValueError("quotient_invariants: B is not contained in Z's lattice")
+    d = snf_invariants(coefs)
+    return AbelianInvariants(Hz.nrows - len(d), tuple(x for x in d if x > 1))
+
+
+def det(A):
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if A.nrows != A.ncols:
+        raise ValueError("not square")
+    n = A.nrows
+    if n == 0:
+        return 1
+    M = A.tolist()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# groups and lattices
+
+def coset_position(G, H, transversal, p):
+    """1-based position of the coset H*p in the transversal."""
+    if p not in G.element_set():
+        raise ValueError("element is not in the group")
+    hset = H.element_set()
+    for i, rep in enumerate(transversal, start=1):
+        if p * rep.inverse() in hset:
+            return i
+    raise ValueError("element lies in no listed coset (not in the group?)")
+
+
+def is_normal(H):
+    """Whether H is normal in its parent (a group without one is normal
+    in itself)."""
+    hset = H.element_set()
+    return all(g.inverse() * h * g in hset
+               for g in (H.parent or H).generators for h in H.generators)
+
+
+def trivial_lattice(G):
+    """Z with the trivial action, the permutation lattice Z[G/G]."""
+    one = IntMatrix.identity(1)
+    return GLattice(G, 1, [one] * len(G.generators), perm_summands=((G, 1),),
+                    label="Z")
 
 
 def brute_closure(degree, gens):
@@ -141,8 +264,6 @@ def _bar2_lattices(elems, rho, R):
 def sha2_omega_bar(G, H):
     """Kernel of restriction on bar-complex H^2(G, J_{G/H}): independent
     of dimension shifting and of presentations.  Tiny groups only."""
-    from normone.intmat import hnf_coordinates, hstack
-
     J = chevalley_module(G, H)
     R = J.rank
     elems = G.elements()
@@ -270,6 +391,209 @@ def sha2_omega_shift(G, H):
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
+# ---------------------------------------------------------------------------
+# H^1 from a finite presentation, the second H^1 reference next to bar_h1
+#
+# A presentation is a pair (FpGroup, images): one permutation per
+# generator, which must generate the group but need not be its stored
+# generators.  A 1-cocycle is determined by its generator values, subject
+# to one linear condition per relator.  The cocycle rule for right
+# modules is
+#
+#     c(uv) = c(u) * rho(v) + c(v),      c(x^-1) = -c(x) * rho(x)^-1,
+#
+# so coboundaries are m |-> m * rho(x) - m.  Unknown counts scale with the
+# generator count rather than |G|.
+
+_catalog = {}
+
+
+def presentation_catalog(G):
+    """(FpGroup, images) for a group built by the perms constructors,
+    validated when first built."""
+    if G.kind is None:
+        raise NormOneError(f"no catalog presentation for {G.label}")
+    got = _catalog.get(G.kind)
+    if got is None:
+        got = _build_presentation(G)
+        _ensure_valid(got, G)
+        _catalog[G.kind] = got
+    return got
+
+
+def _build_presentation(G):
+    kind, param = G.kind
+    if kind == "C":
+        n = param
+        if n == 1:
+            return FpGroup(0, ()), ()
+        return FpGroup(1, ((1,) * n,)), (G.generators[0],)
+    if kind == "C*":
+        parts = [p for p in param if p > 1]
+        rels = [(k,) * p for k, p in enumerate(parts, start=1)]
+        rels += [(k, l, -k, -l) for k in range(1, len(parts) + 1)
+                 for l in range(k + 1, len(parts) + 1)]
+        return FpGroup(len(parts), tuple(rels)), G.generators
+    if kind == "D":
+        n = param
+        if n == 1:
+            return FpGroup(1, ((1, 1),)), (G.generators[0],)
+        return FpGroup(2, ((1,) * n, (2, 2), (1, 2, 1, 2))), G.generators
+    if kind == "S":
+        n = param
+        if n == 1:
+            return FpGroup(0, ()), ()
+        images = tuple(Permutation.from_cycles([(i, i + 1)], degree=n)
+                       for i in range(1, n))
+        rels = [(i, i) for i in range(1, n)]
+        rels += [(i, i + 1) * 3 for i in range(1, n - 1)]
+        rels += [(i, j) * 2 for i in range(1, n) for j in range(i + 2, n)]
+        return FpGroup(n - 1, tuple(rels)), images
+    if kind == "A":
+        n = param
+        if n <= 2:
+            return FpGroup(0, ()), ()
+        t1 = Permutation.from_cycles([(1, 2)], degree=n)
+        images = tuple(
+            t1 * Permutation.from_cycles([(i + 1, i + 2)], degree=n)
+            for i in range(1, n - 1)
+        )
+        if n == 3:
+            return FpGroup(1, ((1, 1, 1),)), images
+        rels = [(1, 1, 1)] + [(i, i) for i in range(2, n - 1)]
+        rels += [(i, i + 1) * 3 for i in range(1, n - 2)]
+        rels += [(i, j) * 2 for i in range(1, n - 1) for j in range(i + 2, n - 1)]
+        return FpGroup(n - 2, tuple(rels)), images
+    raise NormOneError(f"no catalog presentation for kind {kind!r}")
+
+
+def _ensure_valid(pres, G):
+    """The images satisfy the relators and generate G, and the presented
+    group has G's order, by coset enumeration."""
+    fp, images = pres
+    if not fp.ngens:
+        return
+    # the images act on G's points as a coset table's generators act on cosets
+    on_points = CosetTable(G.degree, images)
+    for w in fp.relators:
+        if not on_points.word_permutation(w).is_identity():
+            raise InternalCheckError(f"catalog relator {w} fails on images")
+    if len(G.elements_with_words(alphabet=images)) != G.order():
+        raise InternalCheckError("presentation images do not generate")
+    table = todd_coxeter(fp, ())
+    if table.coset_count != G.order():
+        raise InternalCheckError(
+            f"presentation of {G.label} enumerates to {table.coset_count}, "
+            f"expected {G.order()}")
+
+
+class _H1Data(NamedTuple):
+    """Everything h1 computes: generator matrices, cocycles, coboundaries."""
+
+    mats: tuple
+    invs: tuple
+    Z1: IntMatrix
+    B1: IntMatrix
+
+    def value_at(self, values, word):
+        """Value of the cocycle with the given generator values at the
+        element word (over presentation generators), as a list."""
+        values = [exact_array(v) for v in values]
+        acc = np.zeros_like(values[0])
+        for letter in word:
+            j = abs(letter) - 1
+            if letter > 0:
+                acc = acc @ self.mats[j] + values[j]
+            else:
+                acc = (acc - values[j]) @ self.invs[j]
+        return acc.tolist()
+
+
+def _relator_blocks(word, mats, invs, R):
+    """Coefficient blocks B_j with c(word) = sum_j c_j * B_j.
+
+    Built from suffix products: the letter at position k contributes
+    T_k (or -rho^-1 * T_k for an inverse letter) to its generator's block,
+    where T_k is rho of the suffix after position k.
+    """
+    s = len(mats)
+    suffix = [None] * (len(word) + 1)
+    suffix[len(word)] = IntMatrix.identity(R)
+    for k in range(len(word) - 1, -1, -1):
+        letter = word[k]
+        m = mats[letter - 1] if letter > 0 else invs[-letter - 1]
+        suffix[k] = m * suffix[k + 1]
+    blocks = [IntMatrix.zeros(R, R) for _ in range(s)]
+    for k, letter in enumerate(word):
+        j = abs(letter) - 1
+        contrib = suffix[k + 1] if letter > 0 else -(invs[j] * suffix[k + 1])
+        blocks[j] = blocks[j] + contrib
+    return blocks
+
+
+def h1_data(L, pres):
+    """Cocycles Z1 and coboundaries B1 of L, over the generator values of
+    the presentation pres.
+
+    Z1 is the lattice of generator values that every relator's blocks
+    kill, found by one kernel of all the blocks side by side; its rows
+    are a saturated basis with full row rank.  B1 holds the coboundaries
+    of L's basis vectors.
+    """
+    fp, images = pres
+    G = L.group
+    if fp.ngens == 0:
+        empty = IntMatrix([], ncols=0)
+        return _H1Data((), (), empty, IntMatrix([], ncols=0))
+    span = G.elements_with_words(alphabet=images)
+    if len(span) != G.order():
+        raise ValueError("presentation images do not generate the acting group")
+    mats = tuple(L.matrix_of(img) for img in images)
+    invs = tuple(L.matrix_of(img.inverse()) for img in images)
+    R = L.rank
+    blocks = [vstack(*_relator_blocks(w, mats, invs, R)) for w in fp.relators if w]
+    Z1 = kernel_basis(hstack(*blocks)) if blocks else IntMatrix.identity(fp.ngens * R)
+    ident = IntMatrix.identity(R)
+    B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
+    return _H1Data(mats, invs, Z1, B1)
+
+
+def h1(L, pres):
+    """H^1(G, L) as invariant factors, via the presentation pres."""
+    if L.rank == 0 or pres[0].ngens == 0:
+        return AbelianInvariants(0, ())
+    data = h1_data(L, pres)
+    try:
+        inv = quotient_invariants(data.Z1, data.B1)
+    except ValueError as exc:
+        raise InternalCheckError(
+            f"coboundaries escape the cocycle lattice over {L.group.label}: "
+            f"{exc}") from exc
+    if inv.free_rank:
+        raise InternalCheckError(
+            f"H^1 came out with free rank {inv.free_rank} over {L.group.label} "
+            f"(rank {L.rank}); the action is broken")
+    return inv
+
+
+def tate_cyclic(c, L):
+    """(Tate H^0, H^1) of the cyclic group <c> acting on L.
+
+    With N = 1 + rho + ... + rho^(m-1):  H^0 = fixed / image(N),
+    H^1 = ker(N) / image(rho - 1).
+    """
+    if L.rank == 0:
+        return AbelianInvariants(0, ()), AbelianInvariants(0, ())
+    rho = L.matrix_of(c)
+    N = cur = IntMatrix.identity(L.rank)
+    for _ in range(c.order() - 1):
+        cur = cur * rho
+        N = N + cur
+    diff = rho - IntMatrix.identity(L.rank)
+    return (quotient_invariants(kernel_basis(diff), N),
+            quotient_invariants(kernel_basis(N), diff))
+
+
 def tate_minus1_literal(S, L):
     """ker(N_S) / sum of row spaces of (rho(s_i) - 1): the definition,
     with N_S summed over every element of S."""
@@ -360,8 +684,6 @@ def random_unimodular(rng, n, ops=8):
 
 def twist_lattice(rng, L):
     """Conjugate the action by a random unimodular basis change."""
-    from normone.intmat import inverse_unimodular
-    from normone.lattices import GLattice
     W = random_unimodular(rng, L.rank)
     Wi = inverse_unimodular(W)
     mats = [W * m * Wi for m in L.action]
@@ -370,11 +692,6 @@ def twist_lattice(rng, L):
 
 def lattice_pool(G, max_rank=4):
     """Genuine G-lattices of small rank for randomized comparisons."""
-    from normone.lattices import (
-        augmentation_ideal, chevalley_module, direct_sum, dual, perm_lattice,
-        trivial_lattice,
-    )
-    from normone.perms import subgroup_classes
     pool = [trivial_lattice(G)]
     for cls in subgroup_classes(G):
         index = G.order() // cls.order()

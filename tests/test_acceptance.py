@@ -14,18 +14,21 @@ import warnings
 
 import pytest
 
-from normone.cohomology import h1, presentation_catalog, sha2_omega
+from normone.cohomology import sha2_omega
 from normone.errors import CapExceeded
-from normone.intmat import AbelianInvariants, IntMatrix, det, snf
+from normone.intmat import AbelianInvariants, IntMatrix
 from normone.lattices import chevalley_module, dual
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
-    klein_four, product_of_cyclics, symmetric,
+    product_of_cyclics, symmetric,
 )
 from normone.resolutions import coflasque_cover, is_flasque, norm_one_invariant
-from oracles import bar_h1, lattice_pool, twist_lattice
+from oracles import (
+    bar_h1, det, h1, lattice_pool, presentation_catalog, snf, twist_lattice,
+)
 
 P = Permutation.from_cycles
+V4 = product_of_cyclics((2, 2))
 Z2 = AbelianInvariants(0, (2,))
 TRIVIAL = AbelianInvariants(0, ())
 
@@ -90,7 +93,6 @@ def _oracle_pairs():
     C6 = cyclic(6)
     S3 = symmetric(3)
     A4 = alternating(4)
-    V4 = klein_four()
     D4 = dihedral(4)
     return [
         ("C2/1", C2, C2.trivial_subgroup()),
@@ -123,7 +125,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_klein_four_sha():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        inv = sha2_omega(klein_four(), klein_four().trivial_subgroup())
+        inv = sha2_omega(V4, V4.trivial_subgroup())
     report("6 (sha2_omega(V4, 1) = Z/2)", inv == Z2, f"got {inv}")
 
 
@@ -183,7 +185,7 @@ def _flasque_sides_up_to_360():
         (cyclic(2), "trivial"), (cyclic(4), "half"), (cyclic(6), "half"),
         (symmetric(3), "point"), (symmetric(4), "point"),
         (alternating(4), "point"), (alternating(5), "point"),
-        (klein_four(), "trivial"), (dihedral(4), "reflection"),
+        (V4, "trivial"), (dihedral(4), "reflection"),
         (symmetric(5), "point"),
     ]
     with warnings.catch_warnings():

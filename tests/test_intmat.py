@@ -6,15 +6,15 @@ from hypothesis import given, strategies as st
 
 import normone.intmat as intmat
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, _NP_CAP, _Overflow, det, hnf, hnf_basis,
-    hnf_coordinates, hstack, kernel_basis, quotient_invariants, snf,
-    snf_invariants, inverse_unimodular, vstack,
+    AbelianInvariants, IntMatrix, _NP_CAP, _Overflow, hnf_basis,
+    hnf_coordinates, hstack, kernel_basis, snf_invariants, vstack,
 )
 from normone.cohomology import sha2_omega
 from normone.perms import alternating, product_of_cyclics
 from normone.resolutions import norm_one_invariant
 from oracles import (
-    hermite_reference, minors_gcd, random_unimodular, smith_reference,
+    det, hermite_reference, hnf, inverse_unimodular, minors_gcd,
+    quotient_invariants, random_unimodular, smith_reference, snf,
 )
 
 

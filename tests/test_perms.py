@@ -7,13 +7,16 @@ from normone.errors import CapExceeded, NotASubgroupError
 from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
-    coset_moves, coset_position, cyclic, cyclic_subgroup_classes, dihedral, klein_four,
-    product_of_cyclics, right_transversal, small_generating_set,
-    subgroup_classes, symmetric,
+    coset_moves, cyclic, cyclic_subgroup_classes, dihedral, product_of_cyclics,
+    right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
-from oracles import all_subgroups_brute, brute_closure, conjugacy_class_count_brute
+from oracles import (
+    all_subgroups_brute, brute_closure, conjugacy_class_count_brute,
+    coset_position, is_normal,
+)
 
 P = Permutation.from_cycles
+V4 = product_of_cyclics((2, 2))
 
 
 class TestPermutation:
@@ -25,8 +28,8 @@ class TestPermutation:
     def test_inverse_and_power(self):
         g = P([(1, 2, 3, 4, 5)], 5)
         assert g * g.inverse() == Permutation.identity(5)
-        assert g ** 5 == Permutation.identity(5)
-        assert g ** -2 == (g.inverse()) ** 2
+        assert g * g * g * g * g == Permutation.identity(5)
+        assert (g * g).inverse() == g.inverse() * g.inverse()
 
     def test_order(self):
         assert P([(1, 2), (3, 4, 5)], 5).order() == 6
@@ -56,7 +59,7 @@ class TestCatalog:
         assert symmetric(4).order() == 24
         assert dihedral(4).order() == 8    # order 2n convention
         assert cyclic(5).order() == 5
-        assert klein_four().order() == 4
+        assert V4.order() == 4
         assert product_of_cyclics((2, 3)).order() == 6
         assert alternating(5).order() == 60
 
@@ -85,7 +88,7 @@ class TestCatalog:
 
     def test_order_matches_brute_closure(self):
         for G in (alternating(5), symmetric(4), symmetric(5), dihedral(6),
-                  dihedral(14), klein_four()):
+                  dihedral(14), V4):
             assert G.order() == len(brute_closure(G.degree, G.generators))
 
     def test_nonstandard_generating_pair(self):
@@ -107,8 +110,8 @@ class TestSubgroups:
 
     def test_is_normal(self):
         S3 = symmetric(3)
-        assert S3.subgroup([P([(1, 2, 3)], 3)]).is_normal()
-        assert not S3.subgroup([P([(1, 2)], 3)]).is_normal()
+        assert is_normal(S3.subgroup([P([(1, 2, 3)], 3)]))
+        assert not is_normal(S3.subgroup([P([(1, 2)], 3)]))
 
     def test_small_generating_set(self):
         G = alternating(4)
@@ -169,7 +172,7 @@ class TestTransversal:
 
     def test_whole_group(self):
         G = symmetric(3)
-        T, _ = right_transversal(G, G.as_subgroup())
+        T, _ = right_transversal(G, G)
         assert T == [Permutation.identity(3)]
 
     def test_c4_over_c2(self):
@@ -231,7 +234,7 @@ class TestCore:
 
     def test_core_of_whole_group(self):
         G = symmetric(3)
-        assert core(G, G.as_subgroup()).order() == 6
+        assert core(G, G).order() == 6
 
     def test_normal_subgroup_is_its_own_core(self):
         G = symmetric(3)
@@ -244,7 +247,7 @@ class TestCore:
         H = G.subgroup([P([(1, 2)], 4), P([(1, 2, 3)], 4)])  # S3
         c = core(G, H)
         assert c.element_set() <= H.element_set()
-        assert c.is_normal()
+        assert is_normal(c)
 
 
 class TestConjugacy:
@@ -297,7 +300,7 @@ class TestSubgroupClasses:
         assert len(subgroup_classes(cyclic(7))) == 2
 
     def test_matches_brute_force(self):
-        for G in (symmetric(3), alternating(4), dihedral(4), klein_four()):
+        for G in (symmetric(3), alternating(4), dihedral(4), V4):
             subs = all_subgroups_brute(G)
             expected = conjugacy_class_count_brute(G, subs)
             assert len(subgroup_classes(G)) == expected
@@ -344,7 +347,7 @@ class TestSubgroupClasses:
         assert sorted(c.order() for c in cyc) == [2, 3]
 
     @pytest.mark.parametrize("G", [
-        *(cyclic(n) for n in range(2, 13)), klein_four(),
+        *(cyclic(n) for n in range(2, 13)), V4,
         *(product_of_cyclics(ns) for ns in ((2, 4), (2, 2, 2), (3, 3), (2, 6))),
         symmetric(3), alternating(4), symmetric(4),
         *(dihedral(n) for n in range(3, 13)), alternating(5),
@@ -353,7 +356,8 @@ class TestSubgroupClasses:
         # the seeding step alone gives the nontrivial cyclic classes of the
         # full search: the same representatives, generators and order
         G = PermGroup(G.degree, G.generators, label=G.label)
-        full = [h for h in subgroup_classes(G) if h.order() > 1 and h.is_cyclic()]
+        full = [h for h in subgroup_classes(G) if h.order() > 1
+                and any(e.order() == h.order() for e in h.elements())]
         cyc = cyclic_subgroup_classes(G)
         assert [h.elements() for h in cyc] == [h.elements() for h in full]
         assert [h.generators for h in cyc] == [h.generators for h in full]
