@@ -5,18 +5,15 @@ kernels and Smith invariant factors (`hnf_basis`, `hnf_coordinates`,
 Everything here is exact over arbitrary-precision integers.  An IntMatrix
 holds one read-only 2-D NumPy array in a canonical dtype: int64 when
 every |entry| < _NP_CAP, else dtype=object (exact Python ints).  Products,
-sums, stacking and the eliminations all run on that array.  A product
-runs on int64 while its worst-case entry bound stays below _NP_CAP.  Each
-elimination (Hermite, Smith, back-substitution) is written once.  A step
-rewrites only the lines it changes: the rows with a nonzero entry in the
-pivot column (the columns with one in the pivot row, for Smith's column
-steps).  On int64 every step is guarded by a running upper bound on the
-largest |entry|, grown by max|multiplier| * max|pivot line| per step and
-taken exactly again only when it would reach _NP_CAP; on a would-be
-overflow the same routine reruns from the start on a dtype=object copy.
-The arithmetic and the pivot rule (minimal nonzero absolute value, ties
-broken by position) do not depend on the dtype, so neither does the
-output.
+sums and stacking run on that array; a product runs on int64 while its
+worst-case entry bound stays below _NP_CAP.  Each elimination (Hermite,
+Smith, back-substitution) is written once and runs on lists of Python-int
+rows, read off the array and stored back as one IntMatrix, so it is exact
+whatever the entries' size.  A step rewrites only the lines it changes:
+the rows with a nonzero entry in the pivot column (for Smith's column
+steps, the rows with one in the pivot column), walking only the nonzero
+entries of the pivot line.  The pivot rule is the smallest nonzero
+absolute value, ties broken by position.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -27,17 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-# Magnitude ceiling for int64 arrays.  An elimination step can at most add
-# |q|*|pivot line| to an entry; the running bound keeps every product and
-# every intermediate strictly below it, and a product of matrices runs on
-# int64 only if its bound stays below.
+# Magnitude ceiling for int64 arrays: storage is int64 only below it, and
+# a product of matrices runs on int64 only if its entry bound stays below.
 _NP_CAP = 1 << 59
 
 _to_int = np.frompyfunc(int, 1, 1)
-
-
-class _Overflow(Exception):
-    """Internal: an int64 step would overflow; rerun on Python ints."""
 
 
 def exact_array(x):
@@ -119,17 +110,11 @@ class IntMatrix:
     def tolist(self):
         return self.array.tolist()
 
-    def row(self, i):
-        return self.array[i].tolist()
-
     def transpose(self):
         return IntMatrix(self.array.T)
 
     def is_zero(self):
         return not self.array.any()
-
-    def max_abs(self):
-        return _bound(self.array)
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -142,18 +127,10 @@ class IntMatrix:
         """v @ M for a row vector or a stack of rows v: an exact ndarray."""
         return _matmul(exact_array(v), self.array)
 
-    def __add__(self, other):
-        if self.array.shape != other.array.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.array + other.array)
-
     def __sub__(self, other):
         if self.array.shape != other.array.shape:
             raise ValueError("shape mismatch")
         return IntMatrix(self.array - other.array)
-
-    def __neg__(self):
-        return IntMatrix(-self.array)
 
     def __eq__(self, other):
         return (
@@ -168,7 +145,7 @@ class IntMatrix:
     def __repr__(self):
         if self.nrows * self.ncols <= 36:
             return f"IntMatrix({self.tolist()})"
-        return f"IntMatrix(<{self.nrows}x{self.ncols}>, max|entry|={self.max_abs()})"
+        return f"IntMatrix(<{self.nrows}x{self.ncols}>, max|entry|={_bound(self.array)})"
 
 
 @dataclass(frozen=True)
@@ -194,15 +171,6 @@ class AbelianInvariants:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
-
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
         return " x ".join(parts) if parts else "0"
@@ -217,143 +185,109 @@ def _matmul(A, B):
     return A.astype(object) @ B.astype(object)
 
 
-def _eliminate(elim, W, *args):
-    """elim(W', *args) on a writable copy W' of the canonical array W: on
-    int64 when W is, rerun on exact Python ints (dtype=object) when a
-    guard raises _Overflow."""
-    if W.dtype != object:
-        try:
-            return elim(W.copy(), *args)
-        except _Overflow:
-            pass
-    return elim(W.astype(object), *args)
+def _line(row, start):
+    """The nonzero (index, entry) pairs of the list row, from start on."""
+    return [(j, x) for j, x in enumerate(row[start:], start) if x]
 
 
-def _start_bound(W):
-    """The running bound an elimination of the canonical array W starts
-    from: None (unguarded) on dtype=object; on int64, _NP_CAP - 1, which
-    every entry is below, so that the first step takes max|W| exactly and
-    an elimination without steps never takes it."""
-    return None if W.dtype == object else _NP_CAP - 1
-
-
-def _grow(bound, q, line_max, W, touched):
-    """The running bound on max|W| once the entries W[touched] have taken
-    away the multiples q of a line whose largest |entry| is line_max.  A
-    bound of None (unguarded, as on dtype=object) stays None.
-
-    Each step adds max|q| * line_max to the bound.  Only when that would
-    reach _NP_CAP is max|W| taken exactly, and only when the touched
-    entries themselves could then reach it is _Overflow raised, so a
-    stale bound never sends the elimination to Python ints.
-    """
-    if bound is None:
-        return None
-    step = int(np.abs(q).max()) * line_max
-    if bound + step >= _NP_CAP:
-        bound = _bound(W)
-        if bound + step >= _NP_CAP and _bound(W[touched]) + step >= _NP_CAP:
-            raise _Overflow
-    return bound + step
+def _smallest(W, rows, c):
+    """The one of rows whose entry in column c of W has the smallest
+    |value|, the first on ties; every such entry is nonzero."""
+    return min(rows, key=lambda i: abs(W[i][c]))
 
 
 def _hermite(W, track):
-    """Row Hermite elimination of the m x n array W, on [W | I_m] when
-    track.  Returns (H, U or None) as arrays.
+    """Row Hermite elimination of the list W of m integer rows, in place,
+    on [W | I_m] when track.  Returns (H, U or None) as lists of rows.
 
     Each column's pivot is its smallest nonzero |entry|, the first on
     ties.  A step rewrites only the rows with a nonzero entry in the pivot
-    column, and on int64 it is guarded by a running bound on max|W| (see
-    `_grow`).  Entries above the pivots are reduced in one pass at the
-    end, pivot by pivot from the top; doing it eagerly lets intermediate
-    entries snowball.
+    column, walking the pivot row's nonzero entries from the pivot column
+    on (before it, the row is zero).  Entries above the pivots are
+    reduced in one pass at the end, pivot by pivot from the top; doing it
+    eagerly lets intermediate entries snowball.
     """
-    m, ncols = W.shape
+    m = len(W)
+    ncols = len(W[0]) if m else 0
     if track:
-        W = np.hstack([W, np.eye(m, dtype=W.dtype)])
-    bound = _start_bound(W)
+        for i, row in enumerate(W):
+            row.extend([0] * m)
+            row[ncols + i] = 1
     pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        rows = r + W[r:, c].nonzero()[0]
-        if not rows.size:
+        rows = [i for i in range(r, m) if W[i][c]]
+        if not rows:
             continue
-        i = rows[abs(W[rows, c]).argmin()]
+        i = _smallest(W, rows, c)
+        W[r], W[i] = W[i], W[r]
         # the rows below r still nonzero in column c once row i is swapped up
-        rows = rows[1:] if rows[0] == r else rows[rows != i]
-        while True:
-            if i != r:
-                W[[r, i]] = W[[i, r]]
-            if not rows.size:
-                break
-            q = W[rows, c] // W[r, c]
-            bound = _grow(bound, q, _bound(W[r]), W, rows)
-            W[rows] -= q[:, None] * W[r]
-            rows = rows[W[rows, c].nonzero()[0]]
-            if not rows.size:
-                break
-            # a remainder is smaller than the pivot, so the next pivot is one
-            # of them, and the old pivot row it swaps with stays nonzero
-            i = rows[abs(W[rows, c]).argmin()]
-        if W[r, c] < 0:
-            W[r] = -W[r]
+        rows = rows[1:] if rows[0] == r else [k for k in rows if k != i]
+        while rows:
+            p = W[r][c]
+            line = _line(W[r], c)
+            for k in rows:
+                row = W[k]
+                q = row[c] // p
+                for j, x in line:
+                    row[j] -= q * x
+            rows = [k for k in rows if W[k][c]]
+            if rows:
+                # a remainder is smaller than the pivot, so the next pivot is one
+                # of them, and the old pivot row it swaps with stays nonzero
+                i = _smallest(W, rows, c)
+                W[r], W[i] = W[i], W[r]
+        if W[r][c] < 0:
+            W[r] = [-x for x in W[r]]
         pivots.append((r, c))
         r += 1
     # the first pivot row has no rows above it
     for r, c in pivots[1:]:
-        q = W[:r, c] // W[r, c]
-        rows = q.nonzero()[0]
-        if rows.size:
-            q = q[rows]
-            bound = _grow(bound, q, _bound(W[r]), W, rows)
-            W[rows] -= q[:, None] * W[r]
-    return W[:, :ncols], (W[:, ncols:] if track else None)
-
-
-def _hnf(A, track):
-    """(H, U or None) for the canonical array A."""
-    if not A.size:
-        # nothing to eliminate: H is the input, U the identity
-        return A, (np.eye(A.shape[0], dtype=np.int64) if track else None)
-    return _eliminate(_hermite, A, track)
+        p = W[r][c]
+        line = None
+        for k in range(r):
+            row = W[k]
+            q = row[c] // p
+            if q:
+                line = line or _line(W[r], c)
+                for j, x in line:
+                    row[j] -= q * x
+    if not track:
+        return W, None
+    return [row[:ncols] for row in W], [row[ncols:] for row in W]
 
 
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
-    H, _ = _hnf(A.array, track=False)
-    return IntMatrix(H[(H != 0).any(axis=1)])
+    H, _ = _hermite(A.tolist(), False)
+    return IntMatrix([row for row in H if any(row)], A.ncols)
 
 
-def _back_substitute(W, r):
-    """W = [H; B] with H its first r rows, in Hermite form without zero
-    rows: the X with X*H = B, or None when some row of B has none."""
-    H, res = W[:r], W[r:]
-    X = np.zeros((res.shape[0], r), dtype=W.dtype)
-    # one pass gives each H row's max and the running bound over B's rows
-    line_max = abs(W).max(axis=1, initial=0).tolist()
-    bound = None if W.dtype == object else max(line_max[r:])
-    for k, c in enumerate((H != 0).argmax(axis=1).tolist()):
-        rows = res[:, c].nonzero()[0]
-        if not rows.size:
-            continue
-        v = res[rows, c]
-        if (v % H[k, c]).any():
+def _back_substitute(H, B):
+    """The rows X with X*H = B, for the lists of rows H, in Hermite form
+    without zero rows, and B, which is reduced in place; None when some
+    row of B has none."""
+    lines = []
+    for h in H:
+        c = next(j for j, x in enumerate(h) if x)
+        lines.append((c, h[c], _line(h, c)))
+    X = []
+    for b in B:
+        coords = []
+        for c, p, line in lines:
+            q, rem = divmod(b[c], p)
+            if rem:
+                return None
+            if q:
+                for j, x in line:
+                    b[j] -= q * x
+            coords.append(q)
+        if any(b):
             return None
-        q = v // H[k, c]
-        bound = _grow(bound, q, line_max[k], res, rows)
-        res[rows] -= q[:, None] * H[k]
-        X[rows, k] = q
-    return None if res.any() else X
-
-
-def _coordinates(H, B):
-    """Back-substitution of the rows of the array B against the Hermite
-    basis H (arrays): X with X*H = B, or None."""
-    if not B.shape[0]:
-        return np.zeros((0, H.shape[0]), dtype=np.int64)
-    return _eliminate(_back_substitute, np.vstack([H, B]), H.shape[0])
+        X.append(coords)
+    return X
 
 
 def hnf_coordinates(H: IntMatrix, B: IntMatrix):
@@ -367,8 +301,8 @@ def hnf_coordinates(H: IntMatrix, B: IntMatrix):
     rank, so X is unique."""
     if B.ncols != H.ncols:
         raise ValueError("right-hand side length does not match column count")
-    X = _coordinates(H.array, B.array)
-    return None if X is None else IntMatrix(X)
+    X = _back_substitute(H.tolist(), B.tolist())
+    return None if X is None else IntMatrix(X, H.nrows)
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -378,79 +312,104 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     combination of the rows.  They are U's rows at the zero rows of one
     tracked Hermite form U*A = H, not a Hermite basis (take hnf_basis).
     """
-    H, U = _hnf(A.array, track=True)
-    return IntMatrix(U[~(H != 0).any(axis=1)])
+    H, U = _hermite(A.tolist(), True)
+    return IntMatrix([u for h, u in zip(H, U) if not any(h)], A.nrows)
+
+
+def _block_pivot(W, t, m, n):
+    """(i, j) of the smallest nonzero |entry| of the block W[t:m][t:n],
+    the first in row-major order on ties; None when the block is zero.
+    The scan stops at the first entry of absolute value 1."""
+    best, at = 0, None
+    for i in range(t, m):
+        seg = W[i][t:n]
+        if not any(seg):
+            continue
+        a = 1 if 1 in seg or -1 in seg else min(map(abs, filter(None, seg)))
+        if not best or a < best:
+            best, at = a, (i, t + min(seg.index(v) for v in (a, -a) if v in seg))
+            if a == 1:
+                break
+    return at
+
+
+def _swap_columns(rows, a, b):
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
 
 
 def _smith(W, m, n):
-    """Smith elimination on the leading m x n block of W, in place.
+    """Smith elimination on the leading m x n block of the list of rows
+    W, in place.
 
     Row operations act on whole rows and column operations on whole
     columns, so a border [[A, I_m], [I_n, 0]] around A collects U in its
     top right block and V in its bottom left one (the tests check
-    U*A*V = D that way).  Each pivot is the
-    smallest nonzero |entry| of the remaining block, the first in row-major
-    order on ties.  A row step rewrites only the rows with a nonzero entry
-    in the pivot column, a column step only the columns with one in the
-    pivot row, each guarded on int64 by a running bound (see `_grow`).
-    Returns (W, rank); W[i, i] for i < rank are the invariant factors
-    d1 | d2 | ..., all positive.
+    U*A*V = D that way).  Each pivot is the smallest nonzero |entry| of
+    the remaining block, the first in row-major order on ties.  A row step
+    rewrites only the rows with a nonzero entry in the pivot column,
+    walking the pivot row's nonzero entries; a column step rewrites only
+    the rows with a nonzero entry in the pivot column, at the columns
+    where the pivot row is nonzero.  Returns (W, rank); W[i][i] for
+    i < rank are the invariant factors d1 | d2 | ..., all positive.
     """
-    bound = _start_bound(W)
     t = 0
     while t < m and t < n:
-        sub = W[t:m, t:n]
-        nz = sub.nonzero()
-        if not nz[0].size:
+        at = _block_pivot(W, t, m, n)
+        if at is None:
             break
-        k = abs(sub[nz]).argmin()
-        bi, bj = nz[0][k] + t, nz[1][k] + t
-        if bi != t:
-            W[[t, bi]] = W[[bi, t]]
+        bi, bj = at
+        W[t], W[bi] = W[bi], W[t]
+        # rows above t are zero in the block's columns from t on
         if bj != t:
-            W[:, [t, bj]] = W[:, [bj, t]]
+            _swap_columns(W[t:], t, bj)
         while True:
-            rows = t + 1 + W[t + 1:m, t].nonzero()[0]
-            while rows.size:
-                q = W[rows, t] // W[t, t]
-                bound = _grow(bound, q, _bound(W[t]), W, rows)
-                W[rows] -= q[:, None] * W[t]
-                rows = rows[W[rows, t].nonzero()[0]]
-                if rows.size:
+            rows = [i for i in range(t + 1, m) if W[i][t]]
+            while rows:
+                p = W[t][t]
+                line = _line(W[t], t)
+                for i in rows:
+                    row = W[i]
+                    q = row[t] // p
+                    for j, x in line:
+                        row[j] -= q * x
+                rows = [i for i in rows if W[i][t]]
+                if rows:
                     # a smaller remainder appeared in the column; pivot on it
-                    i = rows[abs(W[rows, t]).argmin()]
-                    W[[t, i]] = W[[i, t]]
-            cols = t + 1 + W[t, t + 1:n].nonzero()[0]
-            if cols.size:
-                q = W[t, cols] // W[t, t]
-                bound = _grow(bound, q, _bound(W[:, t]), W, (slice(None), cols))
-                W[:, cols] -= W[:, t][:, None] * q
-                cols = cols[W[t, cols].nonzero()[0]]
-                if cols.size:
-                    j = cols[abs(W[t, cols]).argmin()]
-                    W[:, [t, j]] = W[:, [j, t]]
+                    i = _smallest(W, rows, t)
+                    W[t], W[i] = W[i], W[t]
+            pivot_row = W[t]
+            p = pivot_row[t]
+            qs = [(j, x // p) for j, x in enumerate(pivot_row[t + 1:n], t + 1) if x]
+            if qs:
+                # the block's rows other than t are zero in column t now
+                for row in [pivot_row, *W[m:]]:
+                    x = row[t]
+                    if x:
+                        for j, q in qs:
+                            row[j] -= q * x
+                cols = [j for j, _ in qs if pivot_row[j]]
+                if cols:
+                    _swap_columns(W[t:], t, min(cols, key=lambda j: abs(pivot_row[j])))
                     continue
             # the pivot must divide the rest of the block (a unit one does)
-            if abs(W[t, t]) == 1:
+            if abs(p) == 1:
                 break
-            bad = (W[t + 1:m, t + 1:n] % W[t, t]).nonzero()[0]
-            if not bad.size:
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % p for x in W[i][t + 1:n])), None)
+            if bad is None:
                 break
-            i = t + 1 + bad[0]
-            bound = _grow(bound, 1, _bound(W[i]), W, t)
-            W[t] += W[i]
-        if W[t, t] < 0:
-            W[t] = -W[t]
+            W[t] = [x + y for x, y in zip(W[t], W[bad])]
+        if W[t][t] < 0:
+            W[t] = [-x for x in W[t]]
         t += 1
     return W, t
 
 
 def snf_invariants(A: IntMatrix):
     """Invariant factors d1 | d2 | ... of A's row lattice (no transforms)."""
-    if not A.array.size:
-        return []
-    W, rank = _eliminate(_smith, A.array, A.nrows, A.ncols)
-    return W.diagonal()[:rank].tolist()
+    W, rank = _smith(A.tolist(), A.nrows, A.ncols)
+    return [W[i][i] for i in range(rank)]
 
 
 def vstack(*mats):

@@ -38,8 +38,8 @@ def hnf(A):
     """Row Hermite normal form (H, U): U unimodular, U*A = H, H in
     row-echelon form with positive pivots and the entries above each
     pivot reduced into [0, pivot).  The library's tracked elimination."""
-    H, U = intmat._hnf(A.array, track=True)
-    return IntMatrix(H), IntMatrix(U)
+    H, U = intmat._hermite(A.tolist(), True)
+    return IntMatrix(H, A.ncols), IntMatrix(U, A.nrows)
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,17 @@ def snf(A):
     the bordered array [[A, I_m], [I_n, 0]], whose row operations build U
     and whose column operations build V in the same pass."""
     m, n = A.nrows, A.ncols
-    border = np.block([[A.array, np.eye(m, dtype=np.int64)],
-                       [np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)]])
-    W, rank = intmat._eliminate(intmat._smith, border, m, n)
-    return SmithDecomposition(IntMatrix(W[:m, n:]), IntMatrix(W[:m, :n]),
-                              IntMatrix(W[m:, :n]), rank=rank)
+    W, rank = intmat._smith(bordered(A.tolist(), n), m, n)
+    return SmithDecomposition(IntMatrix([row[n:] for row in W[:m]], m),
+                              IntMatrix([row[:n] for row in W[:m]], n),
+                              IntMatrix([row[:n] for row in W[m:]], n), rank=rank)
+
+
+def bordered(rows, n):
+    """[[A, I_m], [I_n, 0]] as lists of rows, for the m x n rows of A."""
+    m = len(rows)
+    return ([row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+            + [[int(i == j) for j in range(n)] + [0] * m for i in range(n)])
 
 
 def inverse_unimodular(A):
@@ -112,6 +118,24 @@ def det(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def matrix_sum(mats, n):
+    """The exact sum of the n x n IntMatrix values mats (zero when empty)."""
+    total = np.zeros((n, n), dtype=object)
+    for M in mats:
+        total = total + M.array
+    return IntMatrix(total)
+
+
+def group_order(inv):
+    """Order of the group with AbelianInvariants inv, or None when infinite."""
+    if inv.free_rank:
+        return None
+    n = 1
+    for t in inv.torsion:
+        n *= t
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +405,7 @@ def sha2_omega_shift(G, H):
     ident = IntMatrix.identity(M.rank)
     rows = [M.matrix_of(s) - ident for s in G.generators]
     for cls in cyclic_subgroup_classes(G):
-        norm = IntMatrix.zeros(M.rank, M.rank)
-        for c in cls.elements():
-            norm = norm + M.matrix_of(c)
+        norm = matrix_sum([M.matrix_of(c) for c in cls.elements()], M.rank)
         rows.append(kernel_basis(norm))
     d = snf_invariants(vstack(*rows))
     # M^G has rank rank(J), so M*I_G has rank rank(M) - rank(J)
@@ -526,8 +548,10 @@ def _relator_blocks(word, mats, invs, R):
     blocks = [IntMatrix.zeros(R, R) for _ in range(s)]
     for k, letter in enumerate(word):
         j = abs(letter) - 1
-        contrib = suffix[k + 1] if letter > 0 else -(invs[j] * suffix[k + 1])
-        blocks[j] = blocks[j] + contrib
+        if letter > 0:
+            blocks[j] = matrix_sum([blocks[j], suffix[k + 1]], R)
+        else:
+            blocks[j] = blocks[j] - invs[j] * suffix[k + 1]
     return blocks
 
 
@@ -585,10 +609,10 @@ def tate_cyclic(c, L):
     if L.rank == 0:
         return AbelianInvariants(0, ()), AbelianInvariants(0, ())
     rho = L.matrix_of(c)
-    N = cur = IntMatrix.identity(L.rank)
+    powers = [IntMatrix.identity(L.rank)]
     for _ in range(c.order() - 1):
-        cur = cur * rho
-        N = N + cur
+        powers.append(powers[-1] * rho)
+    N = matrix_sum(powers, L.rank)
     diff = rho - IntMatrix.identity(L.rank)
     return (quotient_invariants(kernel_basis(diff), N),
             quotient_invariants(kernel_basis(N), diff))
@@ -600,9 +624,7 @@ def tate_minus1_literal(S, L):
     R = L.rank
     if R == 0 or S.order() == 1:
         return AbelianInvariants(0, ())
-    N = IntMatrix.zeros(R, R)
-    for s in S.elements():
-        N = N + L.matrix_of(s)
+    N = matrix_sum([L.matrix_of(s) for s in S.elements()], R)
     ident = IntMatrix.identity(R)
     denom = vstack(*[L.matrix_of(g) - ident for g in S.generators])
     return quotient_invariants(kernel_basis(N), denom)

@@ -1,20 +1,21 @@
+import copy
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import normone.intmat as intmat
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, _NP_CAP, _Overflow, hnf_basis,
+    AbelianInvariants, IntMatrix, _NP_CAP, hnf_basis,
     hnf_coordinates, hstack, kernel_basis, snf_invariants, vstack,
 )
 from normone.cohomology import sha2_omega
 from normone.perms import alternating, product_of_cyclics
 from normone.resolutions import norm_one_invariant
 from oracles import (
-    det, hermite_reference, hnf, inverse_unimodular, minors_gcd,
-    quotient_invariants, random_unimodular, smith_reference, snf,
+    bordered, det, group_order, hermite_reference, hnf, inverse_unimodular,
+    minors_gcd, quotient_invariants, random_unimodular, smith_reference, snf,
 )
 
 
@@ -30,7 +31,7 @@ def matrices(size, entries):
 
 
 small_matrices = matrices(6, st.integers(-100, 100))
-# past int64 and _NP_CAP, so every elimination reruns on Python ints; the
+# past int64 and _NP_CAP, so storage and products take Python ints; the
 # mix keeps small entries (and zeros) next to huge ones, and entries at the
 # storage boundaries, whose sums and products cross _NP_CAP and 2**63
 HUGE = 1 << 70
@@ -73,47 +74,14 @@ def with_zero_lines(draw, inner):
 
 
 reference_inputs = with_zero_lines(st.one_of(
-    action_blocks(), tied_matrices, matrices(5, st.integers(-12, 12))))
-
-
-def bordered(rows):
-    """[[A, I_m], [I_n, 0]] as lists, the array `snf` eliminates."""
-    m, n = len(rows), len(rows[0])
-    return ([row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-            + [[int(i == j) for j in range(n)] + [0] * m for i in range(n)])
+    action_blocks(), tied_matrices, matrices(5, st.integers(-12, 12)),
+    matrices(4, huge_entries)))
 
 
 def snf_blocks(W, m, n):
     """(U, D, V) as lists, read off the eliminated bordered array W."""
     return ([row[n:] for row in W[:m]], [row[:n] for row in W[:m]],
             [row[:n] for row in W[m:]])
-
-
-@pytest.fixture
-def elim_dtypes(monkeypatch):
-    """The (routine, dtype) of every elimination run while the test runs:
-    an int64 run followed by an object one is an overflow rerun."""
-    runs = []
-
-    def watched(name, elim):
-        def run(W, *args):
-            runs.append((name, W.dtype))
-            return elim(W, *args)
-        return run
-
-    for name in ("_hermite", "_smith", "_back_substitute"):
-        monkeypatch.setattr(intmat, name, watched(name, getattr(intmat, name)))
-    return runs
-
-
-def both_dtypes(elim, rows, width, *args):
-    """elim run on an int64 and on an object array of the same rows; the
-    int64 result is None when a guard raised _Overflow."""
-    try:
-        fast = elim(np.array(rows, dtype=np.int64).reshape(len(rows), width), *args)
-    except _Overflow:
-        fast = None
-    return fast, elim(np.array(rows, dtype=object).reshape(len(rows), width), *args)
 
 
 class TestHNF:
@@ -163,23 +131,8 @@ class TestHNF:
             for i in range(r):
                 assert 0 <= H.data[i][c] < piv
 
-    @given(small_matrices)
-    def test_paths_agree(self, rows):
-        # one Hermite routine, one Smith routine: int64 and exact object
-        # arrays must give the same result; a guard's _Overflow is the
-        # legitimate signal to rerun on object, tested through the public calls
-        n = len(rows[0])
-        fast, exact = both_dtypes(intmat._hermite, rows, n, True)
-        if fast is not None:
-            assert all(np.array_equal(f, e) for f, e in zip(fast, exact))
-        fast, exact = both_dtypes(intmat._smith, rows, n, len(rows), n)
-        if fast is not None:
-            assert fast[1] == exact[1]
-            assert fast[0].tolist() == exact[0].tolist()
-
-    def test_empty_input_skips_overflow_fallback(self, elim_dtypes):
-        # the object rerun happens only after an overflow: never for empty
-        # input, which needs no elimination, nor for small entries
+    def test_empty_inputs(self):
+        # no rows, no columns, or nothing to solve for
         H, U = hnf(mat([], ncols=3))
         assert H == mat([], ncols=3) and U == mat([], ncols=0)
         H, U = hnf(IntMatrix.zeros(2, 0))
@@ -193,9 +146,6 @@ class TestHNF:
         assert snf_invariants(A) == [1, 10, 20]
         d = snf(A)
         assert d.U * A * d.V == d.D
-        assert elim_dtypes
-        assert all(dtype != object for _, dtype in elim_dtypes), \
-            "object rerun without an overflow"
 
     def test_python_fallback_on_huge_entries(self):
         big = 1 << 70
@@ -206,18 +156,20 @@ class TestHNF:
 
 
 @given(reference_inputs)
+# a step past int64 (2**58 times 2**58), and entries whose sums cross _NP_CAP
+@example([[1 << 58, 1], [1, 1 << 58]])
+@example([[1, 0], [3 << 56, 3 << 56], [0, 1]])
 def test_eliminations_match_dense_reference(rows):
-    # the eliminations touch only the rows (columns) a pivot line reaches;
-    # the dense eliminations they replace must give the same H, U, Smith
-    # transforms and invariants, pivot for pivot, on either dtype
+    # the eliminations touch only the rows a pivot line reaches and walk
+    # only that line's nonzero entries; the dense eliminations must give
+    # the same H, U, Smith transforms and invariants, pivot for pivot,
+    # huge entries included
     m, n = len(rows), len(rows[0])
     H, U = hermite_reference(rows, track=True)
-    D, rank = smith_reference(bordered(rows), m, n)
-    for dtype in (np.int64, object):
-        h, u = intmat._hermite(np.array(rows, dtype=dtype), True)
-        assert (h.tolist(), u.tolist()) == (H, U)
-        W, r = intmat._smith(np.array(bordered(rows), dtype=dtype), m, n)
-        assert (W.tolist(), r) == (D, rank)
+    D, rank = smith_reference(bordered(rows, n), m, n)
+    assert intmat._hermite(copy.deepcopy(rows), True) == (H, U)
+    assert intmat._hermite(copy.deepcopy(rows), False) == hermite_reference(rows, False)
+    assert intmat._smith(bordered(rows, n), m, n) == (D, rank)
     A = mat(rows)
     assert hnf(A) == (mat(H), mat(U))
     d = snf(A)
@@ -225,37 +177,70 @@ def test_eliminations_match_dense_reference(rows):
     assert snf_invariants(A) == [D[i][i] for i in range(rank)]
 
 
+def check_elimination(name, args, out):
+    """out, what the elimination `name` returned on args, against the
+    dense references; coordinates by X*H = B, and a None by B leaving
+    H's lattice."""
+    if name == "_hermite":
+        rows, track = args
+        assert out == (hermite_reference(rows, track) if rows
+                       else ([], [] if track else None))
+    elif name == "_smith":
+        assert out == smith_reference(*args)
+    else:
+        H, B = args
+        if out is None:
+            widened, _ = hermite_reference(H + B, False)
+            assert [row for row in widened if any(row)] != H
+        else:
+            assert [[sum(x * h[j] for x, h in zip(xs, H)) for j in range(len(b))]
+                    for xs, b in zip(out, B)] == B
+
+
+def test_pipeline_eliminations_match_references(monkeypatch):
+    # every elimination of two point-stabilizer pipelines and one oracle
+    # run, input by input: shapes and entries the random inputs miss
+    runs = []
+
+    def record(name):
+        elim = getattr(intmat, name)
+
+        def run(*args):
+            inputs = copy.deepcopy(args)
+            out = elim(*args)
+            runs.append((name, inputs, copy.deepcopy(out)))
+            return out
+        monkeypatch.setattr(intmat, name, run)
+
+    for name in ("_hermite", "_smith", "_back_substitute"):
+        record(name)
+    G = product_of_cyclics((2, 2, 3))
+    assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
+    for G in (alternating(4), alternating(5)):
+        norm_one_invariant(G, G.point_stabilizer(G.degree))
+    for name, args, out in runs:
+        check_elimination(name, args, out)
+    assert {name for name, _, _ in runs} == {"_hermite", "_smith", "_back_substitute"}
+    assert any(out is None for name, _, out in runs if name == "_back_substitute")
+
+
 class TestOverflowGuard:
-    def test_stale_bound_stays_on_int64(self, elim_dtypes):
-        # column 0 takes A times row 0 from row 1, so the running bound grows
-        # from A to 2A while the largest entry stays A; column 1 then takes B
-        # times a pivot row of max 1: 2A + B reaches _NP_CAP, but the exact
-        # max|W| + B does not, so the elimination must stay on int64
-        A = B = 3 << 56
-        assert 2 * A + B >= _NP_CAP > max(A, B) + B
-        rows = [[1, 0], [A, B], [0, 1]]
-        assert hnf(mat(rows)) == tuple(map(mat, hermite_reference(rows, True)))
-        assert elim_dtypes == [("_hermite", np.int64)]
+    def test_pipelines_stay_on_int64(self, monkeypatch):
+        # no product of either route comes near _NP_CAP, so none leaves int64
+        dtypes = []
+        matmul = intmat._matmul
 
-    def test_overflow_reruns_on_python_ints(self, elim_dtypes):
-        # one step takes 2**58 times a row holding 2**58: past int64
-        rows = [[1 << 58, 1], [1, 1 << 58]]
-        A = mat(rows)
-        assert A.array.dtype == np.int64
-        assert hnf(A) == tuple(map(mat, hermite_reference(rows, True)))
-        D, _ = smith_reference(bordered(rows), 2, 2)
-        d = snf(A)
-        assert (d.U.tolist(), d.D.tolist(), d.V.tolist()) == snf_blocks(D, 2, 2)
-        assert elim_dtypes == [("_hermite", np.int64), ("_hermite", object),
-                               ("_smith", np.int64), ("_smith", object)]
-
-    def test_pipelines_stay_on_int64(self, elim_dtypes):
+        def watched(A, B):
+            out = matmul(A, B)
+            dtypes.append(out.dtype)
+            return out
+        monkeypatch.setattr(intmat, "_matmul", watched)
         G = product_of_cyclics((2, 2, 3))
         assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
         A5 = alternating(5)
         assert norm_one_invariant(A5, A5.point_stabilizer(5)).is_trivial()
-        assert elim_dtypes
-        assert all(dtype == np.int64 for _, dtype in elim_dtypes)
+        assert dtypes
+        assert all(dtype == np.int64 for dtype in dtypes)
 
 
 class TestSNF:
@@ -401,7 +386,7 @@ class TestSolveInverse:
         B = []
         for _ in range(rng.randint(1, 4)):
             x = mat([[rng.randint(-3, 3) for _ in range(H.nrows)]], ncols=H.nrows)
-            b = (x * H).row(0)
+            b = (x * H).tolist()[0]
             if rng.random() < 0.3:
                 b[rng.randrange(H.ncols)] += 1
             B.append(b)
@@ -443,8 +428,8 @@ def test_abelian_invariants_validation():
     assert str(AbelianInvariants(0, (2, 4))) == "Z/2 x Z/4"
     assert str(AbelianInvariants(1, ())) == "Z"
     assert str(AbelianInvariants(0, ())) == "0"
-    assert AbelianInvariants(0, (2, 2)).order() == 4
-    assert AbelianInvariants(1, ()).order() is None
+    assert group_order(AbelianInvariants(0, (2, 2))) == 4
+    assert group_order(AbelianInvariants(1, ())) is None
 
 
 def test_hnf_basis_canonical():
@@ -485,9 +470,9 @@ def test_storage_matches_python_ints(a, data):
     A, B, C = mat(a), mat(b), mat(c)
     for M, rows in ((A, a), (B, b), (C, c)):
         assert_stored(M, rows)
-    assert_stored(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    assert_stored(mat(A.array + B.array), [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
     assert_stored(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
-    assert_stored(-A, [[-x for x in r] for r in a])
+    assert_stored(mat(-A.array), [[-x for x in r] for r in a])
     assert_stored(A.transpose(), [list(col) for col in zip(*a)])
     assert_stored(vstack(A, B), a + b)
     assert_stored(hstack(A, B), [r + s for r, s in zip(a, b)])

@@ -1,7 +1,8 @@
 """The library holds only what its commands run: a fixed set of CLI calls,
-in a fresh interpreter under `sys.setprofile`, must enter every
-module-level function of `normone` but the allow-list.  A helper that
-only the tests call belongs in `tests/oracles.py`."""
+in a fresh interpreter under `sys.setprofile`, must enter every function
+of `normone`, module-level or a method of one of its classes, but the
+allow-list.  A helper that only the tests call belongs in
+`tests/oracles.py`."""
 
 import json
 import subprocess
@@ -14,6 +15,24 @@ ALLOWED = {
     "resolutions.verdict": "public API named in the README",
     "resolutions._identity_resolution": "coflasque_cover of a permutation "
                                         "lattice, which no command passes",
+    "intmat.IntMatrix.data": "read by the benchmark's tracing counters "
+                             "(bench/tracing.py)",
+    # dunders: protocol methods that Python calls on the program's behalf,
+    # on paths no command takes
+    "intmat.AbelianInvariants.__str__": "the group as Z/2 x Z/4 for the "
+                                        "Python API; records print the torsion list",
+    "intmat.IntMatrix.__hash__": "keeps a value type with __eq__ hashable; "
+                                 "no command puts a matrix in a set",
+    "intmat.IntMatrix.__repr__": "debugging and test failure output",
+    "lattices.GLattice.__repr__": "debugging and test failure output",
+    "lattices.LatticeMap.__repr__": "debugging and test failure output",
+    "perms.PermGroup.__repr__": "debugging and test failure output",
+    "perms.Permutation.__repr__": "debugging and test failure output",
+    "intmat.IntMatrix.__setattr__": "refuses mutation; no command mutates",
+    "lattices.GLattice.__setattr__": "refuses mutation; no command mutates",
+    "lattices.LatticeMap.__setattr__": "refuses mutation; no command mutates",
+    "perms.PermGroup.__setattr__": "refuses mutation; no command mutates",
+    "perms.Permutation.__setattr__": "refuses mutation; no command mutates",
 }
 
 TRACE = """
@@ -28,12 +47,33 @@ for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main([cache if a == "CACHE" else a for a in argv]))
 sys.setprofile(None)
+
+
+def functions(namespace):
+    # (name, function) for each function in namespace: plain, static,
+    # class or property accessor, unwrapped from any decorator
+    for name, obj in vars(namespace).items():
+        if isinstance(obj, property):
+            parts = [(name, f) for f in (obj.fget, obj.fset, obj.fdel) if f]
+        else:
+            parts = [(name, getattr(obj, "__func__", obj))]
+        for part_name, fn in parts:
+            fn = inspect.unwrap(fn) if callable(fn) else fn
+            if inspect.isfunction(fn):
+                yield part_name, fn
+
+
 missed = []
 for info in pkgutil.iter_modules(normone.__path__):
     mod = importlib.import_module("normone." + info.name)
-    for name, obj in vars(mod).items():
-        fn = inspect.unwrap(obj) if callable(obj) else obj
-        if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    # what the module's own source defines: its functions and the methods
+    # of its classes, not those a decorator such as dataclass generates
+    names = list(functions(mod))
+    for cname, cls in vars(mod).items():
+        if inspect.isclass(cls) and cls.__module__ == mod.__name__:
+            names += [(cname + "." + name, fn) for name, fn in functions(cls)]
+    for name, fn in names:
+        if (fn.__code__.co_filename == mod.__file__
                 and fn.__code__ not in entered):
             missed.append(info.name + "." + name)
 print(json.dumps({"codes": codes, "missed": sorted(missed)}))

@@ -207,19 +207,20 @@ class TestNormOneInvariant:
         assert norm_one_invariant(G, G.point_stabilizer(4)) == Z2
 
     def test_a4_counterexample_on_python_ints(self, monkeypatch):
-        # with the int64 ceiling at 1 every nonzero elimination and product
-        # takes the exact object path; the answer must not change
+        # with the int64 ceiling at 1 every nonzero matrix is stored on
+        # Python ints and every nonzero product takes the exact object
+        # path; the answer must not change
         import normone.intmat as intmat
         G = alternating(4)
         fast = resolutions._pipeline(G, G.point_stabilizer(4))
         exact_runs = []
-        hermite = intmat._hermite
+        matmul = intmat._matmul
 
-        def watched(W, *args):
-            exact_runs.append(W.dtype == object)
-            return hermite(W, *args)
+        def watched(A, B):
+            exact_runs.append(A.dtype == object)
+            return matmul(A, B)
 
-        monkeypatch.setattr(intmat, "_hermite", watched)
+        monkeypatch.setattr(intmat, "_matmul", watched)
         monkeypatch.setattr(intmat, "_NP_CAP", 1)
         exact = resolutions._pipeline(G, G.point_stabilizer(4))
         assert any(exact_runs)
