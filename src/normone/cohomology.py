@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from functools import reduce
 
-import numpy as np
-
 from .errors import CapExceeded, InternalCheckError
-from .intmat import (
-    AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, snf_invariants,
-    vstack,
-)
+from .intmat import AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, snf_invariants
 from .lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, direct_sum,
-    perm_lattice,
+    minus_one_rows, perm_lattice,
 )
 from .perms import PermGroup, cyclic_subgroup_classes, right_transversal
 
@@ -47,9 +42,7 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
     gens = S.generators
     if not gens or L.rank == 0:
         return AbelianInvariants(0, ())
-    ident = IntMatrix.identity(L.rank)
-    stacked = vstack(*[L.matrix_of(s) - ident for s in gens])
-    d = snf_invariants(stacked)
+    d = snf_invariants(IntMatrix(minus_one_rows([L.matrix_of(s) for s in gens]), L.rank))
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
@@ -68,11 +61,15 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     # e_g in copy j goes to the coset of g minus that of s_j*g, whose
     # coordinates in I's basis coset_i - coset_last are its first d-1
     T, coset_of = right_transversal(G, H)
-    eye = np.eye(len(T), dtype=np.int64)
-    images = np.array([eye[coset_of[g.images]] - eye[coset_of[(s * g).images]]
-                       for s in picked for g in G.elements()])[:, :-1]
+    images = []
+    for s in picked:
+        for g in G.elements():
+            row = [0] * len(T)
+            row[coset_of[g.images]] += 1
+            row[coset_of[(s * g).images]] -= 1
+            images.append(row[:-1])
     free = reduce(direct_sum, [perm_lattice(G, G.trivial_subgroup())] * len(picked))
-    cover = LatticeMap(free, I, IntMatrix(images))
+    cover = LatticeMap(free, I, IntMatrix(images, I.rank))
     if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")
     return cover
@@ -115,16 +112,25 @@ def sha2_omega(G: PermGroup, H) -> AbelianInvariants:
     cover = _free_cover(G, H)
     free = cover.source
     K = hnf_basis(kernel_basis(cover.matrix))
-    ident = IntMatrix.identity(K.nrows)
-    rows = [a - ident for a in _restricted_action(K, free)]
+    rows = minus_one_rows(_restricted_action(K, free))
     number, table, _ = G.multiplication_table()
-    copies = K.array.reshape(K.nrows, -1, G.order())
+    n = G.order()
     for cls in cyclic_subgroup_classes(G):
-        # column g of K*rho(c^-1) is column g*c of K, copy by copy, and
-        # summed over the elements c of C these make K*N_C
-        KN = sum(copies[:, :, table[number[c.images]]] for c in cls.elements())
-        rows.append(kernel_basis(IntMatrix(KN.reshape(K.nrows, free.rank))))
-    d = snf_invariants(vstack(*rows))
+        # rho(c) sends e_h to e_(h*c) in each copy of Z[G], so entry
+        # (copy, h) of a row of K adds to entry (copy, h*c) of that row
+        # of K*N_C, once for each element c of C
+        moves = [table[number[c.images]] for c in cls.elements()]
+        KN = []
+        for row in K.data:
+            acc = [0] * free.rank
+            for i, x in enumerate(row):
+                if x:
+                    start = i - i % n   # where i's copy of Z[G] starts
+                    for move in moves:
+                        acc[start + move[i - start]] += x
+            KN.append(acc)
+        rows += kernel_basis(IntMatrix(KN, free.rank)).data
+    d = snf_invariants(IntMatrix(rows, K.nrows))
     r = free.rank // G.order()
     if len(d) != K.nrows - r:
         raise InternalCheckError(

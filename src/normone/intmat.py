@@ -2,18 +2,16 @@
 kernels and Smith invariant factors (`hnf_basis`, `hnf_coordinates`,
 `kernel_basis`, `snf_invariants`).
 
-Everything here is exact over arbitrary-precision integers.  An IntMatrix
-holds one read-only 2-D NumPy array in a canonical dtype: int64 when
-every |entry| < _NP_CAP, else dtype=object (exact Python ints).  Products,
-sums and stacking run on that array; a product runs on int64 while its
-worst-case entry bound stays below _NP_CAP.  Each elimination (Hermite,
-Smith, back-substitution) is written once and runs on lists of Python-int
-rows, read off the array and stored back as one IntMatrix, so it is exact
-whatever the entries' size.  A step rewrites only the lines it changes:
-the rows with a nonzero entry in the pivot column (for Smith's column
-steps, the rows with one in the pivot column), walking only the nonzero
-entries of the pivot line.  The pivot rule is the smallest nonzero
-absolute value, ties broken by position.
+Everything here is exact: an IntMatrix holds its entries as a tuple of
+rows, each a tuple of Python ints, so no size of entry needs a second
+path.  Each elimination (Hermite, Smith, back-substitution) is written
+once and runs on lists of rows copied off the matrix, stored back as one
+IntMatrix.  A step rewrites only the lines it changes: the rows with a
+nonzero entry in the pivot column (for Smith's column steps, the rows
+with one in the pivot column), walking only the nonzero entries of the
+pivot line.  The pivot rule is the smallest nonzero absolute value, ties
+broken by position.  A product likewise walks only the nonzero entries
+of both factors.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -22,122 +20,67 @@ right multiplication, `kernel_basis(A)` solves x*A = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
-
-# Magnitude ceiling for int64 arrays: storage is int64 only below it, and
-# a product of matrices runs on int64 only if its entry bound stays below.
-_NP_CAP = 1 << 59
-
-_to_int = np.frompyfunc(int, 1, 1)
-
-
-def exact_array(x):
-    """x, an integer array or nested sequence, as an array in the
-    canonical dtype: int64 when every |entry| < _NP_CAP, else dtype=object
-    holding Python ints.  May return x itself."""
-    if isinstance(x, np.ndarray):
-        a = x
-    else:
-        # not np.asarray: it may infer uint64 or float64 past int64
-        try:
-            a = np.array(x, dtype=np.int64)
-        except OverflowError:
-            a = np.array(x, dtype=object)
-    if a.dtype != object and np.can_cast(a.dtype, np.int64):
-        a = a.astype(np.int64, copy=False)
-        if not a.size or (a.max() < _NP_CAP and a.min() > -_NP_CAP):
-            return a
-    a = a.astype(object, copy=False)
-    if _bound(a) < _NP_CAP:
-        return a.astype(np.int64)
-    return _to_int(a)
-
-
-def _bound(a):
-    """max |entry| of the array a, as a Python int (0 when empty)."""
-    return int(np.abs(a).max(initial=0))
+from itertools import chain, compress
 
 
 class IntMatrix:
     """Dense integer matrix with unbounded entries.
 
-    Immutable: `array` is a read-only 2-D NumPy array in the canonical
-    dtype (see the module docstring).  An explicit column count
-    disambiguates matrices with zero rows.  `data` is a tuple-of-tuples
-    copy of the entries as Python ints, built on each access.
+    Immutable: `data` is the tuple of rows, each a tuple of Python ints;
+    callers pass ints, which are not checked entry by entry.  An explicit
+    column count disambiguates matrices with zero rows.
     """
 
-    __slots__ = ("array", "nrows", "ncols")
-    # ndarray @ IntMatrix defers to __rmatmul__
-    __array_ufunc__ = None
+    __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        if isinstance(rows, np.ndarray):
-            rows = rows.copy()
-        else:
-            rows = list(rows)
-            if len({len(row) for row in rows}) > 1:
-                raise ValueError("ragged rows")
-        a = exact_array(rows)
-        if a.ndim != 2:
-            if a.size:
-                raise ValueError("rows must form a 2-D array")
-            a = a.reshape(0, ncols or 0)
-        elif ncols is not None and ncols != a.shape[1]:
-            if a.shape[0]:
+        data = tuple(map(tuple, rows))
+        if len(set(map(len, data))) > 1:
+            raise ValueError("ragged rows")
+        if data:
+            if ncols is not None and ncols != len(data[0]):
                 raise ValueError("ncols does not match row length")
-            a = a.reshape(0, ncols)
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "nrows", a.shape[0])
-        object.__setattr__(self, "ncols", a.shape[1])
+            ncols = len(data[0])
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "nrows", len(data))
+        object.__setattr__(self, "ncols", ncols or 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @property
-    def data(self):
-        return tuple(map(tuple, self.array.tolist()))
-
     @staticmethod
     def identity(n):
-        return IntMatrix(np.eye(n, dtype=np.int64))
-
-    @staticmethod
-    def zeros(m, n):
-        return IntMatrix(np.zeros((m, n), dtype=np.int64))
+        return permutation_matrix(range(n))
 
     def tolist(self):
-        return self.array.tolist()
+        return [list(row) for row in self.data]
 
     def transpose(self):
-        return IntMatrix(self.array.T)
+        # with no rows there is nothing to zip, but ncols empty columns
+        return IntMatrix(zip(*self.data) if self.data else [()] * self.ncols, self.nrows)
 
     def is_zero(self):
-        return not self.array.any()
+        return not any(map(any, self.data))
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        return IntMatrix(_matmul(self.array, other.array))
-
-    def __rmatmul__(self, v):
-        """v @ M for a row vector or a stack of rows v: an exact ndarray."""
-        return _matmul(exact_array(v), self.array)
-
-    def __sub__(self, other):
-        if self.array.shape != other.array.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.array - other.array)
+        n = other.ncols
+        lines = [_line(row, 0) for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * n
+            for k, a in _line(row, 0):
+                for j, x in lines[k]:
+                    acc[j] += a * x
+            out.append(acc)
+        return IntMatrix(out, n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.array.shape == other.array.shape
-            and np.array_equal(self.array, other.array)
-        )
+        return (isinstance(other, IntMatrix) and self.ncols == other.ncols
+                and self.data == other.data)
 
     def __hash__(self):
         return hash((self.ncols, self.data))
@@ -145,7 +88,17 @@ class IntMatrix:
     def __repr__(self):
         if self.nrows * self.ncols <= 36:
             return f"IntMatrix({self.tolist()})"
-        return f"IntMatrix(<{self.nrows}x{self.ncols}>, max|entry|={_bound(self.array)})"
+        big = max(map(abs, chain.from_iterable(self.data)))
+        return f"IntMatrix(<{self.nrows}x{self.ncols}>, max|entry|={big})"
+
+
+def permutation_matrix(images):
+    """The square 0/1 matrix whose row p is the unit row at images[p]."""
+    n = len(images)
+    rows = [[0] * n for _ in range(n)]
+    for row, q in zip(rows, images):
+        row[q] = 1
+    return IntMatrix(rows, n)
 
 
 @dataclass(frozen=True)
@@ -176,18 +129,9 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "0"
 
 
-def _matmul(A, B):
-    """Exact A @ B of two canonical arrays: on int64 while the entry bound
-    inner * max|A| * max|B| stays below _NP_CAP, else on Python ints."""
-    if (A.dtype != object and B.dtype != object
-            and B.shape[0] * _bound(A) * _bound(B) < _NP_CAP):
-        return A @ B
-    return A.astype(object) @ B.astype(object)
-
-
 def _line(row, start):
-    """The nonzero (index, entry) pairs of the list row, from start on."""
-    return [(j, x) for j, x in enumerate(row[start:], start) if x]
+    """The nonzero (index, entry) pairs of row, from start on."""
+    return [(j, row[j]) for j in compress(range(start, len(row)), row[start:])]
 
 
 def _smallest(W, rows, c):
@@ -411,14 +355,3 @@ def snf_invariants(A: IntMatrix):
     W, rank = _smith(A.tolist(), A.nrows, A.ncols)
     return [W[i][i] for i in range(rank)]
 
-
-def vstack(*mats):
-    if any(m.ncols != mats[0].ncols for m in mats):
-        raise ValueError("column counts differ")
-    return IntMatrix(np.vstack([m.array for m in mats]))
-
-
-def hstack(*mats):
-    if any(m.nrows != mats[0].nrows for m in mats):
-        raise ValueError("row counts differ")
-    return IntMatrix(np.hstack([m.array for m in mats]))

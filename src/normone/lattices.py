@@ -13,10 +13,12 @@ mode in this kind of code, so they fail fast instead.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import chain
 
 from .errors import InternalCheckError, UsageError
-from .intmat import IntMatrix, hnf_basis, hnf_coordinates, hstack, kernel_basis
+from .intmat import (
+    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
+)
 from .perms import PermGroup, coset_moves, right_transversal
 
 
@@ -107,17 +109,16 @@ class LatticeMap:
 
 def _coset_permutations(G: PermGroup, H: PermGroup):
     """The index d of H and, for each generator g, the d x d permutation
-    array of g on the sorted canonical right cosets T of H: row i is the
+    matrix of g on the sorted canonical right cosets T of H: row i is the
     unit row of the coset of T[i]*g."""
     T, coset_of = right_transversal(G, H)
-    eye = np.eye(len(T), dtype=np.int64)
-    return len(T), [eye[m] for m in coset_moves(T, coset_of, G.generators)]
+    return len(T), [permutation_matrix(m) for m in coset_moves(T, coset_of, G.generators)]
 
 
 def perm_lattice(G: PermGroup, H: PermGroup):
     """Z[G/H]: basis the sorted canonical right cosets, permuted by G."""
     d, perms = _coset_permutations(G, H)
-    return GLattice(G, d, [IntMatrix(p) for p in perms], perm_summands=((H, 1),),
+    return GLattice(G, d, perms, perm_summands=((H, 1),),
                     label=f"Z[{G.label}/{H.describe()}]")
 
 
@@ -133,7 +134,8 @@ def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
     d, perms = _coset_permutations(G, H)
     if d < 2:
         raise UsageError("index must be at least 2")
-    mats = [IntMatrix(p[:-1, :-1] - p[:-1, -1:]) for p in perms]
+    mats = [IntMatrix([[x - row[-1] for x in row[:-1]] for row in p.data[:-1]], d - 1)
+            for p in perms]
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
 
 
@@ -148,11 +150,12 @@ def augmentation_ideal(G: PermGroup, H: PermGroup):
     if d < 2:
         raise UsageError("index must be at least 2")
     # coset_i - coset_last goes to coset_sigma(i) - coset_sigma(last)
-    mats = [IntMatrix((p.array[:-1] - p.array[-1])[:, :-1]) for p in P.action]
+    mats = [IntMatrix([[x - y for x, y in zip(row[:-1], p.data[-1])] for row in p.data[:-1]],
+                      d - 1)
+            for p in P.action]
     I = GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")
-    inclusion = np.hstack([np.eye(d - 1, dtype=np.int64),
-                           -np.ones((d - 1, 1), dtype=np.int64)])
-    return I, LatticeMap(I, P, IntMatrix(inclusion))
+    inclusion = [row + [-1] for row in IntMatrix.identity(d - 1).tolist()]
+    return I, LatticeMap(I, P, IntMatrix(inclusion, d))
 
 
 def dual(L: GLattice) -> GLattice:
@@ -166,8 +169,8 @@ def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:
     if L1.group is not L2.group:
         raise ValueError("direct sum needs a common group")
     r1, r2 = L1.rank, L2.rank
-    mats = [IntMatrix(np.block([[a.array, np.zeros((r1, r2), dtype=np.int64)],
-                                [np.zeros((r2, r1), dtype=np.int64), b.array]]))
+    mats = [IntMatrix([row + (0,) * r2 for row in a.data]
+                      + [(0,) * r1 + row for row in b.data], r1 + r2)
             for a, b in zip(L1.action, L2.action)]
     summands = None
     if L1.perm_summands is not None and L2.perm_summands is not None:
@@ -175,14 +178,29 @@ def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:
     return GLattice(L1.group, r1 + r2, mats, perm_summands=summands)
 
 
+def minus_one_rows(mats):
+    """The rows of rho - 1 for each square matrix rho of mats, one matrix
+    after the other, as lists of Python ints."""
+    rows = []
+    for m in mats:
+        for i, row in enumerate(m.data):
+            row = list(row)
+            row[i] -= 1
+            rows.append(row)
+    return rows
+
+
 def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
-    """Hermite basis of the vectors fixed by every element of S."""
+    """Hermite basis of the vectors fixed by every element of S: the
+    kernel of the matrices rho(s) - 1 over S's generators side by side."""
     gens = S.generators
+    n = L.rank
     if not gens:
-        return IntMatrix.identity(L.rank)
-    ident = IntMatrix.identity(L.rank)
-    blocks = [L.matrix_of(s) - ident for s in gens]
-    return hnf_basis(kernel_basis(hstack(*blocks)))
+        return IntMatrix.identity(n)
+    rows = minus_one_rows([L.matrix_of(s) for s in gens])
+    # row i of the side-by-side block is row i of each rho(s) - 1
+    return hnf_basis(kernel_basis(IntMatrix(
+        [list(chain.from_iterable(rows[i::n])) for i in range(n)], n * len(gens))))
 
 
 def _restricted_action(K: IntMatrix, L: GLattice):
@@ -194,8 +212,8 @@ def _restricted_action(K: IntMatrix, L: GLattice):
     is split into one matrix per generator.
     """
     r = K.nrows
-    X = hnf_coordinates(K, IntMatrix([row for a in L.action for row in (K * a).array],
+    X = hnf_coordinates(K, IntMatrix([row for a in L.action for row in (K * a).data],
                                      ncols=K.ncols))
     if X is None:
         raise InternalCheckError("kernel is not stable under the action")
-    return [IntMatrix(X.array[i * r:(i + 1) * r], ncols=r) for i in range(len(L.action))]
+    return [IntMatrix(X.data[i * r:(i + 1) * r], ncols=r) for i in range(len(L.action))]

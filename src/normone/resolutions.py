@@ -4,9 +4,9 @@ A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
 Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
 (coset H'g, e_k) |-> v_k * rho(g) for f vectors v_k fixed by H'.  Q is
 held as one G-set of basis points, the pairs (coset, k) of every summand:
-an index array per generator of G gives the image of each point, and an
-array gives each point's image in L.  The H'-fixed vectors of Q are the
-sums over the orbits of H' on the points.  Classes are visited in
+an index list per generator of G gives the image of each point, and a
+list of rows gives each point's image in L.  The H'-fixed vectors of Q
+are the sums over the orbits of H' on the points.  Classes are visited in
 decreasing order.  When the summands so far do not cover
 L^{H'}, the rows of its saturated basis are walked in order, and a row
 becomes a v_k only if it is not yet in the lattice spanned by the images
@@ -33,12 +33,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cohomology import tate_minus1
 from .errors import CapExceeded, InternalCheckError, UsageError
 from .intmat import (
-    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, snf_invariants, vstack,
+    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
+    snf_invariants,
 )
 from .lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, dual,
@@ -75,29 +74,30 @@ class Resolution:
             raise InternalCheckError("injection is not saturated")
 
 
-def _orbit_matrix(moves, n):
-    """0/1 array with one row per orbit on the points 0..n-1 of the group
-    generated by the index arrays in moves (moves[j][p] is the image of
-    point p), marking the points of that orbit; orbits in order of their
-    least point."""
-    moves = [np.asarray(m).tolist() for m in moves]
-    orbit_of = [-1] * n
-    count = 0
+def _orbits(moves, n):
+    """The orbits on the points 0..n-1 of the group generated by the index
+    lists in moves (moves[j][p] is the image of point p), each a list of
+    its points, in order of their least point."""
+    seen = [False] * n
+    orbits = []
     for start in range(n):
-        if orbit_of[start] >= 0:
+        if seen[start]:
             continue
-        orbit_of[start] = count
+        seen[start] = True
         orbit = [start]
         for p in orbit:
             for m in moves:
                 q = m[p]
-                if orbit_of[q] < 0:
-                    orbit_of[q] = count
+                if not seen[q]:
+                    seen[q] = True
                     orbit.append(q)
-        count += 1
-    O = np.zeros((count, n), dtype=np.int64)
-    O[orbit_of, np.arange(n)] = 1
-    return O
+        orbits.append(orbit)
+    return orbits
+
+
+def _orbit_sums(orbits, rows):
+    """For each orbit, the sum of the rows at its points."""
+    return [list(map(sum, zip(*[rows[p] for p in orbit]))) for orbit in orbits]
 
 
 def _identity_resolution(L):
@@ -116,9 +116,9 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     fixed = [fixed_sublattice(L, cls) for cls in classes]
     words = G.elements_with_words()
     # Q's basis points: moves[j][p] is the image of point p under the j-th
-    # generator of G, and row p of ev is the image of point p in L
-    moves = [np.arange(0) for _ in G.generators]
-    ev = IntMatrix.zeros(0, L.rank)
+    # generator of G, and ev[p] is the image of point p in L
+    moves = [[] for _ in G.generators]
+    ev = []
     summands = []
 
     def fixed_span(cls):
@@ -126,11 +126,12 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         sums over the orbits of cls on the points."""
         acts = []
         for g in cls.generators:
-            act = np.arange(ev.nrows)
+            act = range(len(ev))
             for k in words[g]:
-                act = moves[k - 1][act]
+                move = moves[k - 1]
+                act = [move[p] for p in act]
             acts.append(act)
-        return hnf_basis(IntMatrix(_orbit_matrix(acts, ev.nrows) @ ev))
+        return hnf_basis(IntMatrix(_orbit_sums(_orbits(acts, len(ev)), ev), L.rank))
 
     for cls, F in zip(classes, fixed):
         if F.nrows == 0:
@@ -141,35 +142,34 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         # walk the rows of F; a row outside the span so far is picked, and
         # its cls-orbit sums join the span, so afterwards F lies in it
         T, coset_of = right_transversal(G, cls)
-        own = _orbit_matrix(coset_moves(T, coset_of, cls.generators), len(T))
-        # images[i, k] = F[k] * rho(T[i])
-        images = np.stack([F.array @ L.matrix_of(t) for t in T])
+        own = _orbits(coset_moves(T, coset_of, cls.generators), len(T))
+        # images[i][k] = F[k] * rho(T[i])
+        images = [(F * L.matrix_of(t)).data for t in T]
         picked = []
-        for k, row in enumerate(F.array):
+        for k, row in enumerate(F.data):
             if hnf_coordinates(span, IntMatrix([row])) is not None:
                 continue
-            span = hnf_basis(vstack(span, IntMatrix(own @ IntMatrix(images[:, k]))))
+            span = hnf_basis(IntMatrix(
+                [*span.data, *_orbit_sums(own, [im[k] for im in images])], L.rank))
             picked.append(k)
         # the summand's points are (coset i, picked vector k), i-major, and
         # g sends (i, k) to (coset of T[i]*g, k)
         f = len(picked)
         for j, m in enumerate(coset_moves(T, coset_of, G.generators)):
-            new = ev.nrows + (np.array(m)[:, None] * f + np.arange(f)).ravel()
-            moves[j] = np.concatenate([moves[j], new])
-        ev = IntMatrix(np.concatenate([ev.array, images[:, picked].reshape(-1, L.rank)]))
+            moves[j] += [len(ev) + i * f + k for i in m for k in range(f)]
+        ev += [im[k] for im in images for k in picked]
         summands.append((cls, f))
-        if max_rank is not None and ev.nrows > max_rank:
-            raise CapExceeded(f"cover rank {ev.nrows} exceeds --max-rank {max_rank}")
+        if max_rank is not None and len(ev) > max_rank:
+            raise CapExceeded(f"cover rank {len(ev)} exceeds --max-rank {max_rank}")
     # recheck every class against the final middle term; this is the
     # condition that makes the kernel coflasque, so a failure is a bug
     for cls, F in zip(classes, fixed):
         if F.nrows and hnf_coordinates(fixed_span(cls), F) is None:
             raise InternalCheckError(
                 f"cover misses the fixed lattice of {cls.describe()}")
-    eye = np.eye(ev.nrows, dtype=np.int64)
-    Q = GLattice(G, ev.nrows, [IntMatrix(eye[m]) for m in moves], perm_summands=summands)
-    project = LatticeMap(Q, L, ev)
-    K = hnf_basis(kernel_basis(ev))
+    Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves], perm_summands=summands)
+    project = LatticeMap(Q, L, IntMatrix(ev, L.rank))
+    K = hnf_basis(kernel_basis(project.matrix))
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
     inject = LatticeMap(N, Q, K)

@@ -21,8 +21,8 @@ import normone.intmat as intmat
 from normone.errors import InternalCheckError, NormOneError
 from normone.fpgroups import CosetTable, FpGroup, todd_coxeter
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, exact_array, hnf_basis, hnf_coordinates,
-    hstack, kernel_basis, snf_invariants, vstack,
+    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
+    snf_invariants,
 )
 from normone.lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
@@ -122,10 +122,39 @@ def det(A):
 
 def matrix_sum(mats, n):
     """The exact sum of the n x n IntMatrix values mats (zero when empty)."""
-    total = np.zeros((n, n), dtype=object)
+    total = [[0] * n for _ in range(n)]
     for M in mats:
-        total = total + M.array
-    return IntMatrix(total)
+        for acc, row in zip(total, M.data):
+            for j, x in enumerate(row):
+                acc[j] += x
+    return IntMatrix(total, n)
+
+
+def subtract(A, B):
+    """A - B, entry by entry."""
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+        raise ValueError("shape mismatch")
+    return IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(A.data, B.data)],
+                     A.ncols)
+
+
+def zeros(m, n):
+    return IntMatrix([[0] * n for _ in range(m)], n)
+
+
+def vstack(*mats):
+    """The rows of mats, one matrix after the other."""
+    if any(m.ncols != mats[0].ncols for m in mats):
+        raise ValueError("column counts differ")
+    return IntMatrix([row for m in mats for row in m.data], mats[0].ncols)
+
+
+def hstack(*mats):
+    """mats side by side."""
+    if any(m.nrows != mats[0].nrows for m in mats):
+        raise ValueError("row counts differ")
+    return IntMatrix([sum(rows, ()) for rows in zip(*(m.data for m in mats))],
+                     sum(m.ncols for m in mats))
 
 
 def group_order(inv):
@@ -359,10 +388,11 @@ def induced(L):
     R = L.rank
     eye = np.eye(n, dtype=np.int64)
     # block (x, x*g) of the action of g is rho(g)
-    mats = [IntMatrix(np.kron(eye[[pos[x * g] for x in elems]], rho.array))
+    mats = [IntMatrix(np.kron(eye[[pos[x * g] for x in elems]], rho.data).tolist(), n * R)
             for g, rho in zip(G.generators, L.action)]
     I = GLattice(G, n * R, mats, label=f"Ind({L.label})" if L.label else None)
-    return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n)))
+    return I, LatticeMap(L, I, IntMatrix(np.tile(np.eye(R, dtype=np.int64), n).tolist(),
+                                         n * R))
 
 
 @dataclass(frozen=True)
@@ -386,8 +416,8 @@ def dimension_shift(L):
     I, emb = induced(L)
     R, N = L.rank, I.rank
     proj = IntMatrix(np.vstack([-np.tile(np.eye(R, dtype=np.int64), len(L.group.elements()) - 1),
-                                np.eye(N - R, dtype=np.int64)]))
-    mats = [IntMatrix(a.array[R:] @ proj) for a in I.action]
+                                np.eye(N - R, dtype=np.int64)]).tolist(), N - R)
+    mats = [IntMatrix(a.data[R:], N) * proj for a in I.action]
     shifted = GLattice(L.group, N - R, mats,
                        label=f"shift({L.label})" if L.label else None)
     assert (emb.matrix * proj).is_zero(), "projection misses the embedded copy"
@@ -403,7 +433,7 @@ def sha2_omega_shift(G, H):
     J = chevalley_module(G, H)
     M = dual(dimension_shift(J).shifted)
     ident = IntMatrix.identity(M.rank)
-    rows = [M.matrix_of(s) - ident for s in G.generators]
+    rows = [subtract(M.matrix_of(s), ident) for s in G.generators]
     for cls in cyclic_subgroup_classes(G):
         norm = matrix_sum([M.matrix_of(c) for c in cls.elements()], M.rank)
         rows.append(kernel_basis(norm))
@@ -520,15 +550,16 @@ class _H1Data(NamedTuple):
     def value_at(self, values, word):
         """Value of the cocycle with the given generator values at the
         element word (over presentation generators), as a list."""
-        values = [exact_array(v) for v in values]
-        acc = np.zeros_like(values[0])
+        acc = [0] * len(values[0])
         for letter in word:
             j = abs(letter) - 1
             if letter > 0:
-                acc = acc @ self.mats[j] + values[j]
+                image = (IntMatrix([acc]) * self.mats[j]).data[0]
+                acc = [x + y for x, y in zip(image, values[j])]
             else:
-                acc = (acc - values[j]) @ self.invs[j]
-        return acc.tolist()
+                acc = [x - y for x, y in zip(acc, values[j])]
+                acc = list((IntMatrix([acc]) * self.invs[j]).data[0])
+        return acc
 
 
 def _relator_blocks(word, mats, invs, R):
@@ -545,13 +576,13 @@ def _relator_blocks(word, mats, invs, R):
         letter = word[k]
         m = mats[letter - 1] if letter > 0 else invs[-letter - 1]
         suffix[k] = m * suffix[k + 1]
-    blocks = [IntMatrix.zeros(R, R) for _ in range(s)]
+    blocks = [zeros(R, R) for _ in range(s)]
     for k, letter in enumerate(word):
         j = abs(letter) - 1
         if letter > 0:
             blocks[j] = matrix_sum([blocks[j], suffix[k + 1]], R)
         else:
-            blocks[j] = blocks[j] - invs[j] * suffix[k + 1]
+            blocks[j] = subtract(blocks[j], invs[j] * suffix[k + 1])
     return blocks
 
 
@@ -578,7 +609,7 @@ def h1_data(L, pres):
     blocks = [vstack(*_relator_blocks(w, mats, invs, R)) for w in fp.relators if w]
     Z1 = kernel_basis(hstack(*blocks)) if blocks else IntMatrix.identity(fp.ngens * R)
     ident = IntMatrix.identity(R)
-    B1 = hstack(*[m - ident for m in mats]) if R else IntMatrix([], ncols=0)
+    B1 = hstack(*[subtract(m, ident) for m in mats]) if R else IntMatrix([], ncols=0)
     return _H1Data(mats, invs, Z1, B1)
 
 
@@ -613,7 +644,7 @@ def tate_cyclic(c, L):
     for _ in range(c.order() - 1):
         powers.append(powers[-1] * rho)
     N = matrix_sum(powers, L.rank)
-    diff = rho - IntMatrix.identity(L.rank)
+    diff = subtract(rho, IntMatrix.identity(L.rank))
     return (quotient_invariants(kernel_basis(diff), N),
             quotient_invariants(kernel_basis(N), diff))
 
@@ -626,7 +657,7 @@ def tate_minus1_literal(S, L):
         return AbelianInvariants(0, ())
     N = matrix_sum([L.matrix_of(s) for s in S.elements()], R)
     ident = IntMatrix.identity(R)
-    denom = vstack(*[L.matrix_of(g) - ident for g in S.generators])
+    denom = vstack(*[subtract(L.matrix_of(g), ident) for g in S.generators])
     return quotient_invariants(kernel_basis(N), denom)
 
 

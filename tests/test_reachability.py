@@ -2,7 +2,8 @@
 in a fresh interpreter under `sys.setprofile`, must enter every function
 of `normone`, module-level or a method of one of its classes, but the
 allow-list.  A helper that only the tests call belongs in
-`tests/oracles.py`."""
+`tests/oracles.py`.  The same calls must not import numpy, which only the
+tests use."""
 
 import json
 import subprocess
@@ -15,8 +16,6 @@ ALLOWED = {
     "resolutions.verdict": "public API named in the README",
     "resolutions._identity_resolution": "coflasque_cover of a permutation "
                                         "lattice, which no command passes",
-    "intmat.IntMatrix.data": "read by the benchmark's tracing counters "
-                             "(bench/tracing.py)",
     # dunders: protocol methods that Python calls on the program's behalf,
     # on paths no command takes
     "intmat.AbelianInvariants.__str__": "the group as Z/2 x Z/4 for the "
@@ -76,7 +75,8 @@ for info in pkgutil.iter_modules(normone.__path__):
         if (fn.__code__.co_filename == mod.__file__
                 and fn.__code__ not in entered):
             missed.append(info.name + "." + name)
-print(json.dumps({"codes": codes, "missed": sorted(missed)}))
+print(json.dumps({"codes": codes, "missed": sorted(missed),
+                  "numpy": "numpy" in sys.modules}))
 """
 
 # every command, a cache miss then a hit, two free-cover generators in
@@ -103,6 +103,7 @@ def test_every_library_function_is_reached_by_a_command(tmp_path):
         capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(out.stdout)
     assert result["codes"] == [code for _, code in CALLS]
+    assert not result["numpy"], "a command imported numpy"
     unreached = sorted(set(result["missed"]) - set(ALLOWED))
     assert not unreached, f"no command enters {unreached}"
     # an allowed name that a command does reach needs no exemption

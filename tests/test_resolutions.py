@@ -136,9 +136,8 @@ class TestCoflasqueCover:
         res = coflasque_cover(L)
         Q, EV = res.middle, res.project.matrix
         for a in Q.action:
-            A = a.array
-            assert set(A.ravel().tolist()) <= {0, 1}
-            assert (A.sum(axis=0) == 1).all() and (A.sum(axis=1) == 1).all()
+            assert {x for row in a.data for x in row} <= {0, 1}
+            assert set(map(sum, a.data)) == set(map(sum, zip(*a.data))) == {1}
         for cls in subgroup_classes(G):
             image = hnf_basis(fixed_sublattice(Q, cls) * EV)
             assert hnf_coordinates(image, fixed_sublattice(L, cls)) is not None
@@ -205,27 +204,6 @@ class TestNormOneInvariant:
     def test_a4_counterexample(self):
         G = alternating(4)
         assert norm_one_invariant(G, G.point_stabilizer(4)) == Z2
-
-    def test_a4_counterexample_on_python_ints(self, monkeypatch):
-        # with the int64 ceiling at 1 every nonzero matrix is stored on
-        # Python ints and every nonzero product takes the exact object
-        # path; the answer must not change
-        import normone.intmat as intmat
-        G = alternating(4)
-        fast = resolutions._pipeline(G, G.point_stabilizer(4))
-        exact_runs = []
-        matmul = intmat._matmul
-
-        def watched(A, B):
-            exact_runs.append(A.dtype == object)
-            return matmul(A, B)
-
-        monkeypatch.setattr(intmat, "_matmul", watched)
-        monkeypatch.setattr(intmat, "_NP_CAP", 1)
-        exact = resolutions._pipeline(G, G.point_stabilizer(4))
-        assert any(exact_runs)
-        assert exact.invariants == fast.invariants == Z2
-        assert exact.flasque_rank == fast.flasque_rank
 
     def test_pipeline_needs_no_presentation(self, monkeypatch):
         # H^1 of the flasque side comes from Tate H^-1 of its dual, so no
