@@ -388,7 +388,7 @@ def cmd_sha_oracle(args):
     G = build_group(spec)
     H = resolve_subgroup(G, args)
     t0 = time.monotonic()
-    inv = sha2_omega(G, H)
+    inv = sha2_omega(G, H, class_cap=args.max_order)
     ms = int((time.monotonic() - t0) * 1000)
     record = {
         "group": str(spec),

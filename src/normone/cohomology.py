@@ -18,7 +18,7 @@ from .lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, direct_sum,
     minus_one_rows, perm_lattice,
 )
-from .perms import PermGroup, cyclic_subgroup_classes, right_transversal
+from .perms import SUBGROUP_CLASS_CAP, PermGroup, cyclic_subgroup_classes, right_transversal
 
 SHA_ORDER_CAP = 360
 
@@ -75,7 +75,7 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     return cover
 
 
-def sha2_omega(G: PermGroup, H) -> AbelianInvariants:
+def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvariants:
     """Sha^2_omega(G, J_{G/H}), the kernel of restriction from H^2(G, J)
     to all cyclic subgroups, as the torsion of one Smith form.
 
@@ -106,16 +106,21 @@ def sha2_omega(G: PermGroup, H) -> AbelianInvariants:
     rank r and I^G = 0, so the Smith rank, that of K*I_G, is
     rank(K) - r; a ker(N_C) row outside ker(N_G) would raise it.  Every
     invariant divides |G|, which kills H^2(G, J).
+
+    class_cap bounds |G| for the cyclic class search, as `subgroup_classes`
+    takes it; that search runs first, so the cap stops a call before the
+    free cover or the multiplication table is built.
     """
     if G.order() > SHA_ORDER_CAP:
         raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
+    cyclic_classes = cyclic_subgroup_classes(G, class_cap)
     cover = _free_cover(G, H)
     free = cover.source
     K = hnf_basis(kernel_basis(cover.matrix))
     rows = minus_one_rows(_restricted_action(K, free))
     number, table, _ = G.multiplication_table()
     n = G.order()
-    for cls in cyclic_subgroup_classes(G):
+    for cls in cyclic_classes:
         # rho(c) sends e_h to e_(h*c) in each copy of Z[G], so entry
         # (copy, h) of a row of K adds to entry (copy, h*c) of that row
         # of K*N_C, once for each element c of C

@@ -53,28 +53,32 @@ class GLattice:
         raise AttributeError("GLattice is immutable; caches are internal")
 
     def matrix_of(self, p):
-        """rho(p) for any group element, memoized.
+        """rho(p) for any group element, memoized by word.
 
-        Along p's stored word over the generators, each prefix q*g_k gets
-        rho(q) * rho(g_k) from its memoized prefix q, so every element
-        costs one product.
+        p's word is its stored word over the generators
+        (`elements_with_words`).  Those words are closed under prefixes,
+        so the cache is keyed by word: word[:i] gets rho(word[:i-1]) *
+        rho(g_k) from its memoized prefix, a one-letter word is that
+        generator's action matrix itself and the empty word the identity.
+        Every element costs at most one product, and no permutation is
+        multiplied.
         """
+        word = self.group.elements_with_words().get(p)
+        if word is None:
+            raise ValueError("element is not in the acting group")
         cache = self._matrix_cache
-        got = cache.get(p)
+        got = cache.get(word)
         if got is None:
-            words = self.group.elements_with_words()
-            if p not in words:
-                raise ValueError("element is not in the acting group")
-            q = self.group.identity()
-            got = cache.get(q)
-            if got is None:
-                got = cache[q] = IntMatrix.identity(self.rank)
-            for k in words[p]:
-                q = q * self.group.generators[k - 1]
-                nxt = cache.get(q)
-                if nxt is None:
-                    nxt = cache[q] = got * self.action[k - 1]
-                got = nxt
+            if not word:
+                got = cache[word] = IntMatrix.identity(self.rank)
+            else:
+                got = self.action[word[0] - 1]
+                for i in range(2, len(word) + 1):
+                    prefix = word[:i]
+                    nxt = cache.get(prefix)
+                    if nxt is None:
+                        nxt = cache[prefix] = got * self.action[word[i - 1] - 1]
+                    got = nxt
         return got
 
     def __repr__(self):

@@ -6,7 +6,9 @@ convention of the linear algebra layer.
 
 A subgroup is a PermGroup too, whose `parent` is the group it was taken
 in.  Groups at the scale handled here (order a few thousand) are
-enumerated outright; there is no Schreier-Sims machinery.  The subgroup
+enumerated outright; there is no Schreier-Sims machinery.  Closures run
+breadth-first over image tuples, and only the enumerated elements of a
+group are wrapped as Permutation objects.  The subgroup
 class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP); transversals and cores multiply permutations.  Caps
@@ -68,10 +70,10 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other):
-        if self.degree != other.degree:
+        si, oi = self.images, other.images
+        if len(si) != len(oi):
             raise ValueError("degree mismatch")
-        oi = other.images
-        return Permutation(tuple(oi[x] for x in self.images))
+        return Permutation(map(oi.__getitem__, si))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -127,21 +129,22 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
-def _closure(degree, generators, cap):
-    """All products of the generators, BFS from the identity."""
+def _closure_images(degree, generators, cap):
+    """The set of image tuples of all products of the generators, BFS
+    from the identity."""
     gens = [g.images for g in generators]
     ident = tuple(range(degree))
     seen = {ident}
     out = [ident]
     for cur in out:
         for g in gens:
-            nxt = tuple(g[x] for x in cur)
+            nxt = tuple(map(g.__getitem__, cur))
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"group order exceeds cap {cap}")
                 seen.add(nxt)
                 out.append(nxt)
-    return [Permutation(t) for t in sorted(seen)]
+    return seen
 
 
 class PermGroup:
@@ -189,8 +192,8 @@ class PermGroup:
     def elements(self):
         """All elements, sorted by their images; the identity comes first."""
         if self._elements is None:
-            elems = tuple(_closure(self.degree, self.generators, self.max_order))
-            object.__setattr__(self, "_elements", elems)
+            images = _closure_images(self.degree, self.generators, self.max_order)
+            object.__setattr__(self, "_elements", tuple(map(Permutation, sorted(images))))
         return self._elements
 
     def element_set(self):
@@ -294,12 +297,12 @@ def small_generating_set(elements):
     degree = elements[0].degree
     target = len(elements)
     gens = []
-    have = {Permutation.identity(degree)}
+    have = {tuple(range(degree))}
     for e in elements:
-        if e in have:
+        if e.images in have:
             continue
         gens.append(e)
-        have = set(_closure(degree, gens, target + 1))
+        have = _closure_images(degree, gens, target + 1)
         if len(have) == target:
             break
     return tuple(gens)
@@ -402,7 +405,6 @@ def _cyclic_classes(G, cap):
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
     _, table, inv = G.multiplication_table()
-    eorder = [p.order() for p in G.elements()]
     half = n // 2
 
     def closure_idx(gens):
@@ -438,9 +440,12 @@ def _cyclic_classes(G, cap):
         setmap[sset] = ci
         return ci, True
 
+    # the order of an element is the size of the cyclic group it generates
+    cyclics = [closure_idx([i]) for i in range(n)]
+    eorder = [len(c) for c in cyclics]
     register(frozenset([0]), ())
     for i in range(1, n):
-        register(frozenset(closure_idx([i])), (i,))
+        register(frozenset(cyclics[i]), (i,))
     return classes, closure_idx, register
 
 
@@ -503,10 +508,10 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     return handles
 
 
-def cyclic_subgroup_classes(G):
+def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     """The nontrivial cyclic classes of subgroup_classes(G), the same
     representatives in the same order, from its seeding step alone."""
-    return _class_handles(G, _cyclic_classes(G, SUBGROUP_CLASS_CAP)[0][1:])
+    return _class_handles(G, _cyclic_classes(G, cap)[0][1:])
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,26 @@ class TestOtherCommands:
         record = json.loads(capsys.readouterr().out)
         assert record["sha2_omega"] == ["2"]
 
+    def test_sha_oracle_reads_max_order(self, capsys, monkeypatch):
+        # the class cap stops the cyclic class search before the
+        # multiplication table is built; the default cap leaves the run as it was
+        argv = ["sha-oracle", "A6", "--subgroup", "(1 2 3 4 5),(1 2 3)"]
+
+        def no_table(G):
+            raise AssertionError("multiplication table built past the cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(normone.perms.PermGroup, "multiplication_table", no_table)
+            assert main(argv + ["--max-order", "10"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: |G|=360 exceeds subgroup enumeration cap 10\n"
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        record.pop("ms")
+        assert record == {"group": "A6", "sha2_omega": [], "subgroup": "(1 2 3 4 5),(1 2 3)",
+                          "version": normone.__version__}
+
     def test_verify_paper_smallest(self, capsys):
         assert main(["verify-paper", "--max-n", "4"]) == 0
         out = capsys.readouterr()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from normone.errors import InternalCheckError
@@ -302,3 +304,27 @@ def test_matrix_of_is_the_product_along_the_word(G):
             for k in word:
                 expected = expected * L.action[k - 1]
             assert L.matrix_of(p) == expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda G: chevalley_module(G, G.point_stabilizer(4)),
+    lambda G: perm_lattice(G, G.trivial_subgroup()),
+], ids=["J", "Z[G]"])
+def test_matrix_of_costs_one_product_per_element_past_the_generators(make, monkeypatch):
+    # words are memoized by prefix: a generator's matrix is its action
+    # matrix, the identity costs no product, every other element one, and
+    # no permutation is multiplied once the words exist
+    G = alternating(4)
+    L = make(G)
+    G.elements_with_words()
+    calls = Counter()
+    for cls in (IntMatrix, Permutation):
+        def counted(a, b, mul=cls.__mul__, name=cls.__name__):
+            calls[name] += 1
+            return mul(a, b)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    for j, g in enumerate(G.generators):
+        assert L.matrix_of(g) is L.action[j]
+    for p in G.elements():
+        L.matrix_of(p)
+    assert calls == {"IntMatrix": G.order() - 1 - len(G.generators)}

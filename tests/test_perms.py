@@ -363,6 +363,28 @@ class TestSubgroupClasses:
         assert [h.generators for h in cyc] == [h.generators for h in full]
 
 
+    @pytest.mark.parametrize("G, described", [
+        (symmetric(4), ['(3 4),(2 3),(1 2)', '(2 3 4),(1 2)(3 4)', '(3 4),(1 2),(1 3)(2 4)',
+                        '(3 4),(2 3)', '(3 4),(1 2)', '(1 2)(3 4),(1 3)(2 4)', '(1 2 3 4)',
+                        '(2 3 4)', '(3 4)', '(1 2)(3 4)', '1']),
+        (dihedral(6), ['(2 6)(3 5),(1 2)(3 6)(4 5)', '(2 6)(3 5),(1 3)(4 6)',
+                       '(1 2)(3 6)(4 5),(1 3 5)(2 4 6)', '(1 2 3 4 5 6)',
+                       '(2 6)(3 5),(1 4)(2 3)(5 6)', '(1 3 5)(2 4 6)', '(2 6)(3 5)',
+                       '(1 2)(3 6)(4 5)', '(1 4)(2 5)(3 6)', '1']),
+        (product_of_cyclics((2, 2, 2)), [
+            '(5 6),(3 4),(1 2)', '(5 6),(3 4)', '(5 6),(1 2)', '(5 6),(1 2)(3 4)',
+            '(3 4),(1 2)', '(3 4),(1 2)(5 6)', '(3 4)(5 6),(1 2)', '(3 4)(5 6),(1 2)(5 6)',
+            '(5 6)', '(3 4)', '(3 4)(5 6)', '(1 2)', '(1 2)(5 6)', '(1 2)(3 4)',
+            '(1 2)(3 4)(5 6)', '1']),
+    ], ids=["S4", "D6", "C2xC2xC2"])
+    def test_greedy_generators_as_printed(self, G, described):
+        # `classes` and `--class` records print these generating sets
+        assert [c.describe() for c in subgroup_classes(G)] == described
+
+    def test_point_stabilizer_generators_as_printed(self):
+        assert alternating(5).point_stabilizer(5).describe() == '(2 3 4),(1 2)(3 4)'
+
+
 class TestWords:
     def test_c3(self):
         G = cyclic(3)
