@@ -49,7 +49,7 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
 def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     """The free cover Z[G]^r -> I_{G/H} of `sha2_omega`, checked to be
     onto; each copy of Z[G] is perm_lattice(G, 1), on G.elements()."""
-    I, _ = augmentation_ideal(G, H)
+    I = augmentation_ideal(G, H)
     picked = []
     span = H
     for s in G.generators:
@@ -105,7 +105,11 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     Self-checks: the cover is onto.  K^G has rank r, since (Z[G]^r)^G has
     rank r and I^G = 0, so the Smith rank, that of K*I_G, is
     rank(K) - r; a ker(N_C) row outside ker(N_G) would raise it.  Every
-    invariant divides |G|, which kills H^2(G, J).
+    invariant divides [G:H], which kills Sha^2_omega(G, J): restricted to
+    H, J is a permutation lattice, on which Sha^2_omega vanishes (by
+    Shapiro's lemma it becomes the characters of a subgroup that die on
+    each of its cyclic subgroups, and only the trivial one does), and
+    corestriction after restriction to H is multiplication by [G:H].
 
     class_cap bounds |G| for the cyclic class search, as `subgroup_classes`
     takes it; that search runs first, so the cap stops a call before the
@@ -142,8 +146,9 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "
             f"{K.nrows - r}: a cyclic norm kernel escapes ker(N_G)")
     torsion = tuple(x for x in d if x > 1)
-    if any(G.order() % x for x in torsion):
+    index = G.order() // H.order()
+    if any(index % x for x in torsion):
         raise InternalCheckError(
             f"sha2_omega over {G.label} has invariants {torsion} not "
-            f"dividing |G|={G.order()}")
+            f"dividing [G:H]={index}")
     return AbelianInvariants(0, torsion)

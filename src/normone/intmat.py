@@ -141,15 +141,16 @@ def _smallest(W, rows, c):
 
 
 def _hermite(W, track):
-    """Row Hermite elimination of the list W of m integer rows, in place,
-    on [W | I_m] when track.  Returns (H, U or None) as lists of rows.
+    """Row echelon elimination of the list W of m integer rows, in place,
+    on [W | I_m] when track.  Returns (H, U or None) as lists of rows; the
+    pivots are positive and the zero rows of H come last.
 
     Each column's pivot is its smallest nonzero |entry|, the first on
     ties.  A step rewrites only the rows with a nonzero entry in the pivot
     column, walking the pivot row's nonzero entries from the pivot column
-    on (before it, the row is zero).  Entries above the pivots are
-    reduced in one pass at the end, pivot by pivot from the top; doing it
-    eagerly lets intermediate entries snowball.
+    on (before it, the row is zero).  Entries above the pivots are left
+    as they are: `kernel_basis` keeps only the rows past the pivots, and
+    `hnf_basis` reduces them with `_reduce_above`.
     """
     m = len(W)
     ncols = len(W[0]) if m else 0
@@ -157,7 +158,6 @@ def _hermite(W, track):
         for i, row in enumerate(W):
             row.extend([0] * m)
             row[ncols + i] = 1
-    pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
@@ -185,28 +185,37 @@ def _hermite(W, track):
                 W[r], W[i] = W[i], W[r]
         if W[r][c] < 0:
             W[r] = [-x for x in W[r]]
-        pivots.append((r, c))
         r += 1
-    # the first pivot row has no rows above it
-    for r, c in pivots[1:]:
-        p = W[r][c]
-        line = None
-        for k in range(r):
-            row = W[k]
-            q = row[c] // p
-            if q:
-                line = line or _line(W[r], c)
-                for j, x in line:
-                    row[j] -= q * x
     if not track:
         return W, None
     return [row[:ncols] for row in W], [row[ncols:] for row in W]
 
 
+def _reduce_above(W):
+    """Reduce the entries above the pivots of the list of rows W, in row
+    echelon form with positive pivots and no zero rows, into [0, pivot),
+    in place, pivot by pivot from the top; returns W.  Done once after
+    the elimination: doing it eagerly lets intermediate entries snowball.
+    """
+    # the first pivot row has no rows above it
+    for r in range(1, len(W)):
+        pivot_row = W[r]
+        c = next(compress(range(len(pivot_row)), pivot_row))
+        p = pivot_row[c]
+        line = None
+        for row in W[:r]:
+            q = row[c] // p
+            if q:
+                line = line or _line(pivot_row, c)
+                for j, x in line:
+                    row[j] -= q * x
+    return W
+
+
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
     H, _ = _hermite(A.tolist(), False)
-    return IntMatrix([row for row in H if any(row)], A.ncols)
+    return IntMatrix(_reduce_above([row for row in H if any(row)]), A.ncols)
 
 
 def _back_substitute(H, B):
@@ -254,7 +263,9 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
     The basis is saturated: every integer solution is an integer
     combination of the rows.  They are U's rows at the zero rows of one
-    tracked Hermite form U*A = H, not a Hermite basis (take hnf_basis).
+    tracked echelon form U*A = H, not a Hermite basis (take hnf_basis);
+    the pass above the pivots would rewrite only the other rows, so it is
+    not run.
     """
     H, U = _hermite(A.tolist(), True)
     return IntMatrix([u for h, u in zip(H, U) if not any(h)], A.nrows)

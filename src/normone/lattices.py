@@ -143,8 +143,8 @@ def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
 
 
-def augmentation_ideal(G: PermGroup, H: PermGroup):
-    """The kernel of the augmentation Z[G/H] -> Z, with its inclusion map.
+def augmentation_ideal(G: PermGroup, H: PermGroup) -> GLattice:
+    """The kernel of the augmentation Z[G/H] -> Z.
 
     Basis: coset_i - coset_last for i < d.  With that choice the action
     matrices coincide with those of dual(chevalley_module(G, H)).
@@ -157,9 +157,7 @@ def augmentation_ideal(G: PermGroup, H: PermGroup):
     mats = [IntMatrix([[x - y for x, y in zip(row[:-1], p.data[-1])] for row in p.data[:-1]],
                       d - 1)
             for p in P.action]
-    I = GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")
-    inclusion = [row + [-1] for row in IntMatrix.identity(d - 1).tolist()]
-    return I, LatticeMap(I, P, IntMatrix(inclusion, d))
+    return GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")
 
 
 def dual(L: GLattice) -> GLattice:

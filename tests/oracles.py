@@ -37,9 +37,15 @@ from normone.perms import Permutation, cyclic_subgroup_classes, subgroup_classes
 def hnf(A):
     """Row Hermite normal form (H, U): U unimodular, U*A = H, H in
     row-echelon form with positive pivots and the entries above each
-    pivot reduced into [0, pivot).  The library's tracked elimination."""
+    pivot reduced into [0, pivot).  The library's tracked echelon
+    elimination, then its pass above the pivots on the rows of [H | U]
+    with a pivot."""
+    n = A.ncols
     H, U = intmat._hermite(A.tolist(), True)
-    return IntMatrix(H, A.ncols), IntMatrix(U, A.nrows)
+    r = sum(1 for h in H if any(h))
+    W = intmat._reduce_above([h + u for h, u in zip(H[:r], U[:r])])
+    return (IntMatrix([w[:n] for w in W] + H[r:], n),
+            IntMatrix([w[n:] for w in W] + U[r:], A.nrows))
 
 
 @dataclass(frozen=True)
@@ -661,6 +667,17 @@ def tate_minus1_literal(S, L):
     return quotient_invariants(kernel_basis(N), denom)
 
 
+def is_flasque_all_classes(L):
+    """The flasque check over every subgroup class, the trivial one
+    included, with no Sylow restriction and Tate H^-1 by its definition
+    (`tate_minus1_literal`): (True, None) when it vanishes on each, else
+    (False, the first class in decreasing order on which it does not)."""
+    for cls in subgroup_classes(L.group):
+        if not tate_minus1_literal(cls, L).is_trivial():
+            return False, cls
+    return True, None
+
+
 def all_subgroups_brute(G):
     """Every subgroup generated by at most two elements, as frozensets.
     Complete for the small groups used in tests (their subgroups are all
@@ -752,7 +769,7 @@ def lattice_pool(G, max_rank=4):
             pool.append(perm_lattice(G, cls))
         if 2 <= index <= max_rank + 1:
             pool.append(chevalley_module(G, cls))
-            pool.append(augmentation_ideal(G, cls)[0])
+            pool.append(augmentation_ideal(G, cls))
     pool.extend([dual(L) for L in pool if L.rank <= max_rank])
     sums = []
     for a in pool:
@@ -774,12 +791,14 @@ def _smallest_below(W, rows, col):
     return min(nonzero, key=lambda i: abs(W[i][col])) if nonzero else None
 
 
-def hermite_reference(rows, track):
+def hermite_reference(rows, track, reduced=True):
     """Row Hermite form by the dense elimination, on Python-int lists: each
     Euclid step rewrites every row below the pivot, whether or not its
     entry in the pivot column is zero.  Same pivot rule as the library
-    (smallest nonzero |entry| of the column, first on ties), same final
-    bottom-up reduction above the pivots.  Returns (H, U or None)."""
+    (smallest nonzero |entry| of the column, first on ties), and when
+    reduced the same final reduction above the pivots, from the top (the
+    library's `_hermite` stops before it, `_reduce_above` runs it).
+    Returns (H, U or None)."""
     m, ncols = len(rows), len(rows[0])
     W = [list(row) + ([int(i == j) for j in range(m)] if track else [])
          for i, row in enumerate(rows)]
@@ -803,7 +822,7 @@ def hermite_reference(rows, track):
             W[r] = [-x for x in W[r]]
         pivots.append((r, c))
         r += 1
-    for r, c in pivots:
+    for r, c in pivots if reduced else ():
         for i in range(r):
             q = W[i][c] // W[r][c]
             W[i] = [x - q * y for x, y in zip(W[i], W[r])]

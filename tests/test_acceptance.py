@@ -232,7 +232,8 @@ def test_criterion_7_property_suite():
            fail or f"{checked} lattices in {time.monotonic() - t0:.1f}s")
     t0 = time.monotonic()
     fail = _flasque_sides_up_to_360()
-    report("7c (flasque sides pass is_flasque, |G| <= 360)", fail is None,
+    report("7c (flasque sides pass is_flasque: Tate H^-1 vanishes on every "
+           "prime-power class, |G| <= 360)", fail is None,
            fail or f"in {time.monotonic() - t0:.1f}s")
     t0 = time.monotonic()
     G = alternating(5)

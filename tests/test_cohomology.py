@@ -340,6 +340,19 @@ class TestSha2Omega:
         assert sha2_omega(A4, A4.point_stabilizer(4)) == AbelianInvariants(0, (2,))
         assert len(calls) == 2
 
+    def test_divisibility_check_fires(self, monkeypatch):
+        # Sha^2_omega(A4, J) over A3 is Z/2; made Z/6, it still divides
+        # |G| = 12 but not [G:H] = 4, which kills it
+        snf_invariants = cohomology.snf_invariants
+
+        def tripled(A):
+            d = snf_invariants(A)
+            return [*d[:-1], 3 * d[-1]]
+        monkeypatch.setattr(cohomology, "snf_invariants", tripled)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match=r"not dividing \[G:H\]=4"):
+            sha2_omega(G, G.point_stabilizer(4))
+
     def test_rank_check_catches_a_stray_norm_kernel(self, monkeypatch):
         # rows outside ker(N_C) raise the rank of the stacked matrix above
         # rank(K) - r

@@ -1,17 +1,23 @@
 import copy
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import normone.cohomology as cohomology
 import normone.intmat as intmat
+import normone.lattices as lattices
+import normone.resolutions as resolutions
 from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
     snf_invariants,
 )
 from normone.cohomology import sha2_omega
-from normone.perms import alternating, product_of_cyclics
+from normone.perms import (
+    alternating, cyclic, dihedral, product_of_cyclics, subgroup_classes, symmetric,
+)
 from normone.resolutions import norm_one_invariant
 from oracles import (
     bordered, det, group_order, hermite_reference, hnf, hstack, inverse_unimodular,
@@ -169,11 +175,14 @@ def test_eliminations_match_dense_reference(rows):
     m, n = len(rows), len(rows[0])
     H, U = hermite_reference(rows, track=True)
     D, rank = smith_reference(bordered(rows, n), m, n)
-    assert intmat._hermite(copy.deepcopy(rows), True) == (H, U)
-    assert intmat._hermite(copy.deepcopy(rows), False) == hermite_reference(rows, False)
+    assert (intmat._hermite(copy.deepcopy(rows), True)
+            == hermite_reference(rows, True, reduced=False))
+    assert (intmat._hermite(copy.deepcopy(rows), False)
+            == hermite_reference(rows, False, reduced=False))
     assert intmat._smith(bordered(rows, n), m, n) == (D, rank)
     A = mat(rows)
     assert hnf(A) == (mat(H), mat(U))
+    assert hnf_basis(A) == mat([row for row in H if any(row)], n)
     d = snf(A)
     assert (d.U.tolist(), d.D.tolist(), d.V.tolist()) == snf_blocks(D, m, n)
     assert snf_invariants(A) == [D[i][i] for i in range(rank)]
@@ -185,8 +194,11 @@ def check_elimination(name, args, out):
     H's lattice."""
     if name == "_hermite":
         rows, track = args
-        assert out == (hermite_reference(rows, track) if rows
+        assert out == (hermite_reference(rows, track, reduced=False) if rows
                        else ([], [] if track else None))
+    elif name == "_reduce_above":
+        rows, = args
+        assert out == (hermite_reference(rows, False)[0] if rows else [])
     elif name == "_smith":
         assert out == smith_reference(*args)
     else:
@@ -197,6 +209,9 @@ def check_elimination(name, args, out):
         else:
             assert [[sum(x * h[j] for x, h in zip(xs, H)) for j in range(len(b))]
                     for xs, b in zip(out, B)] == B
+
+
+ELIMINATIONS = ("_hermite", "_reduce_above", "_smith", "_back_substitute")
 
 
 def test_pipeline_eliminations_match_references(monkeypatch):
@@ -214,7 +229,7 @@ def test_pipeline_eliminations_match_references(monkeypatch):
             return out
         monkeypatch.setattr(intmat, name, run)
 
-    for name in ("_hermite", "_smith", "_back_substitute"):
+    for name in ELIMINATIONS:
         record(name)
     G = product_of_cyclics((2, 2, 3))
     assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
@@ -222,8 +237,39 @@ def test_pipeline_eliminations_match_references(monkeypatch):
         norm_one_invariant(G, G.point_stabilizer(G.degree))
     for name, args, out in runs:
         check_elimination(name, args, out)
-    assert {name for name, _, _ in runs} == {"_hermite", "_smith", "_back_substitute"}
+    assert {name for name, _, _ in runs} == set(ELIMINATIONS)
     assert any(out is None for name, _, out in runs if name == "_back_substitute")
+
+
+def test_kernel_rows_need_no_pass_above_the_pivots(monkeypatch):
+    # kernel_basis keeps U's rows past the pivots, which the pass above
+    # the pivots never rewrites, so it skips that pass: every kernel the
+    # pipeline and sha2_omega take over the pairs of order <= 24 and index
+    # 2..8 (fixed sublattices, the cover's kernel, the free cover's kernel,
+    # the cyclic norm kernels) has the rows of the fully reduced form
+    inputs = []
+    for module in (lattices, resolutions, cohomology):
+        def recorded(A, kernel=module.kernel_basis):
+            inputs.append(A)
+            return kernel(A)
+        monkeypatch.setattr(module, "kernel_basis", recorded)
+    groups = [cyclic(n) for n in range(2, 13)] + [
+        product_of_cyclics(t) for t in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6))
+    ] + [symmetric(3), alternating(4), symmetric(4)] + [dihedral(n) for n in range(3, 13)]
+    pairs = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for G in groups:
+            for H in subgroup_classes(G):
+                if 2 <= G.order() // H.order() <= 8:
+                    norm_one_invariant(G, H)
+                    sha2_omega(G, H)
+                    pairs += 1
+    assert pairs == 121
+    for A in inputs:
+        H, U = hnf(A)
+        assert kernel_basis(A) == mat(
+            [u for h, u in zip(H.data, U.data) if not any(h)], A.nrows)
 
 
 class TestSNF:

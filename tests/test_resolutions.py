@@ -5,7 +5,7 @@ import pytest
 
 import normone.intmat as intmat
 import normone.resolutions as resolutions
-from normone.cohomology import sha2_omega
+from normone.cohomology import sha2_omega, tate_minus1
 from normone.errors import CapExceeded, InternalCheckError
 from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants,
@@ -15,17 +15,25 @@ from normone.lattices import (
     fixed_sublattice, perm_lattice,
 )
 from normone.perms import (
-    Permutation, alternating, cyclic, dihedral, product_of_cyclics,
-    subgroup_classes, symmetric,
+    Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
+    product_of_cyclics, subgroup_classes, symmetric,
 )
 from normone.resolutions import (
     coflasque_cover, is_coflasque, is_flasque, norm_one_invariant, verdict,
 )
-from oracles import h1, is_normal, presentation_catalog, trivial_lattice
+from oracles import (
+    h1, is_flasque_all_classes, is_normal, presentation_catalog, trivial_lattice,
+)
 
 P = Permutation.from_cycles
 V4 = product_of_cyclics((2, 2))
 Z2 = AbelianInvariants(0, (2,))
+
+
+def prime_power(n):
+    """Whether n is a power of one prime (1 is not)."""
+    return len([p for p in range(2, n + 1)
+                if n % p == 0 and all(p % q for q in range(2, p))]) == 1
 
 
 def sign_lattice():
@@ -54,7 +62,7 @@ class TestCoflasqueCover:
 
     def test_augmentation_ideal_a4(self):
         G = alternating(4)
-        I, _ = augmentation_ideal(G, G.point_stabilizer(4))
+        I = augmentation_ideal(G, G.point_stabilizer(4))
         res = coflasque_cover(I)
         assert res.middle.rank == res.base.rank + res.side.rank
         ok, witness = is_coflasque(res.side)
@@ -62,7 +70,7 @@ class TestCoflasqueCover:
 
     def test_exactness_data(self):
         G = symmetric(3)
-        I, _ = augmentation_ideal(G, G.subgroup([P([(2, 3)], 3)]))
+        I = augmentation_ideal(G, G.subgroup([P([(2, 3)], 3)]))
         res = coflasque_cover(I)
         assert (res.inject.matrix * res.project.matrix).is_zero()
         assert snf_invariants(res.project.matrix) == [1] * res.base.rank
@@ -117,7 +125,7 @@ class TestCoflasqueCover:
         # the kernel K both need the Hermite basis, which they take
         G = make(n)
         for L in (chevalley_module(G, G.point_stabilizer(n)),
-                  augmentation_ideal(G, G.point_stabilizer(n))[0]):
+                  augmentation_ideal(G, G.point_stabilizer(n))):
             for cls in subgroup_classes(G):
                 F = fixed_sublattice(L, cls)
                 assert F == hnf_basis(F)
@@ -188,6 +196,42 @@ class TestFlasqueCheckers:
         ok2, witness2 = is_coflasque(L)
         assert not ok2
         assert witness2.order() == 2
+
+    def test_prime_power_classes_decide_as_every_class(self, monkeypatch):
+        # the library computes Tate H^-1 on the classes of prime-power order
+        # only, which Sylow restriction makes enough: it agrees with the
+        # check over every class, flasque or not, and names a witness of
+        # prime-power order
+        A4, S4, S3 = alternating(4), symmetric(4), symmetric(3)
+        lattices = [sign_lattice(), perm_lattice(S3, S3.subgroup([P([(1, 2)], 3)]))]
+        for G, H in [(A4, A4.point_stabilizer(4)), (S4, S4.point_stabilizer(4)),
+                     (V4, V4.trivial_subgroup())]:
+            J = chevalley_module(G, H)
+            lattices += [J, dual(J), perm_lattice(G, H), flasque_side(J)]
+        verdicts = []
+        for L in lattices:
+            ok, witness = is_flasque(L)
+            assert ok == is_flasque_all_classes(L)[0], L
+            if ok:
+                assert witness is None
+            else:
+                assert prime_power(witness.order()), L
+                assert not tate_minus1(witness, L).is_trivial()
+            verdicts.append(ok)
+        assert True in verdicts and False in verdicts
+        # on a flasque lattice every prime-power class is computed, and
+        # nothing else
+        seen = []
+        tate = resolutions.tate_minus1
+
+        def recorded(S, L):
+            seen.append(S)
+            return tate(S, L)
+        monkeypatch.setattr(resolutions, "tate_minus1", recorded)
+        assert is_flasque(flasque_side(chevalley_module(S4, S4.point_stabilizer(4)))) \
+            == (True, None)
+        assert seen == [cls for cls in subgroup_classes(S4) if prime_power(cls.order())]
+        assert len(seen) < len(subgroup_classes(S4)) - 1
 
     def test_chevalley_of_klein_four_not_flasque(self):
         # classes are scanned in decreasing order, so the witness is the
@@ -314,15 +358,41 @@ class TestNormOneInvariant:
             resolutions._pipeline(G, G.point_stabilizer(4))
 
     def test_divisibility_check_fires(self, monkeypatch):
+        # 3 divides |G| = 12 but not [G:H] = 4, which kills H^1(G, F)
         G = alternating(4)
         tate = resolutions.tate_minus1
 
-        def z5_on_g(S, L):
-            return AbelianInvariants(0, (5,)) if S is G else tate(S, L)
+        def z3_on_g(S, L):
+            return AbelianInvariants(0, (3,)) if S is G else tate(S, L)
 
-        monkeypatch.setattr(resolutions, "tate_minus1", z5_on_g)
-        with pytest.raises(InternalCheckError, match="do not divide"):
+        monkeypatch.setattr(resolutions, "tate_minus1", z3_on_g)
+        with pytest.raises(InternalCheckError, match=r"do not divide \[G:H\]=4"):
             resolutions._pipeline(G, G.point_stabilizer(4))
+
+    def test_broken_cover_is_caught_at_a_prime_power_class(self, monkeypatch):
+        # hide the class of <(3 4),(1 2)>, of order 4, from the cover's
+        # class list only: the cover misses its fixed lattice, the recheck
+        # runs over the same list, and the flasque check over the
+        # prime-power classes names the hidden class
+        G = symmetric(4)
+        hidden = next(cls for cls in subgroup_classes(G) if are_conjugate_subgroups(
+            G, cls, G.subgroup([P([(3, 4)], 4), P([(1, 2)], 4)])))
+        classes = resolutions.subgroup_classes
+        calls = []
+
+        def first_call_hides(S, **kwargs):
+            out = classes(S, **kwargs)
+            if not calls:
+                out = [cls for cls in out if cls is not hidden]
+            calls.append(S)
+            return out
+
+        monkeypatch.setattr(resolutions, "subgroup_classes", first_call_hides)
+        with pytest.raises(InternalCheckError, match="not flasque") as err:
+            resolutions._pipeline(G, G.point_stabilizer(4))
+        assert hidden.order() == 4
+        assert f"witness {hidden.describe()})" in str(err.value)
+        assert len(calls) == 2
 
     def test_max_rank_cap(self):
         G = alternating(4)
