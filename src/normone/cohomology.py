@@ -13,12 +13,16 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import CapExceeded, InternalCheckError
-from .intmat import AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, snf_invariants
-from .lattices import (
-    GLattice, LatticeMap, _restricted_action, augmentation_ideal, direct_sum,
-    minus_one_rows, perm_lattice,
+from .intmat import (
+    AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, permutation_matrix, snf_invariants,
 )
-from .perms import SUBGROUP_CLASS_CAP, PermGroup, cyclic_subgroup_classes, right_transversal
+from .lattices import (
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, direct_sum,
+    minus_one_rows,
+)
+from .perms import (
+    SUBGROUP_CLASS_CAP, PermGroup, closure_idx, cyclic_subgroup_classes, right_transversal,
+)
 
 SHA_ORDER_CAP = 360
 
@@ -48,27 +52,35 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
 
 def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     """The free cover Z[G]^r -> I_{G/H} of `sha2_omega`, checked to be
-    onto; each copy of Z[G] is perm_lattice(G, 1), on G.elements()."""
+    onto.  Each copy of Z[G] has basis G.elements() and is read off
+    G.multiplication_table(), which the cyclic class search has built: a
+    generator x sends element a to a*x, so it acts by the permutation
+    matrix of its column."""
     I = augmentation_ideal(G, H)
+    number, table, _ = G.multiplication_table()
+    hgens = [number[h.images] for h in H.generators]
+    span = set(closure_idx(table, hgens))
     picked = []
-    span = H
-    for s in G.generators:
-        if span.order() == G.order():
+    for s in [number[x.images] for x in G.generators]:
+        if len(span) == len(table):
             break
         if s not in span:
             picked.append(s)
-            span = G.subgroup(list(H.generators) + picked)
+            span = set(closure_idx(table, hgens + picked))
     # e_g in copy j goes to the coset of g minus that of s_j*g, whose
     # coordinates in I's basis coset_i - coset_last are its first d-1
     T, coset_of = right_transversal(G, H)
+    coset = [coset_of[p.images] for p in G.elements()]
     images = []
     for s in picked:
-        for g in G.elements():
+        for g, col in enumerate(table):
             row = [0] * len(T)
-            row[coset_of[g.images]] += 1
-            row[coset_of[(s * g).images]] -= 1
+            row[coset[g]] += 1
+            row[coset[col[s]]] -= 1
             images.append(row[:-1])
-    free = reduce(direct_sum, [perm_lattice(G, G.trivial_subgroup())] * len(picked))
+    regular = GLattice(G, len(table),
+                       [permutation_matrix(table[number[x.images]]) for x in G.generators])
+    free = reduce(direct_sum, [regular] * len(picked))
     cover = LatticeMap(free, I, IntMatrix(images, I.rank))
     if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")
@@ -111,10 +123,12 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     each of its cyclic subgroups, and only the trivial one does), and
     corestriction after restriction to H is multiplication by [G:H].
 
-    class_cap bounds |G| for the cyclic class search, as `subgroup_classes`
-    takes it; that search runs first, so the cap stops a call before the
-    free cover or the multiplication table is built.
+    H = G is refused first, with the pipeline's UsageError.  class_cap
+    bounds |G| for the cyclic class search, as `subgroup_classes` takes it;
+    that search runs next, so the cap stops a call before the free cover or
+    the multiplication table is built.
     """
+    check_index(G, H)
     if G.order() > SHA_ORDER_CAP:
         raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
     cyclic_classes = cyclic_subgroup_classes(G, class_cap)

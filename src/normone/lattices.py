@@ -119,6 +119,14 @@ def _coset_permutations(G: PermGroup, H: PermGroup):
     return len(T), [permutation_matrix(m) for m in coset_moves(T, coset_of, G.generators)]
 
 
+def check_index(G: PermGroup, H: PermGroup):
+    """Refuse H = G: at index 1 the augmentation Z[G/H] -> Z is an
+    isomorphism, so there is no augmentation ideal or Chevalley module."""
+    if H.order() == G.order():
+        raise UsageError("subgroup is the whole group; the quotient module "
+                         "needs index >= 2")
+
+
 def perm_lattice(G: PermGroup, H: PermGroup):
     """Z[G/H]: basis the sorted canonical right cosets, permuted by G."""
     d, perms = _coset_permutations(G, H)
@@ -136,8 +144,7 @@ def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
     last column.
     """
     d, perms = _coset_permutations(G, H)
-    if d < 2:
-        raise UsageError("index must be at least 2")
+    check_index(G, H)
     mats = [IntMatrix([[x - row[-1] for x in row[:-1]] for row in p.data[:-1]], d - 1)
             for p in perms]
     return GLattice(G, d - 1, mats, label=f"J[{G.label}/{H.describe()}]")
@@ -151,8 +158,7 @@ def augmentation_ideal(G: PermGroup, H: PermGroup) -> GLattice:
     """
     P = perm_lattice(G, H)
     d = P.rank
-    if d < 2:
-        raise UsageError("index must be at least 2")
+    check_index(G, H)
     # coset_i - coset_last goes to coset_sigma(i) - coset_sigma(last)
     mats = [IntMatrix([[x - y for x, y in zip(row[:-1], p.data[-1])] for row in p.data[:-1]],
                       d - 1)

@@ -11,7 +11,9 @@ breadth-first over image tuples, and only the enumerated elements of a
 group are wrapped as Permutation objects.  The subgroup
 class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
-(SUBGROUP_CLASS_CAP); transversals and cores multiply permutations.  Caps
+(SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
+takes each class's generators and `sha2_omega` takes the regular module
+Z[G] of its free cover; transversals and cores multiply permutations.  Caps
 guard against accidental blowups.  The two that callers set, a group's
 `max_order` and `subgroup_classes(cap=)`, are keyword arguments; the
 others are the module constants.
@@ -396,32 +398,37 @@ def are_conjugate_subgroups(G, H1, H2):
                             {number[p.images] for p in H2.elements()})
 
 
+def closure_idx(table, gens):
+    """The numbers of the elements of the subgroup generated by the
+    element numbers gens, breadth-first from the identity (number 0), in
+    a table as PermGroup.multiplication_table returns it."""
+    n = len(table)
+    half = n // 2
+    cols = [table[g] for g in gens]
+    seen = bytearray(n)
+    seen[0] = 1
+    out = [0]
+    for w in out:
+        for col in cols:
+            t = col[w]
+            if not seen[t]:
+                seen[t] = 1
+                out.append(t)
+        # a subgroup of order > |G|/2 must be G itself
+        if len(out) > half:
+            return list(range(n))
+    return out
+
+
 def _cyclic_classes(G, cap):
     """Seed the subgroup class search of G with the trivial class, then
     one class per conjugacy class of cyclic subgroups, in element order.
-    Returns (classes, closure_idx, register) on the numbers of
+    Returns (classes, register) on the numbers of
     G.multiplication_table(); register(sset, gens) -> (index, new)."""
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
     _, table, inv = G.multiplication_table()
-    half = n // 2
-
-    def closure_idx(gens):
-        cols = [table[g] for g in gens]
-        seen = bytearray(n)
-        seen[0] = 1
-        out = [0]
-        for w in out:
-            for col in cols:
-                t = col[w]
-                if not seen[t]:
-                    seen[t] = 1
-                    out.append(t)
-            # a subgroup of order > |G|/2 must be G itself
-            if len(out) > half:
-                return list(range(n))
-        return out
 
     classes = []  # (frozenset, gens tuple, fingerprint)
     setmap = {}
@@ -441,20 +448,39 @@ def _cyclic_classes(G, cap):
         return ci, True
 
     # the order of an element is the size of the cyclic group it generates
-    cyclics = [closure_idx([i]) for i in range(n)]
+    cyclics = [closure_idx(table, [i]) for i in range(n)]
     eorder = [len(c) for c in cyclics]
     register(frozenset([0]), ())
     for i in range(1, n):
         register(frozenset(cyclics[i]), (i,))
-    return classes, closure_idx, register
+    return classes, register
 
 
 def _class_handles(G, classes):
-    """The classes' subgroups, sorted as subgroup_classes returns them."""
+    """The classes' subgroups, sorted as subgroup_classes returns them.
+
+    Element numbers follow the sorted order of G.elements(), so walking a
+    class's sorted numbers and keeping each one outside the closure of
+    those kept so far picks the generators small_generating_set would,
+    and sorting by the sorted numbers sorts by the sorted elements.
+    """
     elems = G.elements()
-    handles = [_spanned(G, [elems[i] for i in sorted(sset)]) for sset, _, _ in classes]
-    handles.sort(key=lambda h: (-h.order(), tuple(p.images for p in h.elements())))
-    return handles
+    _, table, _ = G.multiplication_table()
+    picks = []
+    for sset, _, _ in classes:
+        nums = sorted(sset)
+        gens, have = [], {0}
+        for i in nums:
+            if i not in have:
+                gens.append(i)
+                have = set(closure_idx(table, gens))
+                if len(have) == len(nums):
+                    break
+        picks.append((nums, gens))
+    picks.sort(key=lambda pick: (-len(pick[0]), pick[0]))
+    return [PermGroup(G.degree, [elems[i] for i in gens], max_order=G.max_order, parent=G,
+                      _elements=[elems[i] for i in nums])
+            for nums, gens in picks]
 
 
 def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
@@ -471,7 +497,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     # a cached list is returned only within the cap
     if G._class_cache is not None and n <= cap:
         return G._class_cache
-    classes, closure_idx, register = _cyclic_classes(G, cap)
+    classes, register = _cyclic_classes(G, cap)
     _, table, _ = G.multiplication_table()
     # every class but the trivial one is extended
     queue = list(range(1, len(classes)))
@@ -498,7 +524,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
                         covered[scol[x]] = 1
                 else:
                     covered[x] = 1
-            tset = frozenset(closure_idx(list(sgens) + [g]))
+            tset = frozenset(closure_idx(table, [*sgens, g]))
             ti, new = register(tset, tuple(sgens) + (g,))
             if new:
                 queue.append(ti)

@@ -48,13 +48,13 @@ import warnings
 from dataclasses import dataclass
 
 from .cohomology import tate_minus1
-from .errors import CapExceeded, InternalCheckError, UsageError
+from .errors import CapExceeded, InternalCheckError
 from .intmat import (
     IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
     snf_invariants,
 )
 from .lattices import (
-    GLattice, LatticeMap, _restricted_action, augmentation_ideal, dual,
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, dual,
     fixed_sublattice,
 )
 from .perms import (
@@ -247,9 +247,7 @@ class PipelineResult:
 
 
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
-    if H.order() == G.order():
-        raise UsageError("subgroup is the whole group; the quotient module "
-                         "needs index >= 2")
+    check_index(G, H)
     # H is normal in G exactly when it is its own core
     core_order = core(G, H).order()
     if core_order == H.order() > 1:

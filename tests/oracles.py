@@ -28,7 +28,10 @@ from normone.lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
     dual, perm_lattice,
 )
-from normone.perms import Permutation, cyclic_subgroup_classes, subgroup_classes
+from normone.perms import (
+    Permutation, alternating, cyclic, cyclic_subgroup_classes, dihedral,
+    product_of_cyclics, right_transversal, subgroup_classes, symmetric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,15 @@ def trivial_lattice(G):
     one = IntMatrix.identity(1)
     return GLattice(G, 1, [one] * len(G.generators), perm_summands=((G, 1),),
                     label="Z")
+
+
+def small_catalog():
+    """The catalog groups of order at most 24 that the tests pin the
+    table-read class handles and free cover against: the groups of the
+    benchmark's sweep pool and the degenerate C1, D1 and D2."""
+    return ([cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(1, 13)]
+            + [symmetric(3), alternating(4), symmetric(4)]
+            + [product_of_cyclics(p) for p in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6))])
 
 
 def brute_closure(degree, gens):
@@ -447,6 +459,34 @@ def sha2_omega_shift(G, H):
     # M^G has rank rank(J), so M*I_G has rank rank(M) - rank(J)
     assert len(d) == M.rank - J.rank, "a cyclic norm kernel escapes ker(N_G)"
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
+
+
+def free_cover_literal(G, H):
+    """The free cover Z[G]^r -> I_{G/H} of `sha2_omega` built from
+    permutation products alone: each copy of Z[G] is perm_lattice(G, 1),
+    the picks s_j come from enumerating <H, s_1, ..., s_j>, and e_g in
+    copy j goes to the coset of g minus that of s_j*g."""
+    I = augmentation_ideal(G, H)
+    picked = []
+    span = H
+    for s in G.generators:
+        if span.order() == G.order():
+            break
+        if s not in span:
+            picked.append(s)
+            span = G.subgroup(list(H.generators) + picked)
+    T, coset_of = right_transversal(G, H)
+    images = []
+    for s in picked:
+        for g in G.elements():
+            row = [0] * len(T)
+            row[coset_of[g.images]] += 1
+            row[coset_of[(s * g).images]] -= 1
+            images.append(row[:-1])
+    regular = free = perm_lattice(G, G.trivial_subgroup())
+    for _ in picked[1:]:
+        free = direct_sum(free, regular)
+    return LatticeMap(free, I, IntMatrix(images, I.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,24 @@ class TestComputeCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_whole_group_subgroup_rejected(self, capsys):
-        # index 1 leaves no Chevalley module; clean error, not a traceback
-        assert main(["compute", "S3", "--class", "1"]) == 2
-        assert "index" in capsys.readouterr().err
+    def test_whole_group_subgroup_rejected(self, capsys, monkeypatch):
+        # index 1 leaves no Chevalley module; compute and sha-oracle refuse
+        # it with the same line, not a traceback, and sha-oracle does so
+        # before its cyclic class search builds a table
+        err = "error: subgroup is the whole group; the quotient module needs index >= 2\n"
+        cases = (["C1", "--subgroup", "()"], ["S3", "--class", "1"])
+        for argv in cases:
+            assert main(["compute", *argv]) == 2
+            assert capsys.readouterr() == ("", err)
+            subgroup_classes(build_group(parse_group_spec(argv[0])))  # --class reads this list
+
+        def no_table(G):
+            raise AssertionError(f"sha-oracle built the table of {G.label} at index 1")
+
+        monkeypatch.setattr(normone.perms.PermGroup, "multiplication_table", no_table)
+        for argv in cases:
+            assert main(["sha-oracle", *argv]) == 2
+            assert capsys.readouterr() == ("", err)
 
 
 class TestCache:

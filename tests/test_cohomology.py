@@ -17,9 +17,9 @@ from normone.perms import (
     dihedral, product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, dimension_shift, elementary_divisors, h1, h1_data, lattice_pool,
-    presentation_catalog, sha2_omega_shift, tate_cyclic, tate_minus1_literal,
-    trivial_lattice, twist_lattice,
+    bar_h1, dimension_shift, elementary_divisors, free_cover_literal, h1, h1_data,
+    lattice_pool, presentation_catalog, sha2_omega_shift, small_catalog, tate_cyclic,
+    tate_minus1_literal, trivial_lattice, twist_lattice,
 )
 
 P = Permutation.from_cycles
@@ -297,6 +297,51 @@ class TestSha2Omega:
                 assert r == 1, name
             if name == "A5/A4":
                 assert rank == 56
+
+    def test_free_cover_matches_the_permutation_route(self):
+        # each copy of Z[G] read off the multiplication table is
+        # perm_lattice(G, 1), and the cover equals the one built from
+        # permutation products, with the same picks
+        pairs = [(G, H) for G in small_catalog() for H in subgroup_classes(G)
+                 if H.order() < G.order()]
+        pairs += [(G, G.point_stabilizer(5)) for G in (alternating(5), symmetric(5))]
+        for G, H in pairs:
+            cover, literal = cohomology._free_cover(G, H), free_cover_literal(G, H)
+            assert cover.source.action == literal.source.action, (G.label, H.describe())
+            assert cover.matrix == literal.matrix, (G.label, H.describe())
+
+    def test_onto_check_catches_a_dropped_pick(self, monkeypatch):
+        # V4 over 1 needs both generators (r = 2); a closure that reports
+        # all of G once one generator is picked drops the last pick, and
+        # one copy of Z[G] does not cover I, of rank 3
+        G = product_of_cyclics((2, 2))
+        H = G.trivial_subgroup()
+        assert cohomology._free_cover(G, H).source.rank == 2 * G.order()
+        closure = cohomology.closure_idx
+
+        def whole_after_a_pick(table, gens):
+            return list(range(len(table))) if gens else closure(table, gens)
+        monkeypatch.setattr(cohomology, "closure_idx", whole_after_a_pick)
+        with pytest.raises(InternalCheckError, match="free cover of I over C2xC2 is not onto"):
+            cohomology._free_cover(G, H)
+
+    def test_equivariance_catches_a_corrupted_regular_action(self, monkeypatch):
+        # two entries of the first generator's column swapped: Z[G] is no
+        # longer the regular module, and the cover map fails LatticeMap's check
+        permutation_matrix = cohomology.permutation_matrix
+        calls = []
+
+        def corrupted(images):
+            images = list(images)
+            if not calls:
+                images[0], images[1] = images[1], images[0]
+            calls.append(images)
+            return permutation_matrix(images)
+        monkeypatch.setattr(cohomology, "permutation_matrix", corrupted)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="not equivariant for generator 0"):
+            cohomology._free_cover(G, G.point_stabilizer(4))
+        assert len(calls) == len(G.generators)
 
     def test_matches_pipeline_on_point_stabilizers(self):
         # the paper's A4 and A5 rows, and S5

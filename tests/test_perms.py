@@ -8,11 +8,11 @@ from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
     coset_moves, cyclic, cyclic_subgroup_classes, dihedral, product_of_cyclics,
-    right_transversal, small_generating_set, subgroup_classes, symmetric,
+    _spanned, right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
 from oracles import (
     all_subgroups_brute, brute_closure, conjugacy_class_count_brute,
-    coset_position, is_normal,
+    coset_position, is_normal, small_catalog,
 )
 
 P = Permutation.from_cycles
@@ -361,6 +361,21 @@ class TestSubgroupClasses:
         cyc = cyclic_subgroup_classes(G)
         assert [h.elements() for h in cyc] == [h.elements() for h in full]
         assert [h.generators for h in cyc] == [h.generators for h in full]
+
+    @pytest.mark.parametrize("G", [*small_catalog(), alternating(6)], ids=lambda G: G.label)
+    def test_handles_match_the_greedy_generating_set(self, G):
+        # generators walked off the multiplication table are those that
+        # small_generating_set picks from the sorted elements, and the
+        # order is by decreasing order, then by the sorted elements
+        G = PermGroup(G.degree, G.generators, label=G.label)
+        for handles in (subgroup_classes(G), cyclic_subgroup_classes(G)):
+            for h in handles:
+                ref = _spanned(G, h.elements())
+                assert h.generators == ref.generators
+                assert h.elements() == ref.elements()
+                assert h.parent is G
+            keys = [(-h.order(), [p.images for p in h.elements()]) for h in handles]
+            assert keys == sorted(keys)
 
 
     @pytest.mark.parametrize("G, described", [

@@ -16,6 +16,9 @@ ALLOWED = {
     "resolutions.verdict": "public API named in the README",
     "resolutions._identity_resolution": "coflasque_cover of a permutation "
                                         "lattice, which no command passes",
+    "perms.PermGroup.trivial_subgroup": "public API that bench/workloads.py "
+                                        "calls; the free cover reads Z[G] off "
+                                        "the multiplication table instead",
     # dunders: protocol methods that Python calls on the program's behalf,
     # on paths no command takes
     "intmat.AbelianInvariants.__str__": "the group as Z/2 x Z/4 for the "

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 
@@ -393,6 +394,35 @@ class TestNormOneInvariant:
         assert hidden.order() == 4
         assert f"witness {hidden.describe()})" in str(err.value)
         assert len(calls) == 2
+
+    def test_broken_greedy_pass_is_caught_by_the_recheck(self, monkeypatch):
+        # the class of <(3 4),(1 2)> looks covered at its first test in the
+        # greedy pass, so no summand is added for it; the recheck against
+        # the final middle term tests it again and names it
+        G = symmetric(4)
+        hidden = next(cls for cls in subgroup_classes(G) if are_conjugate_subgroups(
+            G, cls, G.subgroup([P([(3, 4)], 4), P([(1, 2)], 4)])))
+        fixed_sublattice, hnf_coordinates = resolutions.fixed_sublattice, resolutions.hnf_coordinates
+        hidden_fixed, faked = [], []
+
+        def recording(L, S):
+            F = fixed_sublattice(L, S)
+            if S is hidden:
+                hidden_fixed.append(F)
+            return F
+
+        def first_test_passes(B, A):
+            if not faked and hidden_fixed and A is hidden_fixed[0]:
+                faked.append(A)
+                return IntMatrix.identity(A.nrows)
+            return hnf_coordinates(B, A)
+
+        monkeypatch.setattr(resolutions, "fixed_sublattice", recording)
+        monkeypatch.setattr(resolutions, "hnf_coordinates", first_test_passes)
+        with pytest.raises(InternalCheckError, match=re.escape(
+                f"cover misses the fixed lattice of {hidden.describe()}")):
+            resolutions._pipeline(G, G.point_stabilizer(4))
+        assert len(faked) == 1
 
     def test_max_rank_cap(self):
         G = alternating(4)
