@@ -25,8 +25,8 @@ from .perms import (
     right_transversal, subgroup_classes, symmetric,
 )
 from .lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, fixed_sublattice, perm_lattice,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
+    fixed_sublattice, perm_lattice,
 )
 from .cohomology import sha2_omega, tate_minus1
 from .fpgroups import (

@@ -10,15 +10,12 @@ H^1 from a presentation, the dimension shift) live in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, permutation_matrix, snf_invariants,
 )
 from .lattices import (
-    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, direct_sum,
-    minus_one_rows,
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, minus_one_rows,
 )
 from .perms import (
     SUBGROUP_CLASS_CAP, PermGroup, closure_idx, cyclic_subgroup_classes, right_transversal,
@@ -52,16 +49,18 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
 
 def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     """The free cover Z[G]^r -> I_{G/H} of `sha2_omega`, checked to be
-    onto.  Each copy of Z[G] has basis G.elements() and is read off
-    G.multiplication_table(), which the cyclic class search has built: a
-    generator x sends element a to a*x, so it acts by the permutation
-    matrix of its column."""
+    onto.  Z[G]^r is one permutation lattice on r|G| points, point
+    j|G| + a being element a of copy j (G.elements() numbers the
+    elements).  It is read off G.multiplication_table(), which the cyclic
+    class search has built: a generator x sends element a to a*x, so it
+    moves each copy's points by its column."""
     I = augmentation_ideal(G, H)
     number, table, _ = G.multiplication_table()
     hgens = [number[h.images] for h in H.generators]
     span = set(closure_idx(table, hgens))
+    gens = [number[x.images] for x in G.generators]
     picked = []
-    for s in [number[x.images] for x in G.generators]:
+    for s in gens:
         if len(span) == len(table):
             break
         if s not in span:
@@ -78,9 +77,9 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
             row[coset[g]] += 1
             row[coset[col[s]]] -= 1
             images.append(row[:-1])
-    regular = GLattice(G, len(table),
-                       [permutation_matrix(table[number[x.images]]) for x in G.generators])
-    free = reduce(direct_sum, [regular] * len(picked))
+    n, r = len(table), len(picked)
+    free = GLattice(G, r * n, [permutation_matrix([j * n + c for j in range(r) for c in table[x]])
+                               for x in gens])
     cover = LatticeMap(free, I, IntMatrix(images, I.rank))
     if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")

@@ -3,8 +3,10 @@
 Actions are stored as one unimodular matrix per group generator; a row
 vector v transforms as v * rho(g).  All the modules the pipeline needs
 live here: coset permutation modules Z[G/H], the augmentation ideal, the
-Chevalley module J_{G/H} (cokernel of 1 -> N_{G/H}), duals, direct sums,
-fixed sublattices, and the action on a stable sublattice.
+Chevalley module J_{G/H} (cokernel of 1 -> N_{G/H}), duals, fixed
+sublattices, and the action on a stable sublattice.  A permutation
+lattice is one whose generator matrices are permutation matrices, built
+from index lists (`intmat.permutation_matrix`); no tag marks it.
 
 Maps between lattices are stored explicitly and checked for equivariance
 at construction; silent transpose/side mistakes are the dominant failure
@@ -27,14 +29,11 @@ class GLattice:
 
     `action` holds rho(g) for each group generator g; any other element,
     inverses included, acts through `matrix_of`, a product of those.
-    `perm_summands` lists (subgroup, multiplicity) pairs when the lattice
-    is a sum of coset permutation lattices Z[G/H'].
     """
 
-    __slots__ = ("group", "rank", "action", "perm_summands", "label",
-                 "_matrix_cache")
+    __slots__ = ("group", "rank", "action", "label", "_matrix_cache")
 
-    def __init__(self, group, rank, action, perm_summands=None, label=None):
+    def __init__(self, group, rank, action, label=None):
         action = tuple(action)
         if len(action) != len(group.generators):
             raise ValueError("need one action matrix per group generator")
@@ -44,8 +43,6 @@ class GLattice:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "perm_summands",
-                           tuple(perm_summands) if perm_summands is not None else None)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_matrix_cache", {})
 
@@ -130,8 +127,7 @@ def check_index(G: PermGroup, H: PermGroup):
 def perm_lattice(G: PermGroup, H: PermGroup):
     """Z[G/H]: basis the sorted canonical right cosets, permuted by G."""
     d, perms = _coset_permutations(G, H)
-    return GLattice(G, d, perms, perm_summands=((H, 1),),
-                    label=f"Z[{G.label}/{H.describe()}]")
+    return GLattice(G, d, perms, label=f"Z[{G.label}/{H.describe()}]")
 
 
 def chevalley_module(G: PermGroup, H: PermGroup) -> GLattice:
@@ -169,21 +165,7 @@ def augmentation_ideal(G: PermGroup, H: PermGroup) -> GLattice:
 def dual(L: GLattice) -> GLattice:
     """Hom(L, Z) with the contragredient action transpose(rho(g^-1))."""
     mats = [L.matrix_of(g.inverse()).transpose() for g in L.group.generators]
-    return GLattice(L.group, L.rank, mats, perm_summands=L.perm_summands,
-                    label=f"dual({L.label})" if L.label else None)
-
-
-def direct_sum(L1: GLattice, L2: GLattice) -> GLattice:
-    if L1.group is not L2.group:
-        raise ValueError("direct sum needs a common group")
-    r1, r2 = L1.rank, L2.rank
-    mats = [IntMatrix([row + (0,) * r2 for row in a.data]
-                      + [(0,) * r1 + row for row in b.data], r1 + r2)
-            for a, b in zip(L1.action, L2.action)]
-    summands = None
-    if L1.perm_summands is not None and L2.perm_summands is not None:
-        summands = L1.perm_summands + L2.perm_summands
-    return GLattice(L1.group, r1 + r2, mats, perm_summands=summands)
+    return GLattice(L.group, L.rank, mats, label=f"dual({L.label})" if L.label else None)
 
 
 def minus_one_rows(mats):

@@ -15,13 +15,15 @@ group, which holds |G|^2 entries, so only they build it, behind one cap
 takes each class's generators and `sha2_omega` takes the regular module
 Z[G] of its free cover; transversals and cores multiply permutations.  Caps
 guard against accidental blowups.  The two that callers set, a group's
-`max_order` and `subgroup_classes(cap=)`, are keyword arguments; the
-others are the module constants.
+`max_order` and the `cap=` of `subgroup_classes` and
+`are_conjugate_subgroups`, are keyword arguments; the others are the
+module constants.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from math import lcm
 
 from .errors import CapExceeded, NotASubgroupError, UsageError
@@ -383,11 +385,14 @@ def _conjugates_into(table, inv, gens, target):
     return False
 
 
-def are_conjugate_subgroups(G, H1, H2):
-    """Brute-force subgroup conjugacy test: exists g with g^-1 H1 g = H2."""
-    if G.order() > SUBGROUP_CLASS_CAP:
+def are_conjugate_subgroups(G, H1, H2, cap=SUBGROUP_CLASS_CAP):
+    """Brute-force subgroup conjugacy test: exists g with g^-1 H1 g = H2.
+
+    cap bounds |G| as `subgroup_classes` takes it, before the
+    multiplication table is built."""
+    if G.order() > cap:
         raise CapExceeded(f"|G|={G.order()} too large for brute-force conjugacy "
-                          f"(cap {SUBGROUP_CLASS_CAP})")
+                          f"(cap {cap})")
     _check_subgroup(G, H1)
     _check_subgroup(G, H2)
     if (_fingerprint(p.order() for p in H1.elements())
@@ -543,115 +548,85 @@ def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-_catalog_cache = {}
-
-
-def _cached(kind, builder):
-    got = _catalog_cache.get(kind)
-    if got is None:
-        got = builder()
-        _catalog_cache[kind] = got
-    return got
-
-
 def _check_degree(n):
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > DEGREE_CAP:
         raise CapExceeded(f"degree {n} exceeds catalog cap {DEGREE_CAP}")
 
 
+@cache
 def alternating(n):
     """A_n with standard generators (1 2 3) and the n- or (n-1)-cycle."""
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_degree(n)
-
-    def build():
-        if n <= 2:
-            return PermGroup(max(n, 1), (), label=f"A{n}", kind=("A", n))
-        three = Permutation.from_cycles([(1, 2, 3)], degree=n)
-        if n == 3:
-            gens = (three,)
-        elif n % 2 == 1:
-            gens = (three, Permutation.from_cycles([tuple(range(1, n + 1))], degree=n))
-        else:
-            gens = (three, Permutation.from_cycles([tuple(range(2, n + 1))], degree=n))
-        return PermGroup(n, gens, label=f"A{n}", kind=("A", n))
-
-    return _cached(("A", n), build)
+    if n <= 2:
+        return PermGroup(max(n, 1), (), label=f"A{n}", kind=("A", n))
+    three = Permutation.from_cycles([(1, 2, 3)], degree=n)
+    if n == 3:
+        gens = (three,)
+    elif n % 2 == 1:
+        gens = (three, Permutation.from_cycles([tuple(range(1, n + 1))], degree=n))
+    else:
+        gens = (three, Permutation.from_cycles([tuple(range(2, n + 1))], degree=n))
+    return PermGroup(n, gens, label=f"A{n}", kind=("A", n))
 
 
+@cache
 def symmetric(n):
     """S_n with standard generators (1 2) and (1 2 ... n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_degree(n)
-
-    def build():
-        if n == 1:
-            return PermGroup(1, (), label="S1", kind=("S", 1))
-        swap = Permutation.from_cycles([(1, 2)], degree=n)
-        if n == 2:
-            gens = (swap,)
-        else:
-            gens = (swap, Permutation.from_cycles([tuple(range(1, n + 1))], degree=n))
-        return PermGroup(n, gens, label=f"S{n}", kind=("S", n))
-
-    return _cached(("S", n), build)
+    if n == 1:
+        return PermGroup(1, (), label="S1", kind=("S", 1))
+    swap = Permutation.from_cycles([(1, 2)], degree=n)
+    if n == 2:
+        gens = (swap,)
+    else:
+        gens = (swap, Permutation.from_cycles([tuple(range(1, n + 1))], degree=n))
+    return PermGroup(n, gens, label=f"S{n}", kind=("S", n))
 
 
+@cache
 def cyclic(n):
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_degree(n)
-
-    def build():
-        if n == 1:
-            return PermGroup(1, (), label="C1", kind=("C", 1))
-        g = Permutation.from_cycles([tuple(range(1, n + 1))], degree=n)
-        return PermGroup(n, (g,), label=f"C{n}", kind=("C", n))
-
-    return _cached(("C", n), build)
+    if n == 1:
+        return PermGroup(1, (), label="C1", kind=("C", 1))
+    g = Permutation.from_cycles([tuple(range(1, n + 1))], degree=n)
+    return PermGroup(n, (g,), label=f"C{n}", kind=("C", n))
 
 
+@cache
 def dihedral(n):
     """Dihedral group of order 2n."""
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_degree(n)
-
-    def build():
-        if n == 1:
-            f = Permutation.from_cycles([(1, 2)], degree=2)
-            return PermGroup(2, (f,), label="D1", kind=("D", 1))
-        if n == 2:
-            r = Permutation.from_cycles([(1, 2)], degree=4)
-            f = Permutation.from_cycles([(3, 4)], degree=4)
-            return PermGroup(4, (r, f), label="D2", kind=("D", 2))
-        r = Permutation.from_cycles([tuple(range(1, n + 1))], degree=n)
-        f = Permutation(tuple((n - i) % n for i in range(n)))
-        return PermGroup(n, (r, f), label=f"D{n}", kind=("D", n))
-
-    return _cached(("D", n), build)
+    if n == 1:
+        f = Permutation.from_cycles([(1, 2)], degree=2)
+        return PermGroup(2, (f,), label="D1", kind=("D", 1))
+    if n == 2:
+        r = Permutation.from_cycles([(1, 2)], degree=4)
+        f = Permutation.from_cycles([(3, 4)], degree=4)
+        return PermGroup(4, (r, f), label="D2", kind=("D", 2))
+    r = Permutation.from_cycles([tuple(range(1, n + 1))], degree=n)
+    f = Permutation(tuple((n - i) % n for i in range(n)))
+    return PermGroup(n, (r, f), label=f"D{n}", kind=("D", n))
 
 
 def product_of_cyclics(parts):
     """C_{n1} x C_{n2} x ... acting on disjoint blocks."""
-    parts = tuple(int(p) for p in parts)
+    return _product_of_cyclics(tuple(int(p) for p in parts))
+
+
+@cache
+def _product_of_cyclics(parts):
     if any(p < 1 for p in parts):
         raise ValueError("cyclic orders must be positive")
     active = tuple(p for p in parts if p > 1)
     degree = sum(active) if active else 1
     _check_degree(degree)
-
-    def build():
-        gens = []
-        offset = 0
-        for p in active:
-            gens.append(Permutation.from_cycles(
-                [tuple(range(offset + 1, offset + p + 1))], degree=degree))
-            offset += p
-        label = "x".join(f"C{p}" for p in parts)
-        return PermGroup(degree, gens, label=label, kind=("C*", parts))
-
-    return _cached(("C*", parts), build)
-
+    gens = []
+    offset = 0
+    for p in active:
+        gens.append(Permutation.from_cycles(
+            [tuple(range(offset + 1, offset + p + 1))], degree=degree))
+        offset += p
+    label = "x".join(f"C{p}" for p in parts)
+    return PermGroup(degree, gens, label=label, kind=("C*", parts))

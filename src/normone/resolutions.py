@@ -126,23 +126,15 @@ def _prime_power_order(S):
     return n == 1
 
 
-def _identity_resolution(L):
-    zero = GLattice(L.group, 0, [IntMatrix([], ncols=0)] * len(L.group.generators))
-    inject = LatticeMap(zero, L, IntMatrix([], ncols=L.rank))
-    project = LatticeMap(L, L, IntMatrix.identity(L.rank))
-    return Resolution(L, L, zero, inject, project)
-
-
 def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> Resolution:
     """0 -> N -> Q -> L -> 0 with Q permutation and N coflasque.
 
     The greedy pass adds summands over every class in decreasing order.
     N is then checked coflasque by the recheck that Q^S -> L^S is onto for
     every class S of prime-power order (see the module docstring); a
-    failure raises InternalCheckError.
+    failure raises InternalCheckError.  Every input takes this one path,
+    a permutation lattice L included.
     """
-    if L.perm_summands is not None:
-        return _identity_resolution(L)
     G = L.group
     classes = subgroup_classes(G, cap=class_cap)
     fixed = [fixed_sublattice(L, cls) for cls in classes]
@@ -151,7 +143,6 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     # generator of G, and ev[p] is the image of point p in L
     moves = [[] for _ in G.generators]
     ev = []
-    summands = []
 
     def fixed_span(cls):
         """Hermite basis of the images in L of Q's cls-fixed vectors, the
@@ -190,7 +181,6 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         for j, m in enumerate(coset_moves(T, coset_of, G.generators)):
             moves[j] += [len(ev) + i * f + k for i in m for k in range(f)]
         ev += [im[k] for im in images for k in picked]
-        summands.append((cls, f))
         if max_rank is not None and len(ev) > max_rank:
             raise CapExceeded(f"cover rank {len(ev)} exceeds --max-rank {max_rank}")
     # recheck the prime-power classes against the final middle term; this
@@ -200,7 +190,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
                 and hnf_coordinates(fixed_span(cls), F) is None):
             raise InternalCheckError(
                 f"cover misses the fixed lattice of {cls.describe()}")
-    Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves], perm_summands=summands)
+    Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves])
     project = LatticeMap(Q, L, IntMatrix(ev, L.rank))
     K = hnf_basis(kernel_basis(project.matrix))
     nmats = _restricted_action(K, Q)

@@ -25,8 +25,8 @@ from normone.intmat import (
     snf_invariants,
 )
 from normone.lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, perm_lattice,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
+    perm_lattice,
 )
 from normone.perms import (
     Permutation, alternating, cyclic, cyclic_subgroup_classes, dihedral,
@@ -199,10 +199,21 @@ def is_normal(H):
 
 
 def trivial_lattice(G):
-    """Z with the trivial action, the permutation lattice Z[G/G]."""
+    """Z with the trivial action: Z[G/G], whose one generator matrix per
+    generator of G is the 1 x 1 permutation matrix."""
     one = IntMatrix.identity(1)
-    return GLattice(G, 1, [one] * len(G.generators), perm_summands=((G, 1),),
-                    label="Z")
+    return GLattice(G, 1, [one] * len(G.generators), label="Z")
+
+
+def direct_sum(L1, L2):
+    """L1 + L2 with the block-diagonal action, L1's basis first."""
+    if L1.group is not L2.group:
+        raise ValueError("direct sum needs a common group")
+    r1, r2 = L1.rank, L2.rank
+    mats = [IntMatrix([row + (0,) * r2 for row in a.data]
+                      + [(0,) * r1 + row for row in b.data], r1 + r2)
+            for a, b in zip(L1.action, L2.action)]
+    return GLattice(L1.group, r1 + r2, mats)
 
 
 def small_catalog():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from normone.intmat import AbelianInvariants, IntMatrix
 from normone.lattices import chevalley_module, dual
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
-    product_of_cyclics, symmetric,
+    product_of_cyclics, subgroup_classes, symmetric,
 )
 from normone.resolutions import coflasque_cover, is_flasque, norm_one_invariant
 from oracles import (
@@ -287,3 +288,59 @@ def test_criterion_9_cli():
             bad += 1
     report("9c (cycle parser round-trip, 10^4 permutations)", bad == 0,
            f"{bad} failures")
+
+
+# (degree, number of transitive groups, the groups with H^1 = Z/2 over the
+# stabilizer of a point, each named by its counts of element orders; every
+# other transitive group of the degree has H^1 = 0)
+_CLASSIFICATIONS = (
+    # Kunyavskii (1984): a quartic HNP failure needs G = V4 or A4
+    (4, 5, {"V4": {1: 1, 2: 3}, "A4": {1: 1, 2: 3, 3: 8}}),
+    # Bartels (1981): the HNP holds in prime degree
+    (5, 5, {}),
+    # a regression value until compared with Hoshi-Kanai-Yamasaki's
+    # degree-6 list: A4 (6T4) and A5 (6T12) acting on 6 points
+    (6, 16, {"A4": {1: 1, 2: 3, 3: 8}, "A5": {1: 1, 2: 15, 3: 20, 5: 24}}),
+)
+
+
+def _transitive_classes(n):
+    """The subgroup classes of S_n whose orbit of point 1 is all n points."""
+    out = []
+    for cls in subgroup_classes(symmetric(n)):
+        orbit = [0]
+        for p in orbit:
+            for g in cls.generators:
+                if g.images[p] not in orbit:
+                    orbit.append(g.images[p])
+        if len(orbit) == n:
+            out.append(cls)
+    return out
+
+
+def test_criterion_10_published_classifications():
+    t0 = time.monotonic()
+    problems = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n, count, nontrivial in _CLASSIFICATIONS:
+            groups = _transitive_classes(n)
+            if len(groups) != count:
+                problems.append(f"degree {n}: {len(groups)} transitive groups, not {count}")
+            found = []
+            for G in groups:
+                H = G.point_stabilizer(1)
+                inv = norm_one_invariant(G, H)
+                orders = dict(Counter(p.order() for p in G.elements()))
+                name = next((k for k, v in nontrivial.items() if v == orders), None)
+                if inv != (Z2 if name else TRIVIAL):
+                    problems.append(f"degree {n}, order {G.order()}: h1={inv}")
+                if name:
+                    found.append(name)
+                if G.order() <= 360 and sha2_omega(G, H) != inv:
+                    problems.append(f"degree {n}, order {G.order()}: sha2_omega != {inv}")
+            if sorted(found) != sorted(nontrivial):
+                problems.append(f"degree {n}: Z/2 for {found}, not {sorted(nontrivial)}")
+    report("10 (transitive groups of degree 4-6: Kunyavskii, Bartels, degree-6 regression)",
+           not problems, f"{'; '.join(problems) or 'all agree'} in "
+           f"{time.monotonic() - t0:.1f}s")

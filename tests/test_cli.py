@@ -414,6 +414,30 @@ class TestOtherCommands:
         out = capsys.readouterr()
         assert "PASS A4" in out.err
 
+    def test_verify_paper_reads_max_order(self, capsys, monkeypatch):
+        # the class cap stops the A6 conjugacy line before A6's
+        # multiplication table is built, as it stops the A6 rows; the
+        # default cap leaves the line a PASS
+        argv = ["verify-paper", "--max-n", "6"]
+        line = "A6: the two A5 classes are non-conjugate"
+        table = normone.perms.PermGroup.multiplication_table
+
+        def no_a6_table(G):
+            if G.order() == 360:
+                raise AssertionError("multiplication table built past the cap")
+            return table(G)
+
+        with monkeypatch.context() as m:
+            m.setattr(normone.perms.PermGroup, "multiplication_table", no_a6_table)
+            assert main(argv + ["--max-order", "60"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("SKIPPED A6") == 3
+        assert f"SKIPPED {line} (|G|=360 too large for brute-force conjugacy (cap 60))" in err
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"PASS {line}\n" in err
+        assert "SKIPPED" not in err
+
 
 class TestSharedParser:
     """main builds its parser once per process and reuses it."""

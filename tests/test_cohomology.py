@@ -10,14 +10,14 @@ from normone.cohomology import sha2_omega, tate_minus1
 from normone.errors import CapExceeded, InternalCheckError, NormOneError
 from normone.intmat import AbelianInvariants, IntMatrix, kernel_basis
 from normone.lattices import (
-    GLattice, chevalley_module, direct_sum, dual, perm_lattice,
+    GLattice, chevalley_module, dual, perm_lattice,
 )
 from normone.perms import (
     PermGroup, Permutation, alternating, cyclic, cyclic_subgroup_classes,
     dihedral, product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, dimension_shift, elementary_divisors, free_cover_literal, h1, h1_data,
+    bar_h1, dimension_shift, direct_sum, elementary_divisors, free_cover_literal, h1, h1_data,
     lattice_pool, presentation_catalog, sha2_omega_shift, small_catalog, tate_cyclic,
     tate_minus1_literal, trivial_lattice, twist_lattice,
 )

@@ -5,15 +5,15 @@ import pytest
 from normone.errors import InternalCheckError
 from normone.intmat import IntMatrix, kernel_basis, snf_invariants
 from normone.lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, direct_sum,
-    dual, fixed_sublattice, perm_lattice,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
+    fixed_sublattice, perm_lattice,
 )
 from normone.perms import (
     Permutation, alternating, cyclic, product_of_cyclics, symmetric,
 )
 from oracles import (
-    det, induced, inverse_unimodular, presentation_catalog, tate_cyclic,
-    trivial_lattice,
+    det, direct_sum, induced, inverse_unimodular, presentation_catalog,
+    tate_cyclic, trivial_lattice,
 )
 
 P = Permutation.from_cycles

@@ -14,8 +14,6 @@ ALLOWED = {
     "lattices.chevalley_module": "the paper's J_{G/H}; the pipeline covers its dual",
     "resolutions.norm_one_invariant": "public API named in the README",
     "resolutions.verdict": "public API named in the README",
-    "resolutions._identity_resolution": "coflasque_cover of a permutation "
-                                        "lattice, which no command passes",
     "perms.PermGroup.trivial_subgroup": "public API that bench/workloads.py "
                                         "calls; the free cover reads Z[G] off "
                                         "the multiplication table instead",
@@ -83,7 +81,8 @@ print(json.dumps({"codes": codes, "missed": sorted(missed),
 """
 
 # every command, a cache miss then a hit, two free-cover generators in
-# sha-oracle (r = 2), each cap flag, a usage error (2) and a cap error (3)
+# sha-oracle (r = 2), each cap flag, verify-paper's A6 lines capped and
+# run, a usage error (2) and a cap error (3)
 CALLS = [
     (["compute", "A4", "--point-stabilizer", "4", "--cache-dir", "CACHE"], 0),
     (["compute", "A4", "--point-stabilizer", "4", "--cache-dir", "CACHE"], 0),
@@ -91,6 +90,7 @@ CALLS = [
     (["classes", "S3"], 0),
     (["classes", "C4", "--max-order", "4"], 0),
     (["verify-paper", "--max-n", "6", "--max-order", "60", "--max-rank", "500"], 0),
+    (["verify-paper", "--max-n", "6"], 0),
     (["verify-schur", "4", "--max-cosets", "1000"], 0),
     (["sha-oracle", "C2xC2", "--subgroup", "()"], 0),
     (["sha-oracle", "S3", "--point-stabilizer", "3", "--max-order", "6"], 0),

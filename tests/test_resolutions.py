@@ -41,6 +41,12 @@ def sign_lattice():
     return GLattice(cyclic(2), 1, [IntMatrix([[-1]])])
 
 
+def dual_chevalley(make, n):
+    """dual J_{G/H} for G = make(n) and H the stabilizer of n."""
+    G = make(n)
+    return dual(chevalley_module(G, G.point_stabilizer(n)))
+
+
 def flasque_side(L):
     """F in 0 -> L -> P -> F -> 0: the dual of the kernel of a coflasque
     cover of dual(L), whose transpose is that resolution."""
@@ -54,12 +60,14 @@ class TestCoflasqueCover:
         assert res.side.rank == 0
         assert res.middle.rank == 1
 
-    def test_perm_lattice_identity_cover(self):
+    def test_perm_lattice_gets_a_greedy_cover(self):
+        # a permutation lattice takes the greedy pass like any other input:
+        # Z[A4/C3] (rank 4) is not returned as its own cover
         G = alternating(4)
         L = perm_lattice(G, G.subgroup([P([(1, 2, 3)], 4)]))
         res = coflasque_cover(L)
-        assert res.side.rank == 0
-        assert res.middle.rank == L.rank
+        assert (res.middle.rank, res.side.rank) == (5, 1)
+        assert is_coflasque(res.side) == (True, None)
 
     def test_augmentation_ideal_a4(self):
         G = alternating(4)
@@ -133,16 +141,20 @@ class TestCoflasqueCover:
             K = coflasque_cover(L).inject.matrix
             assert K.nrows and K == hnf_basis(K)
 
-    @pytest.mark.parametrize("make, n", [
-        (alternating, 4), (symmetric, 4), (alternating, 5),
-    ], ids=["A4", "S4", "A5"])
-    def test_middle_term_covers_every_fixed_lattice(self, make, n):
+    @pytest.mark.parametrize("make", [
+        lambda: dual_chevalley(alternating, 4),
+        lambda: dual_chevalley(symmetric, 4),
+        lambda: dual_chevalley(alternating, 5),
+        sign_lattice,
+        lambda: perm_lattice(alternating(4), alternating(4).subgroup([P([(1, 2, 3)], 4)])),
+    ], ids=["A4", "S4", "A5", "C2-sign", "A4-perm"])
+    def test_middle_term_covers_every_fixed_lattice(self, make):
         # checked through Q's own fixed sublattice (a kernel), not through
         # the orbit sums the cover builds
-        G = make(n)
-        J = chevalley_module(G, G.point_stabilizer(n))
-        L = dual(J)
+        L = make()
+        G = L.group
         res = coflasque_cover(L)
+        assert is_coflasque(res.side) == (True, None)
         Q, EV = res.middle, res.project.matrix
         for a in Q.action:
             assert {x for row in a.data for x in row} <= {0, 1}
@@ -156,10 +168,16 @@ class TestCoflasqueCover:
 
 
 class TestFlasqueResolution:
-    def test_perm_module_gives_zero_side(self):
+    def test_perm_module_side_has_trivial_h1(self):
+        # the flasque class of a permutation lattice is that of 0, so the
+        # side is stably permutation: flasque, with H^1 = 0, though the
+        # greedy cover of Z[S3/C2] leaves it rank 1
         G = symmetric(3)
         L = perm_lattice(G, G.subgroup([P([(2, 3)], 3)]))
-        assert flasque_side(L).rank == 0
+        F = flasque_side(L)
+        assert F.rank == 1
+        assert is_flasque(F) == (True, None)
+        assert h1(F, presentation_catalog(G)).is_trivial()
 
     def test_a4_side_has_z2_h1(self):
         G = alternating(4)
