@@ -10,6 +10,8 @@ H^1 from a presentation, the dimension shift) live in `tests/oracles.py`.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, permutation_matrix, snf_invariants,
@@ -18,7 +20,7 @@ from .lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, minus_one_rows,
 )
 from .perms import (
-    SUBGROUP_CLASS_CAP, PermGroup, closure_idx, cyclic_subgroup_classes, right_transversal,
+    SUBGROUP_CLASS_CAP, PermGroup, closure_idx, maximal_cyclic_subgroup_classes,
 )
 
 SHA_ORDER_CAP = 360
@@ -53,7 +55,9 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     j|G| + a being element a of copy j (G.elements() numbers the
     elements).  It is read off G.multiplication_table(), which the cyclic
     class search has built: a generator x sends element a to a*x, so it
-    moves each copy's points by its column."""
+    moves each copy's points by its column.  The coset of each element,
+    in the numbering of I's basis, comes off the same table, so the
+    transversal is built once, inside `augmentation_ideal`."""
     I = augmentation_ideal(G, H)
     number, table, _ = G.multiplication_table()
     hgens = [number[h.images] for h in H.generators]
@@ -66,14 +70,22 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
         if s not in span:
             picked.append(s)
             span = set(closure_idx(table, hgens + picked))
+    # coset[g] numbers the coset H*g as right_transversal numbers I's
+    # basis, by first element in G.elements(); h*g is table[g][h]
+    hnums = [number[h.images] for h in H.elements()]
+    coset = [-1] * len(table)
+    d = 0
+    for g, col in enumerate(table):
+        if coset[g] < 0:
+            for h in hnums:
+                coset[col[h]] = d
+            d += 1
     # e_g in copy j goes to the coset of g minus that of s_j*g, whose
     # coordinates in I's basis coset_i - coset_last are its first d-1
-    T, coset_of = right_transversal(G, H)
-    coset = [coset_of[p.images] for p in G.elements()]
     images = []
     for s in picked:
         for g, col in enumerate(table):
-            row = [0] * len(T)
+            row = [0] * d
             row[coset[g]] += 1
             row[coset[col[s]]] -= 1
             images.append(row[:-1])
@@ -84,6 +96,35 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
     if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")
     return cover
+
+
+def _norm_kernel(K: IntMatrix, moves, r) -> IntMatrix:
+    """A basis of ker(K*N_C) for a cyclic subgroup C of G, the rows of K
+    lying in Z[G]^r numbered as in `_free_cover`, and moves the columns
+    table[c] of G.multiplication_table() over the elements c of C.
+
+    rho(c) sends e_y to e_(y*c) in each copy of Z[G], so (v*N_C) at y is
+    the sum of v over y's coset {y*c : c in C}: the columns of K*N_C are
+    those of K summed over each copy's C-cosets, each repeated |C|
+    times.  The kernel is taken of the r|G|/|C| coset sums alone, built
+    by adding each entry of K once."""
+    n = len(moves[0])
+    coset = [-1] * n
+    m = 0
+    for y in range(n):
+        if coset[y] < 0:
+            for move in moves:
+                coset[move[y]] = m
+            m += 1
+    # point i, element y of copy j, adds to the sum over y's coset in copy j
+    column = [j * m + c for j in range(r) for c in coset]
+    sums = []
+    for row in K.data:
+        acc = [0] * (r * m)
+        for i in compress(range(K.ncols), row):
+            acc[column[i]] += row[i]
+        sums.append(acc)
+    return kernel_basis(IntMatrix(sums, r * m))
 
 
 def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvariants:
@@ -108,10 +149,16 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
 
     and a finite abelian group has the invariants of its dual.  One
     cyclic subgroup per class suffices: a conjugate contributes
-    ker(N_C) * rho(g), equal to ker(N_C) modulo K*I_G.  Each ker(N_C) lies
-    in ker(N_G), the saturation of K*I_G, so the quotient is the torsion
-    of Z^rank(K) modulo the stacked rows of rho(s) - 1 over the generators
-    s and a basis of each ker(N_C), the kernel of K*N_C on Z[G]^r.
+    ker(N_C) * rho(g), equal to ker(N_C) modulo K*I_G.  So do the maximal
+    cyclic subgroups alone: for C <= C', N_C' = N_C * sum(C'/C) over a
+    transversal, so ker(N_C) lies in ker(N_C'), and every cyclic
+    subgroup lies in a maximal one, a conjugate of a kept representative.
+    Each ker(N_C) lies in ker(N_G), the saturation of K*I_G, so the
+    quotient is the torsion of Z^rank(K) modulo the stacked rows of
+    rho(s) - 1 over the generators s and a basis of each ker(N_C), the
+    kernel of K*N_C on Z[G]^r.  `_norm_kernel` takes it of K's columns
+    summed over the cosets of C, the distinct columns of K*N_C.  rho(s)
+    is a permutation matrix, so K*rho(s) is a column gather of K.
 
     Self-checks: the cover is onto.  K^G has rank r, since (Z[G]^r)^G has
     rank r and I^G = 0, so the Smith rank, that of K*I_G, is
@@ -130,30 +177,16 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     check_index(G, H)
     if G.order() > SHA_ORDER_CAP:
         raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
-    cyclic_classes = cyclic_subgroup_classes(G, class_cap)
+    classes = maximal_cyclic_subgroup_classes(G, class_cap)
     cover = _free_cover(G, H)
     free = cover.source
     K = hnf_basis(kernel_basis(cover.matrix))
     rows = minus_one_rows(_restricted_action(K, free))
     number, table, _ = G.multiplication_table()
-    n = G.order()
-    for cls in cyclic_classes:
-        # rho(c) sends e_h to e_(h*c) in each copy of Z[G], so entry
-        # (copy, h) of a row of K adds to entry (copy, h*c) of that row
-        # of K*N_C, once for each element c of C
-        moves = [table[number[c.images]] for c in cls.elements()]
-        KN = []
-        for row in K.data:
-            acc = [0] * free.rank
-            for i, x in enumerate(row):
-                if x:
-                    start = i - i % n   # where i's copy of Z[G] starts
-                    for move in moves:
-                        acc[start + move[i - start]] += x
-            KN.append(acc)
-        rows += kernel_basis(IntMatrix(KN, free.rank)).data
-    d = snf_invariants(IntMatrix(rows, K.nrows))
     r = free.rank // G.order()
+    for cls in classes:
+        rows += _norm_kernel(K, [table[number[c.images]] for c in cls.elements()], r).data
+    d = snf_invariants(IntMatrix(rows, K.nrows))
     if len(d) != K.nrows - r:
         raise InternalCheckError(
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "

@@ -11,7 +11,10 @@ nonzero entry in the pivot column (for Smith's column steps, the rows
 with one in the pivot column), walking only the nonzero entries of the
 pivot line.  The pivot rule is the smallest nonzero absolute value, ties
 broken by position.  A product likewise walks only the nonzero entries
-of both factors.
+of both factors, unless one is a permutation matrix: `permutation_matrix`
+keeps the index list it was built from, and a product with it is an
+index gather of the other factor's rows (on the left) or columns (on
+the right), with the value of the dense product.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import itemgetter
 
 
 class IntMatrix:
@@ -28,10 +32,12 @@ class IntMatrix:
 
     Immutable: `data` is the tuple of rows, each a tuple of Python ints;
     callers pass ints, which are not checked entry by entry.  An explicit
-    column count disambiguates matrices with zero rows.
+    column count disambiguates matrices with zero rows.  `images` is the
+    index list of a matrix that `permutation_matrix` built, None for any
+    other; equality and hashing read the entries only.
     """
 
-    __slots__ = ("data", "nrows", "ncols")
+    __slots__ = ("data", "nrows", "ncols", "images")
 
     def __init__(self, rows, ncols=None):
         data = tuple(map(tuple, rows))
@@ -44,6 +50,7 @@ class IntMatrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", ncols or 0)
+        object.__setattr__(self, "images", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -68,6 +75,20 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         n = other.ncols
+        if self.images is not None:
+            # row p of P*M is row images[p] of M
+            if other.images is not None:
+                return permutation_matrix([other.images[q] for q in self.images])
+            data = other.data
+            return _unchecked(tuple([data[q] for q in self.images]), n)
+        if other.images is not None:
+            # column j of M*P is column k of M for the k with images[k] = j
+            if n < 2:
+                return self
+            inverse = [0] * n
+            for k, j in enumerate(other.images):
+                inverse[j] = k
+            return _unchecked(tuple(map(itemgetter(*inverse), self.data)), n)
         lines = [_line(row, 0) for row in other.data]
         out = []
         for row in self.data:
@@ -92,13 +113,29 @@ class IntMatrix:
         return f"IntMatrix(<{self.nrows}x{self.ncols}>, max|entry|={big})"
 
 
+def _unchecked(data, ncols, images=None):
+    """The IntMatrix on data, a tuple of rows that are tuples of length
+    ncols, built without the constructor's copy and checks."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "nrows", len(data))
+    object.__setattr__(m, "ncols", ncols)
+    object.__setattr__(m, "images", images)
+    return m
+
+
 def permutation_matrix(images):
-    """The square 0/1 matrix whose row p is the unit row at images[p]."""
+    """The square 0/1 matrix whose row p is the unit row at images[p].
+
+    It keeps the list images, and a product with it on either side is
+    an index gather of the other factor's rows or columns."""
+    images = tuple(images)
     n = len(images)
-    rows = [[0] * n for _ in range(n)]
-    for row, q in zip(rows, images):
-        row[q] = 1
-    return IntMatrix(rows, n)
+    if sorted(images) != list(range(n)):
+        raise ValueError("images is not a permutation of range(n)")
+    zero = (0,) * n
+    rows = tuple(zero[:q] + (1,) + zero[q + 1:] for q in images)
+    return _unchecked(rows, n, images)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
-Z[G] of its free cover; transversals and cores multiply permutations.  Caps
-guard against accidental blowups.  The two that callers set, a group's
+Z[G] of its free cover and its coset map; transversals and cores
+multiply permutations.  Caps guard against accidental blowups.  The two that callers set, a group's
 `max_order` and the `cap=` of `subgroup_classes` and
 `are_conjugate_subgroups`, are keyword arguments; the others are the
 module constants.
@@ -428,8 +428,9 @@ def closure_idx(table, gens):
 def _cyclic_classes(G, cap):
     """Seed the subgroup class search of G with the trivial class, then
     one class per conjugacy class of cyclic subgroups, in element order.
-    Returns (classes, register) on the numbers of
-    G.multiplication_table(); register(sset, gens) -> (index, new)."""
+    Returns (classes, register, cyclics) on the numbers of
+    G.multiplication_table(); register(sset, gens) -> (index, new), and
+    cyclics[i] lists the numbers of the cyclic group element i generates."""
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
@@ -458,7 +459,7 @@ def _cyclic_classes(G, cap):
     register(frozenset([0]), ())
     for i in range(1, n):
         register(frozenset(cyclics[i]), (i,))
-    return classes, register
+    return classes, register, cyclics
 
 
 def _class_handles(G, classes):
@@ -502,7 +503,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     # a cached list is returned only within the cap
     if G._class_cache is not None and n <= cap:
         return G._class_cache
-    classes, register = _cyclic_classes(G, cap)
+    classes, register, _ = _cyclic_classes(G, cap)
     _, table, _ = G.multiplication_table()
     # every class but the trivial one is extended
     queue = list(range(1, len(classes)))
@@ -539,10 +540,21 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     return handles
 
 
-def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
-    """The nontrivial cyclic classes of subgroup_classes(G), the same
-    representatives in the same order, from its seeding step alone."""
-    return _class_handles(G, _cyclic_classes(G, cap)[0][1:])
+def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
+    """The nontrivial classes of subgroup_classes(G) whose subgroups are
+    maximal cyclic ones, in no larger cyclic subgroup: the same
+    representatives in the same order, from its seeding step alone.
+    <x> lies in a larger cyclic subgroup exactly when x is a power of an
+    element of larger order, so the seeding step's closures of the
+    elements mark every such x."""
+    classes, _, cyclics = _cyclic_classes(G, cap)
+    # inside[x]: x lies in the cyclic group of an element of larger order
+    inside = bytearray(len(cyclics))
+    for c in cyclics:
+        for x in c:
+            if len(cyclics[x]) < len(c):
+                inside[x] = 1
+    return _class_handles(G, [cls for cls in classes[1:] if not inside[cls[1][0]]])
 
 
 # ---------------------------------------------------------------------------

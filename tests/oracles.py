@@ -29,8 +29,8 @@ from normone.lattices import (
     perm_lattice,
 )
 from normone.perms import (
-    Permutation, alternating, cyclic, cyclic_subgroup_classes, dihedral,
-    product_of_cyclics, right_transversal, subgroup_classes, symmetric,
+    SUBGROUP_CLASS_CAP, Permutation, _class_handles, _cyclic_classes, alternating, cyclic,
+    dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
 )
 
 
@@ -223,6 +223,13 @@ def small_catalog():
     return ([cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(1, 13)]
             + [symmetric(3), alternating(4), symmetric(4)]
             + [product_of_cyclics(p) for p in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6))])
+
+
+def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
+    """The nontrivial cyclic classes of subgroup_classes(G), the same
+    representatives in the same order, from its seeding step alone: every
+    cyclic class, where `sha2_omega` keeps only the maximal ones."""
+    return _class_handles(G, _cyclic_classes(G, cap)[0][1:])
 
 
 def brute_closure(degree, gens):

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import warnings
@@ -8,18 +9,21 @@ import normone.cohomology as cohomology
 import oracles
 from normone.cohomology import sha2_omega, tate_minus1
 from normone.errors import CapExceeded, InternalCheckError, NormOneError
-from normone.intmat import AbelianInvariants, IntMatrix, kernel_basis
+from normone.intmat import (
+    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
+)
 from normone.lattices import (
-    GLattice, chevalley_module, dual, perm_lattice,
+    GLattice, _restricted_action, chevalley_module, dual, minus_one_rows, perm_lattice,
 )
 from normone.perms import (
-    PermGroup, Permutation, alternating, cyclic, cyclic_subgroup_classes,
-    dihedral, product_of_cyclics, subgroup_classes, symmetric,
+    PermGroup, Permutation, alternating, cyclic, dihedral, maximal_cyclic_subgroup_classes,
+    product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, dimension_shift, direct_sum, elementary_divisors, free_cover_literal, h1, h1_data,
-    lattice_pool, presentation_catalog, sha2_omega_shift, small_catalog, tate_cyclic,
-    tate_minus1_literal, trivial_lattice, twist_lattice,
+    bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, elementary_divisors,
+    free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, presentation_catalog,
+    sha2_omega_shift, small_catalog, tate_cyclic, tate_minus1_literal, trivial_lattice,
+    twist_lattice,
 )
 
 P = Permutation.from_cycles
@@ -240,6 +244,37 @@ def _shift_pairs():
     ]
 
 
+# the small catalog groups over every proper subgroup class, and A5 and
+# S5 over a point stabilizer
+ORACLE_GROUPS = [*small_catalog(), alternating(5), symmetric(5)]
+
+
+def _oracle_subgroups(G):
+    if G.order() > 24:
+        return [G.point_stabilizer(5)]
+    return [H for H in subgroup_classes(G) if H.order() < G.order()]
+
+
+def _oracle_pairs():
+    return [(G, H) for G in ORACLE_GROUPS for H in _oracle_subgroups(G)]
+
+
+@functools.cache
+def _literal_norm_kernels(G, H):
+    """(free, K, kernels) for sha2_omega's free cover of (G, H): its source,
+    the Hermite basis K of its kernel, and for each cyclic class C of G,
+    keyed by C's elements, (C, ker(K*N_C)) with N_C the literal sum of
+    rho(c) over C."""
+    cover = cohomology._free_cover(G, H)
+    free = cover.source
+    K = hnf_basis(kernel_basis(cover.matrix))
+    kernels = {}
+    for cls in cyclic_subgroup_classes(G):
+        norm = matrix_sum([free.matrix_of(c) for c in cls.elements()], free.rank)
+        kernels[cls.elements()] = (cls, kernel_basis(K * norm))
+    return free, K, kernels
+
+
 class TestSha2Omega:
     def test_matches_degree_two_bar_complex(self):
         # fully independent route: 2-cocycles on all of GxG, restriction by
@@ -302,13 +337,42 @@ class TestSha2Omega:
         # each copy of Z[G] read off the multiplication table is
         # perm_lattice(G, 1), and the cover equals the one built from
         # permutation products, with the same picks
-        pairs = [(G, H) for G in small_catalog() for H in subgroup_classes(G)
-                 if H.order() < G.order()]
-        pairs += [(G, G.point_stabilizer(5)) for G in (alternating(5), symmetric(5))]
-        for G, H in pairs:
+        for G, H in _oracle_pairs():
             cover, literal = cohomology._free_cover(G, H), free_cover_literal(G, H)
             assert cover.source.action == literal.source.action, (G.label, H.describe())
             assert cover.matrix == literal.matrix, (G.label, H.describe())
+
+    def test_dropped_cyclic_classes_add_nothing(self):
+        # for C <= C', ker(N_C) lies in ker(N_C'), so the rows of K*I_G and
+        # the kernels of the maximal classes already span those of the rest
+        for G, H in _oracle_pairs():
+            free, K, kernels = _literal_norm_kernels(G, H)
+            kept = [cls.elements() for cls in maximal_cyclic_subgroup_classes(G)]
+            rows = minus_one_rows(_restricted_action(K, free))
+            for key in kept:
+                rows += kernels[key][1].data
+            span = hnf_basis(IntMatrix(rows, K.nrows))
+            for key, (cls, kernel) in kernels.items():
+                if key not in kept:
+                    assert hnf_coordinates(span, kernel) is not None, (
+                        G.label, H.describe(), cls.describe())
+
+    @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.label)
+    def test_matches_the_shift_over_every_cyclic_class(self, G):
+        # the dimension shift stacks a norm kernel for every cyclic class
+        for H in _oracle_subgroups(G):
+            assert sha2_omega(G, H) == sha2_omega_shift(G, H), H.describe()
+
+    def test_coset_sums_give_the_literal_norm_kernels(self):
+        for G, H in _oracle_pairs():
+            free, K, kernels = _literal_norm_kernels(G, H)
+            number, table, _ = G.multiplication_table()
+            r = free.rank // G.order()
+            for cls, kernel in kernels.values():
+                moves = [table[number[c.images]] for c in cls.elements()]
+                got = cohomology._norm_kernel(K, moves, r)
+                assert hnf_basis(got) == hnf_basis(kernel), (
+                    G.label, H.describe(), cls.describe())
 
     def test_onto_check_catches_a_dropped_pick(self, monkeypatch):
         # V4 over 1 needs both generators (r = 2); a closure that reports

@@ -12,7 +12,7 @@ import normone.lattices as lattices
 import normone.resolutions as resolutions
 from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
-    snf_invariants,
+    permutation_matrix, snf_invariants,
 )
 from normone.cohomology import sha2_omega
 from normone.perms import (
@@ -459,6 +459,45 @@ def test_abelian_invariants_validation():
     assert str(AbelianInvariants(0, ())) == "0"
     assert group_order(AbelianInvariants(0, (2, 2))) == 4
     assert group_order(AbelianInvariants(1, ())) is None
+
+
+@st.composite
+def permutation_products(draw):
+    """(images, A, B): a permutation of range(n), an m x n matrix A and
+    an n x k matrix B, where n, m and k may each be 0."""
+    n, m, k = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.one_of(st.integers(-9, 9), huge_entries)
+    images = draw(st.permutations(range(n)))
+    A = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    return images, mat(A, n), mat(B, k)
+
+
+@given(permutation_products())
+@example(([], mat([], 0), mat([], 0)))
+@example(([], mat([[], []], 0), mat([], 3)))
+@example(([0], mat([[7]]), mat([[-5]])))
+@example(([0], mat([], 1), mat([[]], 0)))
+@example(([0, 1, 2], mat([[1, 2, 3]]), mat([[1], [2], [3]])))
+@example(([2, 0, 1], mat([], 3), mat([[], [], []], 0)))
+def test_permutation_products_match_the_dense_product(case):
+    # a product with a permutation matrix reads its index list; the same
+    # entries without it take the dense product, walking both factors
+    images, A, B = case
+    P = permutation_matrix(images)
+    dense = mat(P.data, len(images))
+    assert P.images is not None and dense.images is None and P == dense
+    assert A * P == A * dense
+    assert P * B == dense * B
+    assert P * P == dense * dense and (P * P).images is not None
+    identity = IntMatrix.identity(len(images))
+    assert A * identity == A and identity * B == B and identity * P == P
+
+
+def test_permutation_matrix_refuses_a_non_permutation():
+    for images in ([0, 0], [1], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_matrix(images)
 
 
 def test_hnf_basis_canonical():

@@ -229,7 +229,7 @@ class TestInduced:
 
     def test_cohomologically_trivial_on_all_cyclic_subgroups(self):
         from normone.cohomology import tate_minus1
-        from normone.perms import cyclic_subgroup_classes
+        from oracles import cyclic_subgroup_classes
         for G in (symmetric(3), V4):
             L = chevalley_module(G, G.trivial_subgroup())
             I, _ = induced(L)

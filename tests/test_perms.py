@@ -7,12 +7,12 @@ from normone.errors import CapExceeded, NotASubgroupError
 from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
-    coset_moves, cyclic, cyclic_subgroup_classes, dihedral, product_of_cyclics,
+    coset_moves, cyclic, dihedral, maximal_cyclic_subgroup_classes, product_of_cyclics,
     _spanned, right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
 from oracles import (
     all_subgroups_brute, brute_closure, conjugacy_class_count_brute,
-    coset_position, is_normal, small_catalog,
+    coset_position, cyclic_subgroup_classes, is_normal, small_catalog,
 )
 
 P = Permutation.from_cycles
@@ -362,13 +362,33 @@ class TestSubgroupClasses:
         assert [h.elements() for h in cyc] == [h.elements() for h in full]
         assert [h.generators for h in cyc] == [h.generators for h in full]
 
+    @pytest.mark.parametrize("G", [*small_catalog(), alternating(5), symmetric(5),
+                                   alternating(6)], ids=lambda G: G.label)
+    def test_maximal_cyclic_classes(self, G):
+        # the cyclic classes in no larger cyclic subgroup, by brute force
+        # over the powers of every element: the same handles, in order
+        G = PermGroup(G.degree, G.generators, label=G.label)
+
+        def powers(y):
+            out, p = {y}, y * y
+            while p != y:
+                out.add(p)
+                p = p * y
+            return out
+        cyclics = [powers(y) for y in G.elements()]
+        expect = [h for h in cyclic_subgroup_classes(G)
+                  if not any(set(h.elements()) < c for c in cyclics)]
+        got = maximal_cyclic_subgroup_classes(G)
+        assert [h.elements() for h in got] == [h.elements() for h in expect]
+
     @pytest.mark.parametrize("G", [*small_catalog(), alternating(6)], ids=lambda G: G.label)
     def test_handles_match_the_greedy_generating_set(self, G):
         # generators walked off the multiplication table are those that
         # small_generating_set picks from the sorted elements, and the
         # order is by decreasing order, then by the sorted elements
         G = PermGroup(G.degree, G.generators, label=G.label)
-        for handles in (subgroup_classes(G), cyclic_subgroup_classes(G)):
+        for handles in (subgroup_classes(G), cyclic_subgroup_classes(G),
+                        maximal_cyclic_subgroup_classes(G)):
             for h in handles:
                 ref = _spanned(G, h.elements())
                 assert h.generators == ref.generators
