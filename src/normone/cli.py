@@ -114,21 +114,14 @@ def parse_cycles(text, degree=None) -> Permutation:
         if len(points) < 1:
             raise SpecParseError(f"empty cycle at position {i}")
         try:
-            nums = [int(p) for p in points]
+            cycles.append([int(p) for p in points])
         except ValueError as exc:
             raise SpecParseError(f"bad point in cycle at position {i}: {exc}")
-        if any(p < 1 for p in nums):
-            raise SpecParseError(f"points must be >= 1 in cycle at position {i}")
-        if len(set(nums)) != len(nums):
-            raise SpecParseError(f"repeated point in cycle at position {i}")
-        cycles.append(tuple(nums))
         i = close + 1
-    maxpt = max(max(c) for c in cycles)
-    deg = degree if degree is not None else maxpt
-    if maxpt > deg:
-        raise SpecParseError(f"point {maxpt} exceeds degree {deg}")
+    # from_cycles refuses a point below 1, a repeated point and one above
+    # the degree
     try:
-        return Permutation.from_cycles(cycles, degree=deg)
+        return Permutation.from_cycles(cycles, degree=degree)
     except ValueError as exc:
         raise SpecParseError(str(exc))
 

@@ -4,17 +4,17 @@ kernels and Smith invariant factors (`hnf_basis`, `hnf_coordinates`,
 
 Everything here is exact: an IntMatrix holds its entries as a tuple of
 rows, each a tuple of Python ints, so no size of entry needs a second
-path.  Each elimination (Hermite, Smith, back-substitution) is written
-once and runs on lists of rows copied off the matrix, stored back as one
-IntMatrix.  A step rewrites only the lines it changes: the rows with a
-nonzero entry in the pivot column (for Smith's column steps, the rows
-with one in the pivot column), walking only the nonzero entries of the
-pivot line.  The pivot rule is the smallest nonzero absolute value, ties
-broken by position.  A product likewise walks only the nonzero entries
-of both factors, unless one is a permutation matrix: `permutation_matrix`
-keeps the index list it was built from, and a product with it is an
-index gather of the other factor's rows (on the left) or columns (on
-the right), with the value of the dense product.
+path.  There are two eliminations, Hermite and back-substitution, each
+written once; Smith invariants come from alternating Hermite passes on
+rows and on columns.  They run on lists of rows copied off the matrix,
+stored back as one IntMatrix.  A step rewrites only the rows with a
+nonzero entry in the pivot column, walking only the nonzero entries of
+the pivot row.  The pivot rule is the smallest nonzero absolute value,
+ties broken by position.  A product likewise walks only the nonzero
+entries of both factors, unless one is a permutation matrix:
+`permutation_matrix` keeps the index list it was built from, and a
+product with it is an index gather of the other factor's rows (on the
+left) or columns (on the right), with the value of the dense product.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
+from math import gcd
 from operator import itemgetter
 
 
@@ -308,98 +309,35 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix([u for h, u in zip(H, U) if not any(h)], A.nrows)
 
 
-def _block_pivot(W, t, m, n):
-    """(i, j) of the smallest nonzero |entry| of the block W[t:m][t:n],
-    the first in row-major order on ties; None when the block is zero.
-    The scan stops at the first entry of absolute value 1."""
-    best, at = 0, None
-    for i in range(t, m):
-        seg = W[i][t:n]
-        if not any(seg):
-            continue
-        a = 1 if 1 in seg or -1 in seg else min(map(abs, filter(None, seg)))
-        if not best or a < best:
-            best, at = a, (i, t + min(seg.index(v) for v in (a, -a) if v in seg))
-            if a == 1:
-                break
-    return at
-
-
-def _swap_columns(rows, a, b):
-    for row in rows:
-        row[a], row[b] = row[b], row[a]
-
-
-def _smith(W, m, n):
-    """Smith elimination on the leading m x n block of the list of rows
-    W, in place.
-
-    Row operations act on whole rows and column operations on whole
-    columns, so a border [[A, I_m], [I_n, 0]] around A collects U in its
-    top right block and V in its bottom left one (the tests check
-    U*A*V = D that way).  Each pivot is the smallest nonzero |entry| of
-    the remaining block, the first in row-major order on ties.  A row step
-    rewrites only the rows with a nonzero entry in the pivot column,
-    walking the pivot row's nonzero entries; a column step rewrites only
-    the rows with a nonzero entry in the pivot column, at the columns
-    where the pivot row is nonzero.  Returns (W, rank); W[i][i] for
-    i < rank are the invariant factors d1 | d2 | ..., all positive.
-    """
-    t = 0
-    while t < m and t < n:
-        at = _block_pivot(W, t, m, n)
-        if at is None:
-            break
-        bi, bj = at
-        W[t], W[bi] = W[bi], W[t]
-        # rows above t are zero in the block's columns from t on
-        if bj != t:
-            _swap_columns(W[t:], t, bj)
-        while True:
-            rows = [i for i in range(t + 1, m) if W[i][t]]
-            while rows:
-                p = W[t][t]
-                line = _line(W[t], t)
-                for i in rows:
-                    row = W[i]
-                    q = row[t] // p
-                    for j, x in line:
-                        row[j] -= q * x
-                rows = [i for i in rows if W[i][t]]
-                if rows:
-                    # a smaller remainder appeared in the column; pivot on it
-                    i = _smallest(W, rows, t)
-                    W[t], W[i] = W[i], W[t]
-            pivot_row = W[t]
-            p = pivot_row[t]
-            qs = [(j, x // p) for j, x in enumerate(pivot_row[t + 1:n], t + 1) if x]
-            if qs:
-                # the block's rows other than t are zero in column t now
-                for row in [pivot_row, *W[m:]]:
-                    x = row[t]
-                    if x:
-                        for j, q in qs:
-                            row[j] -= q * x
-                cols = [j for j, _ in qs if pivot_row[j]]
-                if cols:
-                    _swap_columns(W[t:], t, min(cols, key=lambda j: abs(pivot_row[j])))
-                    continue
-            # the pivot must divide the rest of the block (a unit one does)
-            if abs(p) == 1:
-                break
-            bad = next((i for i in range(t + 1, m)
-                        if any(x % p for x in W[i][t + 1:n])), None)
-            if bad is None:
-                break
-            W[t] = [x + y for x, y in zip(W[t], W[bad])]
-        if W[t][t] < 0:
-            W[t] = [-x for x in W[t]]
-        t += 1
-    return W, t
-
-
 def snf_invariants(A: IntMatrix):
-    """Invariant factors d1 | d2 | ... of A's row lattice (no transforms)."""
-    W, rank = _smith(A.tolist(), A.nrows, A.ncols)
-    return [W[i][i] for i in range(rank)]
+    """Invariant factors d1 | d2 | ... of A's row lattice (no transforms).
 
+    Hermite passes alternate on rows and columns: each takes the nonzero
+    rows H of `_hermite` (directly: the pass above the pivots changes no
+    pivot) and hands H's transpose to the next, until H is diagonal.  If
+    every pivot of a pass is 1, the pivot columns hold a unit-triangular
+    minor of full rank, and every invariant is 1.
+
+    Termination: after two passes H is square, upper triangular and of
+    full rank.  Let t be the first index whose row and column are not yet
+    zero off H[t][t].  A row pass makes H[t][t] the gcd of its column,
+    the previous pass's row t, so each pass replaces H[t][t] by a
+    divisor.  When the value stays, it divides that column, whose row t
+    is H[t][t]*e_t; the pivot rule (smallest |entry|, first on ties)
+    picks that row, so the pass clears row t and column t for good.  The diagonal is then put in divisibility
+    order by pairwise gcd/lcm over its entries > 1.
+    """
+    W = A.tolist()
+    while True:
+        H = [row for row in _hermite(W, False)[0] if any(row)]
+        if all(next(filter(None, row)) == 1 for row in H):
+            return [1] * len(H)
+        if all(row[i] and row.count(0) == len(row) - 1 for i, row in enumerate(H)):
+            break
+        W = [list(col) for col in zip(*H)]
+    big = [row[i] for i, row in enumerate(H) if row[i] > 1]
+    for i in range(len(big)):
+        for j in range(i + 1, len(big)):
+            g = gcd(big[i], big[j])
+            big[i], big[j] = g, big[i] // g * big[j]
+    return [1] * (len(H) - len(big)) + big

@@ -238,14 +238,15 @@ class PipelineResult:
 
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
     check_index(G, H)
-    # H is normal in G exactly when it is its own core
+    # H is normal in G exactly when it is its own core, and then its one
+    # warning names the unfaithful action too
     core_order = core(G, H).order()
     if core_order == H.order() > 1:
         warnings.warn(
-            f"{H.describe()} is normal in {G.label}; the construction still "
-            "runs but the geometric setting assumes a non-normal subgroup",
-            stacklevel=3)
-    if core_order > 1:
+            f"{H.describe()} is normal in {G.label}, so the matrix action is "
+            "unfaithful; the construction still runs but the geometric "
+            "setting assumes a non-normal subgroup", stacklevel=3)
+    elif core_order > 1:
         warnings.warn(
             f"core of {H.describe()} in {G.label} is nontrivial; the matrix "
             "action is unfaithful", stacklevel=3)

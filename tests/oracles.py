@@ -6,9 +6,9 @@ never share a code path.  H^1 has two references: `bar_h1`, the bar
 complex on all of G, and `h1`, from a finite presentation of G (the
 catalog of `presentation_catalog`).  The dimension shift through Ind J,
 which the library's `sha2_omega` replaced by a free cover of I_{G/H},
-lives here as `sha2_omega_shift`.  `hnf` and `snf` expose the transforms
-of the library's own eliminations, which the program itself never
-needs.
+lives here as `sha2_omega_shift`.  `hnf` exposes the transforms of the
+library's Hermite elimination and `snf` those of the dense
+`smith_reference`, which the program itself never needs.
 """
 
 from dataclasses import dataclass
@@ -62,11 +62,11 @@ class SmithDecomposition:
 
 
 def snf(A):
-    """Full Smith decomposition: the library's Smith elimination, run on
-    the bordered array [[A, I_m], [I_n, 0]], whose row operations build U
-    and whose column operations build V in the same pass."""
+    """Full Smith decomposition: the dense `smith_reference`, run on the
+    bordered array [[A, I_m], [I_n, 0]], whose row operations build U and
+    whose column operations build V in the same pass."""
     m, n = A.nrows, A.ncols
-    W, rank = intmat._smith(bordered(A.tolist(), n), m, n)
+    W, rank = smith_reference(bordered(A.tolist(), n), m, n)
     return SmithDecomposition(IntMatrix([row[n:] for row in W[:m]], m),
                               IntMatrix([row[:n] for row in W[:m]], n),
                               IntMatrix([row[:n] for row in W[m:]], n), rank=rank)
@@ -893,9 +893,10 @@ def smith_reference(W, m, n):
     dense, on Python ints: each row step rewrites every row below the
     pivot and each column step every column right of it.  Row and column
     operations act on whole rows and columns, so a border around the block
-    collects the transforms.  Same pivot rule as the library (smallest
-    nonzero |entry| of the remaining block, first in row-major order on
-    ties).  Returns (W, rank)."""
+    collects the transforms.  Each pivot is the smallest nonzero |entry|
+    of the remaining block, the first in row-major order on ties.  The
+    reference for the library's `snf_invariants`, which has no column
+    steps.  Returns (W, rank)."""
     W = [list(row) for row in W]
 
     def swap_columns(a, b):

@@ -17,7 +17,7 @@ import pytest
 
 from normone.cohomology import sha2_omega
 from normone.errors import CapExceeded
-from normone.intmat import AbelianInvariants, IntMatrix
+from normone.intmat import AbelianInvariants, IntMatrix, snf_invariants
 from normone.lattices import chevalley_module, dual
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
@@ -152,6 +152,8 @@ def _snf_identities(trials=1000):
         for a, b in zip(nz, nz[1:]):
             if b % a:
                 return f"divisibility chain broken for {A!r}"
+        if snf_invariants(A) != nz:
+            return f"snf_invariants differs from the reference for {A!r}"
     return None
 
 
@@ -225,7 +227,8 @@ def _subgroup_for(G, mode):
 def test_criterion_7_property_suite():
     t0 = time.monotonic()
     fail = _snf_identities(1000)
-    report("7a (SNF identities, 1000 random matrices <= 8x8)", fail is None,
+    report("7a (reference SNF identities and snf_invariants, 1000 matrices <= 8x8)",
+           fail is None,
            fail or f"in {time.monotonic() - t0:.1f}s")
     t0 = time.monotonic()
     fail, checked = _h1_vs_bar(20)

@@ -118,6 +118,12 @@ class TestComputeCommand:
     def test_parse_error_exit_code(self, capsys):
         assert main(["compute", "Q7", "--point-stabilizer", "1"]) == 2
 
+    def test_point_above_the_degree_exit_code(self, capsys):
+        # Permutation.from_cycles refuses the point; parse_cycles makes
+        # that a parse error
+        assert main(["compute", "S4", "--subgroup", "(1 2),(5 6)"]) == 2
+        assert "exceeds degree 4" in capsys.readouterr().err
+
     def test_missing_subgroup_flag(self, capsys):
         assert main(["compute", "A4"]) == 2
 

@@ -20,7 +20,7 @@ from normone.perms import (
 )
 from normone.resolutions import norm_one_invariant
 from oracles import (
-    bordered, det, group_order, hermite_reference, hnf, hstack, inverse_unimodular,
+    det, group_order, hermite_reference, hnf, hstack, inverse_unimodular,
     minors_gcd, quotient_invariants, random_unimodular, smith_reference, snf,
     subtract, vstack, zeros,
 )
@@ -82,12 +82,6 @@ def with_zero_lines(draw, inner):
 reference_inputs = with_zero_lines(st.one_of(
     action_blocks(), tied_matrices, matrices(5, st.integers(-12, 12)),
     matrices(4, huge_entries)))
-
-
-def snf_blocks(W, m, n):
-    """(U, D, V) as lists, read off the eliminated bordered array W."""
-    return ([row[n:] for row in W[:m]], [row[:n] for row in W[:m]],
-            [row[:n] for row in W[m:]])
 
 
 class TestHNF:
@@ -170,21 +164,18 @@ class TestHNF:
 def test_eliminations_match_dense_reference(rows):
     # the eliminations touch only the rows a pivot line reaches and walk
     # only that line's nonzero entries; the dense eliminations must give
-    # the same H, U, Smith transforms and invariants, pivot for pivot,
+    # the same H and U, pivot for pivot, and the same Smith invariants,
     # huge entries included
     m, n = len(rows), len(rows[0])
     H, U = hermite_reference(rows, track=True)
-    D, rank = smith_reference(bordered(rows, n), m, n)
+    D, rank = smith_reference(rows, m, n)
     assert (intmat._hermite(copy.deepcopy(rows), True)
             == hermite_reference(rows, True, reduced=False))
     assert (intmat._hermite(copy.deepcopy(rows), False)
             == hermite_reference(rows, False, reduced=False))
-    assert intmat._smith(bordered(rows, n), m, n) == (D, rank)
     A = mat(rows)
     assert hnf(A) == (mat(H), mat(U))
     assert hnf_basis(A) == mat([row for row in H if any(row)], n)
-    d = snf(A)
-    assert (d.U.tolist(), d.D.tolist(), d.V.tolist()) == snf_blocks(D, m, n)
     assert snf_invariants(A) == [D[i][i] for i in range(rank)]
 
 
@@ -199,8 +190,10 @@ def check_elimination(name, args, out):
     elif name == "_reduce_above":
         rows, = args
         assert out == (hermite_reference(rows, False)[0] if rows else [])
-    elif name == "_smith":
-        assert out == smith_reference(*args)
+    elif name == "snf_invariants":
+        A, = args
+        D, rank = smith_reference(A.tolist(), A.nrows, A.ncols)
+        assert out == [D[i][i] for i in range(rank)]
     else:
         H, B = args
         if out is None:
@@ -211,33 +204,37 @@ def check_elimination(name, args, out):
                     for xs, b in zip(out, B)] == B
 
 
-ELIMINATIONS = ("_hermite", "_reduce_above", "_smith", "_back_substitute")
+ELIMINATIONS = ("_hermite", "_reduce_above", "_back_substitute")
 
 
 def test_pipeline_eliminations_match_references(monkeypatch):
-    # every elimination of two point-stabilizer pipelines and one oracle
-    # run, input by input: shapes and entries the random inputs miss
+    # every elimination and Smith form of two point-stabilizer pipelines
+    # and one oracle run, input by input: shapes and entries the random
+    # inputs miss
     runs = []
 
-    def record(name):
-        elim = getattr(intmat, name)
+    def record(module, name):
+        elim = getattr(module, name)
 
         def run(*args):
-            inputs = copy.deepcopy(args)
+            # an IntMatrix is immutable; lists of rows are copied
+            inputs = args if name == "snf_invariants" else copy.deepcopy(args)
             out = elim(*args)
             runs.append((name, inputs, copy.deepcopy(out)))
             return out
-        monkeypatch.setattr(intmat, name, run)
+        monkeypatch.setattr(module, name, run)
 
     for name in ELIMINATIONS:
-        record(name)
+        record(intmat, name)
+    for module in (cohomology, resolutions):
+        record(module, "snf_invariants")
     G = product_of_cyclics((2, 2, 3))
     assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
     for G in (alternating(4), alternating(5)):
         norm_one_invariant(G, G.point_stabilizer(G.degree))
     for name, args, out in runs:
         check_elimination(name, args, out)
-    assert {name for name, _, _ in runs} == set(ELIMINATIONS)
+    assert {name for name, _, _ in runs} == {*ELIMINATIONS, "snf_invariants"}
     assert any(out is None for name, _, out in runs if name == "_back_substitute")
 
 
@@ -272,7 +269,43 @@ def test_kernel_rows_need_no_pass_above_the_pivots(monkeypatch):
             [u for h, u in zip(H.data, U.data) if not any(h)], A.nrows)
 
 
+def hermite_passes(monkeypatch, A):
+    """(snf_invariants(A), the number of Hermite passes it ran)."""
+    passes = []
+    hermite = intmat._hermite
+
+    def counted(*args):
+        passes.append(args)
+        return hermite(*args)
+    monkeypatch.setattr(intmat, "_hermite", counted)
+    return snf_invariants(A), len(passes)
+
+
 class TestSNF:
+    def test_three_passes(self, monkeypatch):
+        # the passes give [[2,1],[0,2]], then [[1,2],[0,4]] from the
+        # columns, then [[1,0],[0,4]]
+        assert hermite_passes(monkeypatch, mat([[2, 1], [0, 2]])) == ([1, 4], 3)
+
+    def test_diagonal_put_in_divisibility_order(self, monkeypatch):
+        assert hermite_passes(monkeypatch, mat([[4, 0], [0, 6]])) == ([2, 12], 1)
+        assert hermite_passes(monkeypatch, mat([[2, 0], [0, 3]])) == ([1, 6], 1)
+
+    def test_wide_pivots_off_the_diagonal(self, monkeypatch):
+        # echelon after one pass, but the pivots sit in columns 1 and 2
+        A = mat([[0, 2, 0, 0], [0, 0, 3, 0]])
+        assert hermite_passes(monkeypatch, A) == ([1, 6], 2)
+
+    def test_unit_pivots_below_full_column_rank(self, monkeypatch):
+        # rank 2 < 3 columns, both pivots 1: no second pass
+        A = mat([[1, 2, 3], [2, 5, 11], [3, 7, 14]])
+        assert hermite_passes(monkeypatch, A) == ([1, 1], 1)
+
+    def test_zero_and_empty(self):
+        assert snf_invariants(zeros(3, 2)) == []
+        assert snf_invariants(mat([], ncols=3)) == []
+        assert snf_invariants(zeros(2, 0)) == []
+
     def test_diag_2_3(self):
         d = snf(mat([[2, 0], [0, 3]]))
         assert d.D == mat([[1, 0], [0, 6]])

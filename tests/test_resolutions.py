@@ -330,11 +330,20 @@ class TestNormOneInvariant:
             norm_one_invariant(G, H)
 
     def test_nontrivial_core_warns(self):
-        G = cyclic(6)
-        H = G.subgroup([P([(1, 4), (2, 5), (3, 6)], 6)])
-        with pytest.warns(UserWarning):
-            inv = norm_one_invariant(G, H)
-        assert inv.is_trivial()
+        # one warning per condition: a normal H, its own core, gets the
+        # normal one, which names the unfaithful action too; a non-normal
+        # H with a nontrivial core (D4 in S4, core V4) gets the core one
+        C6, S4 = cyclic(6), symmetric(4)
+        cases = ((C6.subgroup([P([(1, 4), (2, 5), (3, 6)], 6)]), "is normal in C6"),
+                 (S4.subgroup([P([(1, 2, 3, 4)], 4), P([(1, 3)], 4)]), "core of"))
+        for H, start in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                inv = norm_one_invariant(H.parent, H)
+            assert inv.is_trivial()
+            assert len(caught) == 1 and caught[0].category is UserWarning
+            message = str(caught[0].message)
+            assert start in message and "unfaithful" in message
 
     def test_pipeline_builds_one_exact_sequence(self, monkeypatch):
         # one coflasque cover of I = dual(J) carries everything: one
