@@ -3,9 +3,12 @@
 Tate H^-1 is the torsion of one Smith form; the pipeline takes its H^1
 from it by duality, and `sha2_omega` takes Sha^2_omega from one more
 Smith form by the same duality, over the kernel of a free cover
-Z[G]^r -> I_{G/H} of the augmentation ideal.  No presentation of the
-acting group is needed; the tests' independent routes (the bar complex,
-H^1 from a presentation, the dimension shift) live in `tests/oracles.py`.
+Z[G]^r -> I_{G/H} of the augmentation ideal.  The cover's matrix is the
+incidence matrix of a graph on the cosets, so that kernel is read off a
+spanning forest as the graph's cycle lattice, with no elimination.  No
+presentation of the acting group is needed; the tests' independent
+routes (the bar complex, H^1 from a presentation, the dimension shift)
+live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -49,15 +52,93 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
-def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
-    """The free cover Z[G]^r -> I_{G/H} of `sha2_omega`, checked to be
-    onto.  Z[G]^r is one permutation lattice on r|G| points, point
-    j|G| + a being element a of copy j (G.elements() numbers the
-    elements).  It is read off G.multiplication_table(), which the cyclic
-    class search has built: a generator x sends element a to a*x, so it
-    moves each copy's points by its column.  The coset of each element,
-    in the numbering of I's basis, comes off the same table, so the
-    transversal is built once, inside `augmentation_ideal`."""
+def _cycle_lattice(ends, d) -> IntMatrix:
+    """The Hermite basis of the integer kernel of the incidence matrix of
+    a graph on the vertices 0..d-1 whose edge i runs from ends[i][0] to
+    ends[i][1]: the rows x with x*A = 0, A having row e_u - e_v at edge
+    (u, v).  Loops and parallel edges are allowed, and the graph need not
+    be connected.  No elimination runs.
+
+    A spanning forest is grown greedily from the last edge down, joining
+    two trees (union-find) whenever an edge does.  Each edge i left out
+    closes one cycle, e_i plus the forest path from its head back to its
+    tail, signed by the direction each forest edge is walked; a loop is
+    e_i alone.  The cycles form a basis of the kernel: a kernel vector
+    minus its entries at the left-out edges times their cycles is
+    carried by the forest, whose incidence rows are independent, so it
+    is 0.  Edge i was left out because its ends were already joined by
+    the edges above it, so every other edge on its cycle has an index
+    above i and lies in the forest, and edge i lies on no other cycle.
+    In the order of i, the cycles therefore have a leading 1 at column i
+    and 0 in every other leading column: they are the reduced row
+    echelon form of the kernel, its unique Hermite basis, the rows
+    hnf_basis(kernel_basis(A)) returns.
+    """
+    root = list(range(d))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+    near = [[] for _ in range(d)]
+    left = []
+    for i in range(len(ends) - 1, -1, -1):
+        u, v = ends[i]
+        a, b = find(u), find(v)
+        if a == b:
+            left.append(i)
+        else:
+            root[a] = b
+            near[u].append((v, i, 1))
+            near[v].append((u, i, -1))
+    # each tree hangs from its first vertex; up[x] is the sign of the
+    # edge from x to its parent when walked upwards
+    parent, edge, up, depth = [-1] * d, [-1] * d, [0] * d, [-1] * d
+    for top in range(d):
+        if depth[top] < 0:
+            depth[top] = 0
+            queue = [top]
+            for x in queue:
+                for y, i, sign in near[x]:
+                    if depth[y] < 0:
+                        parent[y], edge[y], up[y], depth[y] = x, i, -sign, depth[x] + 1
+                        queue.append(y)
+    rows = []
+    for i in reversed(left):
+        row = [0] * len(ends)
+        row[i] = 1
+        # walk from the head v up to the meeting vertex, and from there
+        # down to the tail u: together e_v - e_u
+        x, y = ends[i][1], ends[i][0]
+        while x != y:
+            if depth[x] >= depth[y]:
+                row[edge[x]] = up[x]
+                x = parent[x]
+            else:
+                row[edge[y]] = -up[y]
+                y = parent[y]
+        rows.append(row)
+    return IntMatrix(rows, len(ends))
+
+
+def _free_cover(G: PermGroup, H: PermGroup):
+    """(cover, K): the free cover Z[G]^r -> I_{G/H} of `sha2_omega`,
+    checked to be onto, and the Hermite basis K of its kernel.  Z[G]^r
+    is one permutation lattice on r|G| points, point j|G| + a being
+    element a of copy j (G.elements() numbers the elements).  It is read
+    off G.multiplication_table(), which the cyclic class search has
+    built: a generator x sends element a to a*x, so it moves each copy's
+    points by its column.  The coset of each element, in the numbering
+    of I's basis, comes off the same table, so the transversal is built
+    once, inside `augmentation_ideal`.
+
+    The cover's matrix is the incidence matrix of the coset graph, one
+    vertex per coset and an edge from H*g to H*s_j*g for each point, with
+    the last coset's column dropped (every row sums to 0, so the kernel
+    is the same).  K is its cycle lattice, `_cycle_lattice`, with
+    r|G| - [G:H] + 1 rows since the cover is onto and the graph is
+    therefore connected; both that count and K*A = 0 are checked."""
     I = augmentation_ideal(G, H)
     number, table, _ = G.multiplication_table()
     hgens = [number[h.images] for h in H.generators]
@@ -82,20 +163,28 @@ def _free_cover(G: PermGroup, H: PermGroup) -> LatticeMap:
             d += 1
     # e_g in copy j goes to the coset of g minus that of s_j*g, whose
     # coordinates in I's basis coset_i - coset_last are its first d-1
+    ends = [(coset[g], coset[col[s]]) for s in picked for g, col in enumerate(table)]
     images = []
-    for s in picked:
-        for g, col in enumerate(table):
-            row = [0] * d
-            row[coset[g]] += 1
-            row[coset[col[s]]] -= 1
-            images.append(row[:-1])
+    for u, v in ends:
+        row = [0] * d
+        row[u] += 1
+        row[v] -= 1
+        images.append(row[:-1])
     n, r = len(table), len(picked)
     free = GLattice(G, r * n, [permutation_matrix([j * n + c for j in range(r) for c in table[x]])
                                for x in gens])
     cover = LatticeMap(free, I, IntMatrix(images, I.rank))
     if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")
-    return cover
+    K = _cycle_lattice(ends, d)
+    if K.nrows != r * n - d + 1:
+        raise InternalCheckError(
+            f"cycle lattice of the free cover over {G.label} has {K.nrows} rows, "
+            f"expected r|G| - [G:H] + 1 = {r * n - d + 1}")
+    if not (K * cover.matrix).is_zero():
+        raise InternalCheckError(f"cycle lattice of the free cover over {G.label} "
+                                 "is not in its kernel")
+    return cover, K
 
 
 def _norm_kernel(K: IntMatrix, moves, r) -> IntMatrix:
@@ -138,6 +227,9 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     h in H.  Each pick at least doubles the subgroup, so r <= log2 [G:H],
     and the kernel K has rank r|G| - ([G:H] - 1), at most
     (|G| - 1)([G:H] - 1), with equality only at index 2, where r = 1.
+    K is the cycle lattice of the coset graph, whose incidence matrix
+    the cover's matrix is, read off a spanning forest already in Hermite
+    form (`_free_cover`).
     The transpose 0 -> J -> Z[G]^r -> dual(K) -> 0 has a free middle
     term, so H^2(S, J) = H^1(S, dual K) for every subgroup S, naturally
     in S, and that is dual to Tate H^-1(S, K) = ker(N_S) / K*I_S (Brown,
@@ -153,6 +245,8 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     cyclic subgroups alone: for C <= C', N_C' = N_C * sum(C'/C) over a
     transversal, so ker(N_C) lies in ker(N_C'), and every cyclic
     subgroup lies in a maximal one, a conjugate of a kept representative.
+    Each representative comes as its element numbers in
+    G.multiplication_table(), whose columns are its moves.
     Each ker(N_C) lies in ker(N_G), the saturation of K*I_G, so the
     quotient is the torsion of Z^rank(K) modulo the stacked rows of
     rho(s) - 1 over the generators s and a basis of each ker(N_C), the
@@ -160,9 +254,11 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     summed over the cosets of C, the distinct columns of K*N_C.  rho(s)
     is a permutation matrix, so K*rho(s) is a column gather of K.
 
-    Self-checks: the cover is onto.  K^G has rank r, since (Z[G]^r)^G has
-    rank r and I^G = 0, so the Smith rank, that of K*I_G, is
-    rank(K) - r; a ker(N_C) row outside ker(N_G) would raise it.  Every
+    Self-checks: the cover is onto; K has r|G| - [G:H] + 1 rows and
+    K*A = 0 for the cover's matrix A.  K^G has rank r, since
+    (Z[G]^r)^G has rank r and I^G = 0, so the Smith rank, that of
+    K*I_G, is rank(K) - r; a ker(N_C) row outside ker(N_G) would raise
+    it.  Every
     invariant divides [G:H], which kills Sha^2_omega(G, J): restricted to
     H, J is a permutation lattice, on which Sha^2_omega vanishes (by
     Shapiro's lemma it becomes the characters of a subgroup that die on
@@ -178,15 +274,18 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     if G.order() > SHA_ORDER_CAP:
         raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
     classes = maximal_cyclic_subgroup_classes(G, class_cap)
-    cover = _free_cover(G, H)
+    cover, K = _free_cover(G, H)
     free = cover.source
-    K = hnf_basis(kernel_basis(cover.matrix))
     rows = minus_one_rows(_restricted_action(K, free))
-    number, table, _ = G.multiplication_table()
+    _, table, _ = G.multiplication_table()
     r = free.rank // G.order()
-    for cls in classes:
-        rows += _norm_kernel(K, [table[number[c.images]] for c in cls.elements()], r).data
-    d = snf_invariants(IntMatrix(rows, K.nrows))
+    for nums in classes:
+        rows += _norm_kernel(K, [table[c] for c in nums], r).data
+    # IntMatrix shares the norm kernels' row tuples but copies the rho(s) - 1
+    # lists, which are dropped before the Smith form makes its working copy
+    A = IntMatrix(rows, K.nrows)
+    del rows
+    d = snf_invariants(A)
     if len(d) != K.nrows - r:
         raise InternalCheckError(
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "

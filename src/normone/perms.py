@@ -13,8 +13,10 @@ class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
-Z[G] of its free cover and its coset map; transversals and cores
-multiply permutations.  Caps guard against accidental blowups.  The two that callers set, a group's
+Z[G] of its free cover and its coset map.  The maximal cyclic classes
+that `sha2_omega` needs come as lists of element numbers in that table,
+not as subgroups.  Transversals and cores multiply permutations.  Caps
+guard against accidental blowups.  The two that callers set, a group's
 `max_order` and the `cap=` of `subgroup_classes` and
 `are_conjugate_subgroups`, are keyword arguments; the others are the
 module constants.
@@ -542,11 +544,13 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
 
 def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     """The nontrivial classes of subgroup_classes(G) whose subgroups are
-    maximal cyclic ones, in no larger cyclic subgroup: the same
-    representatives in the same order, from its seeding step alone.
-    <x> lies in a larger cyclic subgroup exactly when x is a power of an
-    element of larger order, so the seeding step's closures of the
-    elements mark every such x."""
+    maximal cyclic ones, in no larger cyclic subgroup, each as the sorted
+    list of its element numbers in G.multiplication_table(): the same
+    representatives in the same order, by decreasing order and then by
+    those numbers, from its seeding step alone.  <x> lies in a larger
+    cyclic subgroup exactly when x is a power of an element of larger
+    order, so the seeding step's closures of the elements mark every
+    such x."""
     classes, _, cyclics = _cyclic_classes(G, cap)
     # inside[x]: x lies in the cyclic group of an element of larger order
     inside = bytearray(len(cyclics))
@@ -554,7 +558,8 @@ def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         for x in c:
             if len(cyclics[x]) < len(c):
                 inside[x] = 1
-    return _class_handles(G, [cls for cls in classes[1:] if not inside[cls[1][0]]])
+    kept = [sorted(sset) for sset, gens, _ in classes[1:] if not inside[gens[0]]]
+    return sorted(kept, key=lambda nums: (-len(nums), nums))
 
 
 # ---------------------------------------------------------------------------

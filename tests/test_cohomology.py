@@ -4,6 +4,7 @@ import re
 import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import normone.cohomology as cohomology
 import oracles
@@ -264,8 +265,9 @@ def _literal_norm_kernels(G, H):
     """(free, K, kernels) for sha2_omega's free cover of (G, H): its source,
     the Hermite basis K of its kernel, and for each cyclic class C of G,
     keyed by C's elements, (C, ker(K*N_C)) with N_C the literal sum of
-    rho(c) over C."""
-    cover = cohomology._free_cover(G, H)
+    rho(c) over C.  K comes from an elimination of the cover's matrix,
+    not from the coset graph."""
+    cover, _ = cohomology._free_cover(G, H)
     free = cover.source
     K = hnf_basis(kernel_basis(cover.matrix))
     kernels = {}
@@ -273,6 +275,53 @@ def _literal_norm_kernels(G, H):
         norm = matrix_sum([free.matrix_of(c) for c in cls.elements()], free.rank)
         kernels[cls.elements()] = (cls, kernel_basis(K * norm))
     return free, K, kernels
+
+
+def _incidence(ends, d):
+    """The incidence matrix of a graph on d vertices: row e_u - e_v for
+    the edge (u, v), a zero row for a loop."""
+    rows = []
+    for u, v in ends:
+        row = [0] * d
+        row[u] += 1
+        row[v] -= 1
+        rows.append(row)
+    return IntMatrix(rows, d)
+
+
+@st.composite
+def multigraphs(draw):
+    # loops and parallel edges come up as often as not, and few enough
+    # edges leave a graph disconnected
+    d = draw(st.integers(1, 8))
+    vertex = st.integers(0, d - 1)
+    return draw(st.lists(st.tuples(vertex, vertex), max_size=16)), d
+
+
+def _a6_rows():
+    A6 = alternating(6)
+    return [(A6, A6.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 2, 3)], 6)])),
+            (A6, A6.subgroup([P([(1, 2, 3, 4, 5)], 6), P([(1, 4), (5, 6)], 6)]))]
+
+
+class TestCycleLattice:
+    @given(multigraphs())
+    # loops, a double edge and an isolated vertex (four components); a
+    # triangle against the direction of its last edge, with a bridge; no edge
+    @example(([(0, 0), (1, 2), (2, 1), (3, 3)], 5))
+    @example(([(0, 1), (1, 2), (0, 2), (2, 3)], 4))
+    @example(([], 3))
+    def test_matches_the_eliminated_hermite_basis(self, graph):
+        ends, d = graph
+        assert cohomology._cycle_lattice(ends, d) == hnf_basis(kernel_basis(_incidence(ends, d)))
+
+    def test_every_free_cover_kernel(self):
+        # the Hermite basis an elimination of the cover's matrix gives, on
+        # every oracle pair (A5 and S5 over a point stabilizer among them)
+        # and on both A6 rows
+        for G, H in _oracle_pairs() + _a6_rows():
+            cover, K = cohomology._free_cover(G, H)
+            assert K == hnf_basis(kernel_basis(cover.matrix)), (G.label, H.describe())
 
 
 class TestSha2Omega:
@@ -323,9 +372,10 @@ class TestSha2Omega:
         pairs = _shift_pairs() + [("A5/A4", A5, A5.point_stabilizer(5))]
         for name, G, H in pairs:
             n, d = G.order(), G.order() // H.order()
-            cover = cohomology._free_cover(G, H)
+            cover, K = cohomology._free_cover(G, H)
             r, rank = cover.source.rank // n, kernel_basis(cover.matrix).nrows
             assert cover.source.rank == r * n and cover.target.rank == d - 1, name
+            assert K.nrows == rank, name
             assert 2 ** r <= d, name
             assert rank == r * n - (d - 1) <= (n - 1) * (d - 1), name
             if d == 2:
@@ -338,7 +388,7 @@ class TestSha2Omega:
         # perm_lattice(G, 1), and the cover equals the one built from
         # permutation products, with the same picks
         for G, H in _oracle_pairs():
-            cover, literal = cohomology._free_cover(G, H), free_cover_literal(G, H)
+            (cover, _), literal = cohomology._free_cover(G, H), free_cover_literal(G, H)
             assert cover.source.action == literal.source.action, (G.label, H.describe())
             assert cover.matrix == literal.matrix, (G.label, H.describe())
 
@@ -347,7 +397,8 @@ class TestSha2Omega:
         # the kernels of the maximal classes already span those of the rest
         for G, H in _oracle_pairs():
             free, K, kernels = _literal_norm_kernels(G, H)
-            kept = [cls.elements() for cls in maximal_cyclic_subgroup_classes(G)]
+            elems = G.elements()
+            kept = [tuple(elems[i] for i in nums) for nums in maximal_cyclic_subgroup_classes(G)]
             rows = minus_one_rows(_restricted_action(K, free))
             for key in kept:
                 rows += kernels[key][1].data
@@ -364,13 +415,17 @@ class TestSha2Omega:
             assert sha2_omega(G, H) == sha2_omega_shift(G, H), H.describe()
 
     def test_coset_sums_give_the_literal_norm_kernels(self):
+        # every cyclic class, each as its element numbers; the maximal
+        # ones are among them, as sha2_omega passes them
         for G, H in _oracle_pairs():
             free, K, kernels = _literal_norm_kernels(G, H)
             number, table, _ = G.multiplication_table()
             r = free.rank // G.order()
-            for cls, kernel in kernels.values():
-                moves = [table[number[c.images]] for c in cls.elements()]
-                got = cohomology._norm_kernel(K, moves, r)
+            classes = [sorted(number[c.images] for c in cls.elements())
+                       for cls, _ in kernels.values()]
+            assert all(nums in classes for nums in maximal_cyclic_subgroup_classes(G))
+            for nums, (cls, kernel) in zip(classes, kernels.values()):
+                got = cohomology._norm_kernel(K, [table[c] for c in nums], r)
                 assert hnf_basis(got) == hnf_basis(kernel), (
                     G.label, H.describe(), cls.describe())
 
@@ -380,7 +435,7 @@ class TestSha2Omega:
         # one copy of Z[G] does not cover I, of rank 3
         G = product_of_cyclics((2, 2))
         H = G.trivial_subgroup()
-        assert cohomology._free_cover(G, H).source.rank == 2 * G.order()
+        assert cohomology._free_cover(G, H)[0].source.rank == 2 * G.order()
         closure = cohomology.closure_idx
 
         def whole_after_a_pick(table, gens):
@@ -406,6 +461,36 @@ class TestSha2Omega:
         with pytest.raises(InternalCheckError, match="not equivariant for generator 0"):
             cohomology._free_cover(G, G.point_stabilizer(4))
         assert len(calls) == len(G.generators)
+
+    def test_kernel_check_catches_a_corrupted_cycle(self, monkeypatch):
+        # one more unit at an edge that is not a loop: that cycle's image
+        # under the cover is the edge's nonzero row
+        cycle_lattice = cohomology._cycle_lattice
+
+        def corrupted(ends, d):
+            rows = cycle_lattice(ends, d).tolist()
+            rows[0][next(i for i, (u, v) in enumerate(ends) if u != v)] += 1
+            return IntMatrix(rows, len(ends))
+        monkeypatch.setattr(cohomology, "_cycle_lattice", corrupted)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="is not in its kernel"):
+            sha2_omega(G, G.point_stabilizer(4))
+
+    def test_rank_check_catches_a_dropped_forest_edge(self, monkeypatch):
+        # the greedy forest keeps the last edge that is not a loop; without
+        # it, A4's coset graph over A3 (12 edges on 4 vertices) stays
+        # connected, so its cycles, read back with a zero at that edge,
+        # still lie in the kernel but are one too few
+        cycle_lattice = cohomology._cycle_lattice
+
+        def dropped(ends, d):
+            i = max(k for k, (u, v) in enumerate(ends) if u != v)
+            K = cycle_lattice(ends[:i] + ends[i + 1:], d)
+            return IntMatrix([row[:i] + (0,) + row[i:] for row in K.data], len(ends))
+        monkeypatch.setattr(cohomology, "_cycle_lattice", dropped)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="has 8 rows, expected .* = 9"):
+            sha2_omega(G, G.point_stabilizer(4))
 
     def test_matches_pipeline_on_point_stabilizers(self):
         # the paper's A4 and A5 rows, and S5

@@ -366,7 +366,8 @@ class TestSubgroupClasses:
                                    alternating(6)], ids=lambda G: G.label)
     def test_maximal_cyclic_classes(self, G):
         # the cyclic classes in no larger cyclic subgroup, by brute force
-        # over the powers of every element: the same handles, in order
+        # over the powers of every element: the same classes, in order,
+        # their element numbers naming the handles' elements
         G = PermGroup(G.degree, G.generators, label=G.label)
 
         def powers(y):
@@ -378,17 +379,19 @@ class TestSubgroupClasses:
         cyclics = [powers(y) for y in G.elements()]
         expect = [h for h in cyclic_subgroup_classes(G)
                   if not any(set(h.elements()) < c for c in cyclics)]
+        elems = G.elements()
         got = maximal_cyclic_subgroup_classes(G)
-        assert [h.elements() for h in got] == [h.elements() for h in expect]
+        assert [tuple(elems[i] for i in nums) for nums in got] == [h.elements() for h in expect]
 
     @pytest.mark.parametrize("G", [*small_catalog(), alternating(6)], ids=lambda G: G.label)
     def test_handles_match_the_greedy_generating_set(self, G):
         # generators walked off the multiplication table are those that
         # small_generating_set picks from the sorted elements, and the
-        # order is by decreasing order, then by the sorted elements
+        # order is by decreasing order, then by the sorted elements; the
+        # maximal cyclic classes come as sorted element numbers, which
+        # sort as the elements they name
         G = PermGroup(G.degree, G.generators, label=G.label)
-        for handles in (subgroup_classes(G), cyclic_subgroup_classes(G),
-                        maximal_cyclic_subgroup_classes(G)):
+        for handles in (subgroup_classes(G), cyclic_subgroup_classes(G)):
             for h in handles:
                 ref = _spanned(G, h.elements())
                 assert h.generators == ref.generators
@@ -396,6 +399,13 @@ class TestSubgroupClasses:
                 assert h.parent is G
             keys = [(-h.order(), [p.images for p in h.elements()]) for h in handles]
             assert keys == sorted(keys)
+        elems = G.elements()
+        classes = maximal_cyclic_subgroup_classes(G)
+        for nums in classes:
+            assert nums == sorted(nums)
+            assert tuple(elems[i] for i in nums) == _spanned(G, [elems[i] for i in nums]).elements()
+        keys = [(-len(nums), [elems[i].images for i in nums]) for nums in classes]
+        assert keys == sorted(keys)
 
 
     @pytest.mark.parametrize("G, described", [
