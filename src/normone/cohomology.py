@@ -24,6 +24,7 @@ from .lattices import (
 )
 from .perms import (
     SUBGROUP_CLASS_CAP, PermGroup, closure_idx, maximal_cyclic_subgroup_classes,
+    right_transversal,
 )
 
 SHA_ORDER_CAP = 360
@@ -130,8 +131,8 @@ def _free_cover(G: PermGroup, H: PermGroup):
     off G.multiplication_table(), which the cyclic class search has
     built: a generator x sends element a to a*x, so it moves each copy's
     points by its column.  The coset of each element, in the numbering
-    of I's basis, comes off the same table, so the transversal is built
-    once, inside `augmentation_ideal`.
+    of I's basis, is `right_transversal`'s coset map, which reads the
+    same table.
 
     The cover's matrix is the incidence matrix of the coset graph, one
     vertex per coset and an edge from H*g to H*s_j*g for each point, with
@@ -151,16 +152,9 @@ def _free_cover(G: PermGroup, H: PermGroup):
         if s not in span:
             picked.append(s)
             span = set(closure_idx(table, hgens + picked))
-    # coset[g] numbers the coset H*g as right_transversal numbers I's
-    # basis, by first element in G.elements(); h*g is table[g][h]
-    hnums = [number[h.images] for h in H.elements()]
-    coset = [-1] * len(table)
-    d = 0
-    for g, col in enumerate(table):
-        if coset[g] < 0:
-            for h in hnums:
-                coset[col[h]] = d
-            d += 1
+    # coset[g] numbers the coset H*g as I's basis numbers it
+    T, coset_of = right_transversal(G, H)
+    coset, d = coset_of.coset, len(T)
     # e_g in copy j goes to the coset of g minus that of s_j*g, whose
     # coordinates in I's basis coset_i - coset_last are its first d-1
     ends = [(coset[g], coset[col[s]]) for s in picked for g, col in enumerate(table)]

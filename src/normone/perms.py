@@ -13,10 +13,12 @@ class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
-Z[G] of its free cover and its coset map.  The maximal cyclic classes
-that `sha2_omega` needs come as lists of element numbers in that table,
-not as subgroups.  Transversals and cores multiply permutations.  Caps
-guard against accidental blowups.  The two that callers set, a group's
+Z[G] of its free cover.  The maximal cyclic classes that `sha2_omega`
+needs come as lists of element numbers in that table, not as subgroups.
+Transversals, coset moves, cores and generator words read the table once
+the class search has built it, and compose permutations otherwise; both
+routes give the same numbering and the same words.  Caps guard against
+accidental blowups.  The two that callers set, a group's
 `max_order` and the `cap=` of `subgroup_classes` and
 `are_conjugate_subgroups`, are keyword arguments; the others are the
 module constants.
@@ -27,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import lcm
+from typing import NamedTuple
 
 from .errors import CapExceeded, NotASubgroupError, UsageError
 
@@ -213,9 +216,6 @@ class PermGroup:
     def __contains__(self, p):
         return p in self.element_set()
 
-    def identity(self):
-        return Permutation.identity(self.degree)
-
     def elements_with_words(self, alphabet=None):
         """Map every reachable element to a shortest word over the alphabet.
 
@@ -223,24 +223,31 @@ class PermGroup:
         application is never needed: index k means "multiply by
         alphabet[k-1] on the right").  Defaults to the group's own
         generators, in which case the map covers the whole group; the
-        program always takes that default.
+        program always takes that default.  The letters lie in the group.
+        The search is breadth-first from the identity over each letter's
+        column, the numbers of a*x over the elements a (`_times`), so it
+        reads the multiplication table when the group holds one and
+        takes |G| permutation products per letter otherwise.
         """
         key = tuple(p.images for p in alphabet) if alphabet is not None else None
         cached = self._word_cache.get(key)
         if cached is not None:
             return cached
         gens = tuple(alphabet) if alphabet is not None else self.generators
-        words = {self.identity(): ()}
-        queue = [self.identity()]
+        elems = self.elements()
+        number = _numbers(self)
+        cols = [_times(self, number, range(len(elems)), number[g.images]) for g in gens]
+        found = [None] * len(elems)
+        found[0] = ()  # elements()[0] is the identity
+        queue = [0]
         for cur in queue:
-            w = words[cur]
-            for k, g in enumerate(gens):
-                nxt = cur * g
-                if nxt not in words:
-                    if len(words) >= self.max_order:
-                        raise CapExceeded("word enumeration exceeds max_order")
-                    words[nxt] = w + (k + 1,)
+            w = found[cur]
+            for k, col in enumerate(cols, 1):
+                nxt = col[cur]
+                if found[nxt] is None:
+                    found[nxt] = w + (k,)
                     queue.append(nxt)
+        words = {elems[a]: found[a] for a in queue}
         self._word_cache[key] = words
         return words
 
@@ -257,8 +264,8 @@ class PermGroup:
         if self._table is None:
             elems = self.elements()
             n = len(elems)
-            number = {p.images: i for i, p in enumerate(elems)}
-            moves = [[number[(p * g).images] for p in elems] for g in self.generators]
+            number = _numbers(self)
+            moves = [_times(self, number, range(n), number[g.images]) for g in self.generators]
             table = [None] * n
             table[0] = list(range(n))  # elements()[0] is the identity
             queue = [0]
@@ -327,33 +334,70 @@ def _check_subgroup(G, H):
         raise NotASubgroupError(f"<{H.describe()}> is not a subgroup of {G.label}")
 
 
+def _numbers(G):
+    """The map from the images of each element of G to its place in
+    G.elements(): the multiplication table's own once it is built."""
+    if G._table is not None:
+        return G._table[0]
+    return {p.images: i for i, p in enumerate(G.elements())}
+
+
+def _times(G, number, nums, x):
+    """The numbers of a*x for the elements a numbered in nums and the
+    element numbered x: x's column of G's multiplication table when G
+    holds one, else permutation products."""
+    if G._table is not None:
+        col = G._table[1][x]
+        return [col[a] for a in nums]
+    elems = G.elements()
+    p = elems[x]
+    return [number[(elems[a] * p).images] for a in nums]
+
+
+class CosetMap(NamedTuple):
+    """The coset map of `right_transversal`: coset[a] is the index of the
+    coset of the element numbered a, and number maps the images of each
+    element of group to its number, its place in group.elements()."""
+
+    group: PermGroup
+    number: dict
+    coset: list
+
+
 def right_transversal(G, H):
     """Canonical right-coset representatives of H in G, and the coset map.
 
     The representative of a coset Hg is its lexicographically smallest
-    member; the list is sorted by that key, so the identity coset comes
-    first and the lexicographically largest coset comes last.  The map
-    sends the images of every element of G to the 0-based index of its
-    coset in that list.
+    member, its first element in G.elements(); the list is sorted by that
+    key, so the identity coset comes first and the lexicographically
+    largest coset comes last.  The map (a CosetMap) sends every element
+    of G to the 0-based index of its coset in that list.  Each coset H*g
+    is g's column of the multiplication table at H's elements once the
+    class search has built the table, and |H| permutation products
+    otherwise.
     """
     _check_subgroup(G, H)
-    helems = H.elements()
-    coset_of = {}
+    elems = G.elements()
+    number = _numbers(G)
+    hnums = [number[h.images] for h in H.elements()]
+    coset = [-1] * len(elems)
     reps = []
-    for g in G.elements():
-        if g.images in coset_of:
-            continue
-        i = len(reps)
-        reps.append(g)
-        for h in helems:
-            coset_of[(h * g).images] = i
-    return reps, coset_of
+    for g in range(len(elems)):
+        if coset[g] < 0:
+            for a in _times(G, number, hnums, g):
+                coset[a] = len(reps)
+            reps.append(elems[g])
+    return reps, CosetMap(G, number, coset)
 
 
 def coset_moves(transversal, coset_of, xs):
     """The action of each x in xs on the cosets right_transversal lists:
-    entry i of the list for x is the index of the coset of transversal[i]*x."""
-    return [[coset_of[(t * x).images] for t in transversal] for x in xs]
+    entry i of the list for x is the index of the coset of transversal[i]*x,
+    read off x's column of the multiplication table when the group of the
+    coset map holds one."""
+    G, number, coset = coset_of
+    reps = [number[t.images] for t in transversal]
+    return [[coset[b] for b in _times(G, number, reps, number[x.images])] for x in xs]
 
 
 def core(G, H):

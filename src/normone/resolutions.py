@@ -238,6 +238,9 @@ class PipelineResult:
 
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
     check_index(G, H)
+    # the class search checks the cap and builds G's multiplication table,
+    # off which the core, the cosets and the words below are all read
+    subgroup_classes(G, cap=class_cap)
     # H is normal in G exactly when it is its own core, and then its one
     # warning names the unfaithful action too
     core_order = core(G, H).order()

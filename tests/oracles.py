@@ -29,8 +29,8 @@ from normone.lattices import (
     perm_lattice,
 )
 from normone.perms import (
-    SUBGROUP_CLASS_CAP, Permutation, _class_handles, _cyclic_classes, alternating, cyclic,
-    dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
+    SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _cyclic_classes, alternating,
+    cyclic, dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
 )
 
 
@@ -483,7 +483,11 @@ def free_cover_literal(G, H):
     """The free cover Z[G]^r -> I_{G/H} of `sha2_omega` built from
     permutation products alone: each copy of Z[G] is perm_lattice(G, 1),
     the picks s_j come from enumerating <H, s_1, ..., s_j>, and e_g in
-    copy j goes to the coset of g minus that of s_j*g."""
+    copy j goes to the coset of g minus that of s_j*g.  It runs on a copy
+    of G that holds no multiplication table, so no module or coset is
+    read off one."""
+    G = PermGroup(G.degree, G.generators, label=G.label)
+    H = G.subgroup(H.generators)
     I = augmentation_ideal(G, H)
     picked = []
     span = H
@@ -493,13 +497,13 @@ def free_cover_literal(G, H):
         if s not in span:
             picked.append(s)
             span = G.subgroup(list(H.generators) + picked)
-    T, coset_of = right_transversal(G, H)
+    T, _ = right_transversal(G, H)
     images = []
     for s in picked:
         for g in G.elements():
             row = [0] * len(T)
-            row[coset_of[g.images]] += 1
-            row[coset_of[(s * g).images]] -= 1
+            row[coset_position(G, H, T, g) - 1] += 1
+            row[coset_position(G, H, T, s * g) - 1] -= 1
             images.append(row[:-1])
     regular = free = perm_lattice(G, G.trivial_subgroup())
     for _ in picked[1:]:
@@ -742,7 +746,7 @@ def all_subgroups_brute(G):
     2-generated)."""
     elems = G.elements()
     found = set()
-    found.add(frozenset([G.identity()]))
+    found.add(frozenset([Permutation.identity(G.degree)]))
     for a in elems:
         found.add(frozenset(brute_closure(G.degree, [a])))
     for a, b in combinations(elems, 2):

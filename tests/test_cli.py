@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +131,43 @@ class TestComputeCommand:
     def test_cap_exceeded_exit_code(self, capsys):
         # A8 subgroup enumeration is beyond the default class cap
         assert main(["compute", "A8", "--point-stabilizer", "8"]) == 3
+
+    def test_compute_reads_max_order(self, capsys, monkeypatch):
+        # the pipeline's class search is its cap check and comes before the
+        # core and the cosets; within the cap it builds the one table of
+        # the run, G's, which everything after it reads
+        monkeypatch.delenv("NORMONE_CACHE", raising=False)
+        argv = ["compute", "A5", "--point-stabilizer", "5"]
+
+        def refuse(*args):
+            raise AssertionError("ran past the class cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(normone.perms.PermGroup, "multiplication_table", refuse)
+            m.setattr(normone.resolutions, "core", refuse)
+            assert main(argv + ["--max-order", "10"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: |G|=60 exceeds subgroup enumeration cap 10\n"
+
+        # a fresh A5, so that no earlier test has built its table
+        A5 = normone.perms.PermGroup(5, build_group(parse_group_spec("A5")).generators,
+                                     label="A5", kind=("A", 5))
+        table = normone.perms.PermGroup.multiplication_table
+        built = []
+
+        def counting(G):
+            if G._table is None:
+                built.append((G, [frame.name for frame in traceback.extract_stack()]))
+            return table(G)
+
+        monkeypatch.setattr(cli, "build_group", lambda spec: A5)
+        monkeypatch.setattr(normone.perms.PermGroup, "multiplication_table", counting)
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["h1"], record["j_rank"], record["flasque_rank"]) == ([], 4, 21)
+        assert [G for G, _ in built] == [A5]
+        assert "subgroup_classes" in built[0][1]
 
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
         # an exception outside the documented mapping is a bug: exit 4,

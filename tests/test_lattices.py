@@ -209,7 +209,7 @@ class TestInduced:
         assert I.rank == 2
         # projecting onto the identity-element block undoes the embedding
         elems = G.elements()
-        e_pos = elems.index(G.identity())
+        e_pos = elems.index(Permutation.identity(G.degree))
         block = IntMatrix([[1 if (i == e_pos * L.rank + j) else 0
                             for j in range(L.rank)] for i in range(I.rank)]).transpose()
         assert emb.matrix * block.transpose() == IntMatrix.identity(L.rank)

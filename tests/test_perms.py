@@ -162,6 +162,38 @@ class TestMultiplicationTable:
             assert chevalley_module(G, H).rank == point - 1
         assert main(["compute", "A8", "--point-stabilizer", "8"]) == 3
 
+    @pytest.mark.parametrize("G", [symmetric(4), dihedral(6), product_of_cyclics((2, 2, 2)),
+                                   alternating(5)], ids=lambda G: G.label)
+    def test_reads_match_the_permutation_products(self, G, monkeypatch):
+        # one copy of G holds the table its class search built and reads
+        # cosets, moves, cores and words off it without a single product;
+        # a bare copy composes permutations, and every answer is the same
+        held = PermGroup(G.degree, G.generators, label=G.label)
+        bare = PermGroup(G.degree, G.generators, label=G.label)
+        classes = subgroup_classes(held)
+        alphabet = held.generators[::-1]
+        read = []
+        with monkeypatch.context() as m:
+            m.setattr(Permutation, "__mul__", lambda p, q: pytest.fail("product taken"))
+            for H in classes:
+                T, coset_of = right_transversal(held, H)
+                read.append((T, coset_of.number, coset_of.coset,
+                             coset_moves(T, coset_of, held.generators),
+                             coset_moves(T, coset_of, H.elements()),
+                             core(held, H).generators, core(held, H).elements()))
+            words = [list(held.elements_with_words().items()),
+                     list(held.elements_with_words(alphabet=alphabet).items())]
+        for H, got in zip(classes, read):
+            H = bare.subgroup(H.generators)
+            T, coset_of = right_transversal(bare, H)
+            assert got == (T, coset_of.number, coset_of.coset,
+                           coset_moves(T, coset_of, bare.generators),
+                           coset_moves(T, coset_of, H.elements()),
+                           core(bare, H).generators, core(bare, H).elements()), H.describe()
+        assert words == [list(bare.elements_with_words().items()),
+                         list(bare.elements_with_words(alphabet=alphabet).items())]
+        assert bare._table is None
+
 
 class TestTransversal:
     def test_index_six(self):
@@ -211,9 +243,10 @@ class TestTransversal:
         G = symmetric(4)
         for H in subgroup_classes(G):
             T, coset_of = right_transversal(G, H)
-            assert set(coset_of) == {g.images for g in G.elements()}
-            for g in G.elements():
-                assert coset_of[g.images] + 1 == coset_position(G, H, T, g)
+            assert coset_of.group is G
+            assert coset_of.number == {g.images: a for a, g in enumerate(G.elements())}
+            for a, g in enumerate(G.elements()):
+                assert coset_of.coset[a] + 1 == coset_position(G, H, T, g)
             moves = coset_moves(T, coset_of, G.elements())
             for g, m in zip(G.elements(), moves):
                 assert m == [coset_position(G, H, T, t * g) - 1 for t in T]
@@ -435,14 +468,14 @@ class TestWords:
         G = cyclic(3)
         words = G.elements_with_words()
         assert len(words) == 3
-        assert words[G.identity()] == ()
+        assert words[Permutation.identity(3)] == ()
 
     def test_words_evaluate_back(self):
         G = alternating(4)
         words = G.elements_with_words()
         assert len(words) == 12
         for p, w in words.items():
-            acc = G.identity()
+            acc = Permutation.identity(4)
             for k in w:
                 acc = acc * G.generators[k - 1]
             assert acc == p

@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 import warnings
 
@@ -406,21 +407,23 @@ class TestNormOneInvariant:
         hidden = next(cls for cls in subgroup_classes(G) if are_conjugate_subgroups(
             G, cls, G.subgroup([P([(3, 4)], 4), P([(1, 2)], 4)])))
         classes = resolutions.subgroup_classes
-        calls = []
+        callers = []
 
-        def first_call_hides(S, **kwargs):
+        def cover_call_hides(S, **kwargs):
             out = classes(S, **kwargs)
-            if not calls:
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "coflasque_cover":
                 out = [cls for cls in out if cls is not hidden]
-            calls.append(S)
+            callers.append(caller)
             return out
 
-        monkeypatch.setattr(resolutions, "subgroup_classes", first_call_hides)
+        monkeypatch.setattr(resolutions, "subgroup_classes", cover_call_hides)
         with pytest.raises(InternalCheckError, match="not flasque") as err:
             resolutions._pipeline(G, G.point_stabilizer(4))
         assert hidden.order() == 4
         assert f"witness {hidden.describe()})" in str(err.value)
-        assert len(calls) == 2
+        # the pipeline's own call (the cap check), the cover's, the flasque check's
+        assert callers == ["_pipeline", "coflasque_cover", "is_flasque"]
 
     def test_broken_greedy_pass_is_caught_by_the_recheck(self, monkeypatch):
         # the class of <(3 4),(1 2)> looks covered at its first test in the
