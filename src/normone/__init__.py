@@ -21,7 +21,7 @@ from .intmat import (
 )
 from .perms import (
     PermGroup, Permutation, alternating,
-    are_conjugate_subgroups, core, cyclic, dihedral, product_of_cyclics,
+    are_conjugate_subgroups, cyclic, dihedral, product_of_cyclics,
     right_transversal, subgroup_classes, symmetric,
 )
 from .lattices import (

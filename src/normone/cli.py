@@ -19,7 +19,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+import warnings
 
 from . import __version__
 from .cohomology import sha2_omega
@@ -34,24 +34,13 @@ from .fpgroups import DEFAULT_MAX_COSETS, preimage_an, verify_commutator_claim
 from .resolutions import Verdict, _pipeline
 
 DEFAULT_MAX_RANK = 4096
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str
-    params: tuple
-
-    def __str__(self):
-        if self.kind == "C*":
-            return "x".join(f"C{p}" for p in self.params)
-        return f"{self.kind}{self.params[0]}"
-
-
 _SPEC_RE = re.compile(r"^([ASDC])(\d+)$")
+_KINDS = {"A": alternating, "S": symmetric, "D": dihedral, "C": cyclic}
 
 
-def parse_group_spec(text) -> GroupSpec:
-    """Grammar: kind digits | 'C' digits ('x' 'C' digits)*, kind in A,S,D,C."""
+def parse_group_spec(text) -> PermGroup:
+    """The catalog group a spec names.  Grammar: kind digits |
+    'C' digits ('x' 'C' digits)*, kind in A,S,D,C."""
     text = text.strip()
     if "x" in text:
         parts = text.split("x")
@@ -66,7 +55,7 @@ def parse_group_spec(text) -> GroupSpec:
             nums.append(int(m.group(2)))
         if any(p < 1 for p in nums):
             raise SpecParseError("cyclic orders must be positive")
-        return GroupSpec("C*", tuple(nums))
+        return product_of_cyclics(nums)
     m = _SPEC_RE.match(text)
     if not m:
         raise SpecParseError(
@@ -74,19 +63,7 @@ def parse_group_spec(text) -> GroupSpec:
     n = int(m.group(2))
     if n < 1:
         raise SpecParseError("group parameter must be positive")
-    return GroupSpec(m.group(1), (n,))
-
-
-def build_group(spec: GroupSpec) -> PermGroup:
-    if spec.kind == "A":
-        return alternating(spec.params[0])
-    if spec.kind == "S":
-        return symmetric(spec.params[0])
-    if spec.kind == "D":
-        return dihedral(spec.params[0])
-    if spec.kind == "C":
-        return cyclic(spec.params[0])
-    return product_of_cyclics(spec.params)
+    return _KINDS[m.group(1)](n)
 
 
 def parse_cycles(text, degree=None) -> Permutation:
@@ -168,9 +145,9 @@ RECORD_KEYS = frozenset({"group", "subgroup", "j_rank", "flasque_rank", "h1",
 _DECIMAL = re.compile(r"[1-9][0-9]*")
 
 
-def _record(spec_text, subgroup, result, elapsed_ms, v: Verdict):
+def _record(group, subgroup, result, elapsed_ms, v: Verdict):
     return {
-        "group": spec_text,
+        "group": group,
         "subgroup": subgroup,
         "j_rank": result.j_rank,
         "flasque_rank": result.flasque_rank,
@@ -253,21 +230,29 @@ def _cache_write(directory, key, record):
         raise
 
 
-def _compute_record(spec_text, G, H, args):
+def _compute_record(G, H, args):
     directory = _cache_dir(args)
     subgroup = H.describe()
     # the fields the key hashes; a served record must carry the same values
-    query = {"group": spec_text, "subgroup": subgroup, "version": __version__}
+    query = {"group": G.label, "subgroup": subgroup, "version": __version__}
     key = _cache_key(query)
     if directory:
         cached = _cache_read(directory, key, query)
         if cached is not None:
-            print(f"cache hit for {spec_text} / {subgroup}", file=sys.stderr)
+            print(f"cache hit for {G.label} / {subgroup}", file=sys.stderr)
             return cached
     t0 = time.monotonic()
-    result = _pipeline(G, H, max_rank=args.max_rank, class_cap=args.max_order)
+    # each warning of the run is one line, printed before the run's
+    # result or error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _pipeline(G, H, max_rank=args.max_rank, class_cap=args.max_order)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     ms = int((time.monotonic() - t0) * 1000)
-    record = _record(spec_text, subgroup, result, ms, Verdict.of(result.invariants))
+    record = _record(G.label, subgroup, result, ms, Verdict.of(result.invariants))
     if directory:
         try:
             _cache_write(directory, key, record)
@@ -279,10 +264,9 @@ def _compute_record(spec_text, G, H, args):
 
 
 def cmd_compute(args):
-    spec = parse_group_spec(args.spec)
-    G = build_group(spec)
+    G = parse_group_spec(args.spec)
     H = resolve_subgroup(G, args)
-    record = _compute_record(str(spec), G, H, args)
+    record = _compute_record(G, H, args)
     print(json.dumps(record, sort_keys=True))
     inv = record["h1"]
     human = "trivial" if not inv else " x ".join(f"Z/{t}" for t in inv)
@@ -302,9 +286,10 @@ _PAPER_TABLE = (
 
 def cmd_verify_paper(args):
     failures = 0
-    for spec_text, flag, value, expected in _PAPER_TABLE:
-        n = int(spec_text[1:])
-        if n > args.max_n:
+    a6 = []   # the subgroups of the two A6 rows, for the conjugacy line
+    for spec, flag, value, expected in _PAPER_TABLE:
+        G = parse_group_spec(spec)
+        if G.degree > args.max_n:
             continue
         ns = argparse.Namespace(
             subgroup=value if flag == "--subgroup" else None,
@@ -312,14 +297,15 @@ def cmd_verify_paper(args):
             klass=None, cache_dir=getattr(args, "cache_dir", None),
             max_order=args.max_order, max_rank=args.max_rank,
         )
-        G = build_group(parse_group_spec(spec_text))
         H = resolve_subgroup(G, ns)
+        if G.label == "A6":
+            a6.append(H)
         t0 = time.monotonic()
         try:
-            record = _compute_record(spec_text, G, H, ns)
+            record = _compute_record(G, H, ns)
         except CapExceeded as exc:
             # best-effort entries are reported, never failed, when a cap stops them
-            print(f"SKIPPED {spec_text} ({exc})", file=sys.stderr)
+            print(f"SKIPPED {G.label} ({exc})", file=sys.stderr)
             continue
         elapsed = time.monotonic() - t0
         ok = record["h1"] == expected
@@ -327,15 +313,13 @@ def cmd_verify_paper(args):
         if not ok:
             failures += 1
         print(json.dumps(record, sort_keys=True))
-        print(f"{status} {spec_text} / {record['subgroup']}: h1={record['h1']} "
+        print(f"{status} {G.label} / {record['subgroup']}: h1={record['h1']} "
               f"expected={expected} ({elapsed:.1f}s)", file=sys.stderr)
-    if args.max_n >= 6:
-        G = build_group(parse_group_spec("A6"))
-        H1 = G.subgroup([parse_cycles("(1 2 3 4 5)", 6), parse_cycles("(1 2 3)", 6)])
-        H2 = G.subgroup([parse_cycles("(1 2 3 4 5)", 6), parse_cycles("(1 4)(5 6)", 6)])
+    if a6:
+        H1, H2 = a6
         line = "A6: the two A5 classes are non-conjugate"
         try:
-            distinct = not are_conjugate_subgroups(G, H1, H2, cap=args.max_order)
+            distinct = not are_conjugate_subgroups(H1.parent, H1, H2, cap=args.max_order)
         except CapExceeded as exc:
             print(f"SKIPPED {line} ({exc})", file=sys.stderr)
         else:
@@ -347,13 +331,12 @@ def cmd_verify_paper(args):
 
 
 def cmd_classes(args):
-    spec = parse_group_spec(args.spec)
-    G = build_group(spec)
+    G = parse_group_spec(args.spec)
     classes = subgroup_classes(G, cap=args.max_order)
     out = [{"index": i + 1, "order": c.order(), "generators": c.describe()}
            for i, c in enumerate(classes)]
-    print(json.dumps({"group": str(spec), "classes": out}, sort_keys=True))
-    print(f"{len(out)} subgroup classes of {spec}", file=sys.stderr)
+    print(json.dumps({"group": G.label, "classes": out}, sort_keys=True))
+    print(f"{len(out)} subgroup classes of {G.label}", file=sys.stderr)
     return 0
 
 
@@ -382,14 +365,13 @@ def cmd_verify_schur(args):
 
 
 def cmd_sha_oracle(args):
-    spec = parse_group_spec(args.spec)
-    G = build_group(spec)
+    G = parse_group_spec(args.spec)
     H = resolve_subgroup(G, args)
     t0 = time.monotonic()
     inv = sha2_omega(G, H, class_cap=args.max_order)
     ms = int((time.monotonic() - t0) * 1000)
     record = {
-        "group": str(spec),
+        "group": G.label,
         "subgroup": H.describe(),
         "sha2_omega": [str(t) for t in inv.torsion],
         "ms": ms,
@@ -479,9 +461,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

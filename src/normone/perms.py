@@ -15,7 +15,7 @@ group, which holds |G|^2 entries, so only they build it, behind one cap
 takes each class's generators and `sha2_omega` takes the regular module
 Z[G] of its free cover.  The maximal cyclic classes that `sha2_omega`
 needs come as lists of element numbers in that table, not as subgroups.
-Transversals, coset moves, cores and generator words read the table once
+Transversals, coset moves and generator words read the table once
 the class search has built it, and compose permutations otherwise; both
 routes give the same numbering and the same words.  Caps guard against
 accidental blowups.  The two that callers set, a group's
@@ -398,16 +398,6 @@ def coset_moves(transversal, coset_of, xs):
     G, number, coset = coset_of
     reps = [number[t.images] for t in transversal]
     return [[coset[b] for b in _times(G, number, reps, number[x.images])] for x in xs]
-
-
-def core(G, H):
-    """Largest normal subgroup of G contained in H: the kernel of the
-    action of G on the right cosets of H."""
-    T, coset_of = right_transversal(G, H)
-    still = list(range(len(T)))
-    helems = H.elements()
-    return _spanned(G, sorted(h for h, m in zip(helems, coset_moves(T, coset_of, helems))
-                              if m == still))
 
 
 def _fingerprint(orders):

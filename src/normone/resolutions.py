@@ -58,7 +58,7 @@ from .lattices import (
     fixed_sublattice,
 )
 from .perms import (
-    SUBGROUP_CLASS_CAP, core, coset_moves, right_transversal, subgroup_classes,
+    SUBGROUP_CLASS_CAP, coset_moves, right_transversal, subgroup_classes,
 )
 
 
@@ -239,11 +239,15 @@ class PipelineResult:
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
     check_index(G, H)
     # the class search checks the cap and builds G's multiplication table,
-    # off which the core, the cosets and the words below are all read
+    # off which the cosets and the words below are all read
     subgroup_classes(G, cap=class_cap)
-    # H is normal in G exactly when it is its own core, and then its one
-    # warning names the unfaithful action too
-    core_order = core(G, H).order()
+    # the core of H is the kernel of G's action on the cosets of H, so its
+    # order is the number of elements of H that fix every coset.  H is
+    # normal in G exactly when it is its own core, and then its one warning
+    # names the unfaithful action too
+    T, coset_of = right_transversal(G, H)
+    still = list(range(len(T)))
+    core_order = sum(m == still for m in coset_moves(T, coset_of, H.elements()))
     if core_order == H.order() > 1:
         warnings.warn(
             f"{H.describe()} is normal in {G.label}, so the matrix action is "

@@ -29,8 +29,9 @@ from normone.lattices import (
     perm_lattice,
 )
 from normone.perms import (
-    SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _cyclic_classes, alternating,
-    cyclic, dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
+    SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _cyclic_classes, _spanned,
+    alternating, coset_moves, cyclic, dihedral, product_of_cyclics, right_transversal,
+    subgroup_classes, symmetric,
 )
 
 
@@ -196,6 +197,17 @@ def is_normal(H):
     hset = H.element_set()
     return all(g.inverse() * h * g in hset
                for g in (H.parent or H).generators for h in H.generators)
+
+
+def core(G, H):
+    """Largest normal subgroup of G contained in H: the kernel of the
+    action of G on the right cosets of H.  The pipeline needs only its
+    order, which it counts."""
+    T, coset_of = right_transversal(G, H)
+    still = list(range(len(T)))
+    helems = H.elements()
+    return _spanned(G, sorted(h for h, m in zip(helems, coset_moves(T, coset_of, helems))
+                              if m == still))
 
 
 def trivial_lattice(G):

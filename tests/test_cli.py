@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import normone
 import normone.cli as cli
-from normone.cli import (
-    build_group, main, parse_cycles, parse_group_spec, _split_generators,
-)
-from normone.errors import SpecParseError
-from normone.perms import Permutation, subgroup_classes
+from normone.cli import main, parse_cycles, parse_group_spec, _split_generators
+from normone.errors import CapExceeded, SpecParseError
+from normone.perms import Permutation, alternating, subgroup_classes
 
 P = Permutation.from_cycles
 
@@ -30,11 +29,28 @@ RECORD_KEYS = {"group", "subgroup", "j_rank", "flasque_rank", "h1",
 
 class TestGroupSpecParsing:
     def test_basic_kinds(self):
-        assert str(parse_group_spec("A6")) == "A6"
-        assert parse_group_spec("A6").params == (6,)
-        assert parse_group_spec("C2xC2").kind == "C*"
-        assert build_group(parse_group_spec("C2xC2")).order() == 4
-        assert build_group(parse_group_spec("D4")).order() == 8
+        assert parse_group_spec("A6") is alternating(6)
+        assert parse_group_spec("C2xC2").kind == ("C*", (2, 2))
+        assert parse_group_spec("C2xC2").order() == 4
+        assert parse_group_spec("D4").order() == 8
+
+    def test_label_is_the_canonical_spec(self):
+        # records and cache keys name the group by its label, so a spec
+        # must parse to the group whose label is the spec's canonical text,
+        # whatever padding or leading zeros it was written with
+        for kind in "ASDC":
+            for n in range(1, 17):
+                for text in (f"{kind}{n}", f" {kind}0{n} "):
+                    assert parse_group_spec(text).label == f"{kind}{n}", text
+        for count in (2, 3):
+            for parts in itertools.product(range(1, 17), repeat=count):
+                spec = "x".join(f"C{p}" for p in parts)
+                if sum(p for p in parts if p > 1) > 16:
+                    with pytest.raises(CapExceeded):
+                        parse_group_spec(spec)
+                    continue
+                assert parse_group_spec(spec).label == spec
+                assert parse_group_spec(" x ".join(f"C0{p}" for p in parts)).label == spec
 
     def test_errors_carry_position(self):
         with pytest.raises(SpecParseError):
@@ -144,14 +160,14 @@ class TestComputeCommand:
 
         with monkeypatch.context() as m:
             m.setattr(normone.perms.PermGroup, "multiplication_table", refuse)
-            m.setattr(normone.resolutions, "core", refuse)
+            m.setattr(normone.resolutions, "right_transversal", refuse)
             assert main(argv + ["--max-order", "10"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: |G|=60 exceeds subgroup enumeration cap 10\n"
 
         # a fresh A5, so that no earlier test has built its table
-        A5 = normone.perms.PermGroup(5, build_group(parse_group_spec("A5")).generators,
+        A5 = normone.perms.PermGroup(5, parse_group_spec("A5").generators,
                                      label="A5", kind=("A", 5))
         table = normone.perms.PermGroup.multiplication_table
         built = []
@@ -161,13 +177,33 @@ class TestComputeCommand:
                 built.append((G, [frame.name for frame in traceback.extract_stack()]))
             return table(G)
 
-        monkeypatch.setattr(cli, "build_group", lambda spec: A5)
+        monkeypatch.setattr(cli, "parse_group_spec", lambda text: A5)
         monkeypatch.setattr(normone.perms.PermGroup, "multiplication_table", counting)
         assert main(argv) == 0
         record = json.loads(capsys.readouterr().out)
         assert (record["h1"], record["j_rank"], record["flasque_rank"]) == ([], 4, 21)
         assert [G for G, _ in built] == [A5]
         assert "subgroup_classes" in built[0][1]
+
+    def test_pipeline_warning_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a pipeline warning is one `warning:` line before the result line,
+        # or before the error line when the run then stops; a cache hit
+        # runs no pipeline and prints none
+        monkeypatch.delenv("NORMONE_CACHE", raising=False)
+        argv = ["compute", "C6", "--subgroup", "(1 3 5)(2 4 6)"]
+        warning = ("warning: (1 3 5)(2 4 6) is normal in C6, so the matrix action is "
+                   "unfaithful; the construction still runs but the geometric setting "
+                   "assumes a non-normal subgroup\n")
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr()
+        ms = json.loads(out.out)["ms"]
+        assert out.err == warning + f"C6 / (1 3 5)(2 4 6): H1 = trivial ({ms} ms)\n"
+        assert main(argv + ["--max-rank", "1"]) == 3
+        assert capsys.readouterr() == ("", warning + "error: cover rank 2 exceeds --max-rank 1\n")
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("cache hit for C6 / (1 3 5)(2 4 6)\n")
+        assert "warning" not in err
 
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
         # an exception outside the documented mapping is a bug: exit 4,
@@ -201,7 +237,7 @@ class TestComputeCommand:
         for argv in cases:
             assert main(["compute", *argv]) == 2
             assert capsys.readouterr() == ("", err)
-            subgroup_classes(build_group(parse_group_spec(argv[0])))  # --class reads this list
+            subgroup_classes(parse_group_spec(argv[0]))  # --class reads this list
 
         def no_table(G):
             raise AssertionError(f"sha-oracle built the table of {G.label} at index 1")
@@ -225,6 +261,19 @@ class TestCache:
         assert warm["h1"] == cold["h1"]
         assert warm["verdict"] == cold["verdict"]
         assert json.dumps(warm["h1"]) == json.dumps(cold["h1"])
+
+    def test_spec_spelling_shares_the_entry(self, tmp_path, capsys, monkeypatch):
+        # the key names the group by its label, so a padded, zero-led
+        # spelling of the same spec reads the entry the canonical one wrote
+        monkeypatch.delenv("NORMONE_CACHE", raising=False)
+        tail = ["--point-stabilizer", "4", "--cache-dir", str(tmp_path)]
+        assert main(["compute", "A4", *tail]) == 0
+        record = capsys.readouterr().out
+        assert main(["compute", " A04 ", *tail]) == 0
+        out = capsys.readouterr()
+        assert out.out == record
+        assert out.err.startswith("cache hit for A4 / (1 2 3)\n")
+        assert len(os.listdir(tmp_path)) == 1
 
     def test_env_var_cache(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NORMONE_CACHE", str(tmp_path))
@@ -657,7 +706,7 @@ def cli_argv(draw):
                        ["--point-stabilizer", str(draw(st.integers(-1, 13)))],
                        ["--class", str(draw(st.integers(-1, 17)))]]
         else:
-            G = build_group(parse_group_spec(spec))
+            G = parse_group_spec(spec)
             gens = draw(st.lists(st.sampled_from(G.elements()), max_size=2))
             choices = [["--subgroup", ",".join(g.cycle_string() for g in gens) or "()"],
                        ["--point-stabilizer", str(draw(st.integers(1, G.degree)))],

@@ -12,7 +12,7 @@ from normone.perms import (
     Permutation, alternating, cyclic, product_of_cyclics, symmetric,
 )
 from oracles import (
-    det, direct_sum, induced, inverse_unimodular, presentation_catalog,
+    core, det, direct_sum, induced, inverse_unimodular, presentation_catalog,
     tate_cyclic, trivial_lattice,
 )
 
@@ -88,7 +88,6 @@ class TestChevalley:
 
     def test_kernel_is_core_when_nontrivial(self):
         # normal subgroup: exactly the core acts trivially
-        from normone.perms import core, cyclic
         G = cyclic(4)
         H = G.subgroup([P([(1, 3), (2, 4)], 4)])
         J = chevalley_module(G, H)

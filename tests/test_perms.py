@@ -6,12 +6,12 @@ from normone.cli import main
 from normone.errors import CapExceeded, NotASubgroupError
 from normone.lattices import chevalley_module
 from normone.perms import (
-    Permutation, PermGroup, alternating, are_conjugate_subgroups, core,
+    Permutation, PermGroup, alternating, are_conjugate_subgroups,
     coset_moves, cyclic, dihedral, maximal_cyclic_subgroup_classes, product_of_cyclics,
     _spanned, right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
 from oracles import (
-    all_subgroups_brute, brute_closure, conjugacy_class_count_brute,
+    all_subgroups_brute, brute_closure, conjugacy_class_count_brute, core,
     coset_position, cyclic_subgroup_classes, is_normal, small_catalog,
 )
 
