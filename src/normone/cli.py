@@ -22,7 +22,7 @@ import time
 import warnings
 
 from . import __version__
-from .cohomology import sha2_omega
+from .cohomology import check_sha_order, sha2_omega
 from .errors import CapExceeded, InternalCheckError, NormOneError, SpecParseError
 from .intmat import AbelianInvariants
 from .perms import (
@@ -366,6 +366,8 @@ def cmd_verify_schur(args):
 
 def cmd_sha_oracle(args):
     G = parse_group_spec(args.spec)
+    # before --class runs the whole class search of a group the oracle refuses
+    check_sha_order(G)
     H = resolve_subgroup(G, args)
     t0 = time.monotonic()
     inv = sha2_omega(G, H, class_cap=args.max_order)

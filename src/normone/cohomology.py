@@ -5,8 +5,14 @@ from it by duality, and `sha2_omega` takes Sha^2_omega from one more
 Smith form by the same duality, over the kernel of a free cover
 Z[G]^r -> I_{G/H} of the augmentation ideal.  The cover's matrix is the
 incidence matrix of a graph on the cosets, so that kernel is read off a
-spanning forest as the graph's cycle lattice, with no elimination.  No
-presentation of the acting group is needed; the tests' independent
+spanning forest as the graph's cycle lattice, with no elimination, and
+the cover's checks are read off the graph's edge list: it is onto when
+the graph is connected, and a row is in the kernel when its boundary is
+zero.  The cycle lattice has an identity block at the left-out edges of
+the forest, so the action on it is read there too: a moved row with zero
+boundary lies in the lattice, with its entries at those edges as its
+coordinates, which is what a back-substitution would check and return.
+No presentation of the acting group is needed; the tests' independent
 routes (the bar complex, H^1 from a presentation, the dimension shift)
 live in `tests/oracles.py`.
 """
@@ -16,14 +22,10 @@ from __future__ import annotations
 from itertools import compress
 
 from .errors import CapExceeded, InternalCheckError
-from .intmat import (
-    AbelianInvariants, IntMatrix, hnf_basis, kernel_basis, permutation_matrix, snf_invariants,
-)
-from .lattices import (
-    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, minus_one_rows,
-)
+from .intmat import AbelianInvariants, IntMatrix, kernel_basis, snf_invariants
+from .lattices import GLattice, check_index, minus_one_rows
 from .perms import (
-    SUBGROUP_CLASS_CAP, PermGroup, closure_idx, maximal_cyclic_subgroup_classes,
+    SUBGROUP_CLASS_CAP, PermGroup, closure_idx, coset_moves, maximal_cyclic_subgroup_classes,
     right_transversal,
 )
 
@@ -33,6 +35,13 @@ SHA_ORDER_CAP = 360
 # bench/workloads.forget_presentations clears them before each sweep pair.
 _catalog = {}
 _validated = set()
+
+
+def check_sha_order(G: PermGroup):
+    """Refuse a group of order above SHA_ORDER_CAP, where the one Smith
+    form of `sha2_omega` outgrows memory."""
+    if G.order() > SHA_ORDER_CAP:
+        raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
 
 
 def tate_minus1(S, L: GLattice) -> AbelianInvariants:
@@ -123,24 +132,54 @@ def _cycle_lattice(ends, d) -> IntMatrix:
     return IntMatrix(rows, len(ends))
 
 
-def _free_cover(G: PermGroup, H: PermGroup):
-    """(cover, K): the free cover Z[G]^r -> I_{G/H} of `sha2_omega`,
-    checked to be onto, and the Hermite basis K of its kernel.  Z[G]^r
-    is one permutation lattice on r|G| points, point j|G| + a being
-    element a of copy j (G.elements() numbers the elements).  It is read
-    off G.multiplication_table(), which the cyclic class search has
-    built: a generator x sends element a to a*x, so it moves each copy's
-    points by its column.  The coset of each element, in the numbering
-    of I's basis, is `right_transversal`'s coset map, which reads the
-    same table.
+def _connected(ends, d) -> bool:
+    """Whether the graph on the vertices 0..d-1 whose edge i runs from
+    ends[i][0] to ends[i][1] is connected: a walk from vertex 0 reaches
+    all d.  Exactly then do the incidence rows e_u - e_v span the vectors
+    with coordinate sum 0, since each component's rows span those carried
+    by it."""
+    near = [[] for _ in range(d)]
+    for u, v in ends:
+        near[u].append(v)
+        near[v].append(u)
+    seen = bytearray(d)
+    seen[0] = 1
+    queue = [0]
+    for x in queue:
+        for y in near[x]:
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    return len(queue) == d
 
-    The cover's matrix is the incidence matrix of the coset graph, one
-    vertex per coset and an edge from H*g to H*s_j*g for each point, with
-    the last coset's column dropped (every row sums to 0, so the kernel
-    is the same).  K is its cycle lattice, `_cycle_lattice`, with
-    r|G| - [G:H] + 1 rows since the cover is onto and the graph is
-    therefore connected; both that count and K*A = 0 are checked."""
-    I = augmentation_ideal(G, H)
+
+def _free_cover(G: PermGroup, H: PermGroup):
+    """(K, ends, moves): the free cover Z[G]^r -> I_{G/H} of `sha2_omega`
+    as the edge list of a graph on the cosets, the Hermite basis K of its
+    kernel, and the action of G's generators on Z[G]^r.  Z[G]^r is one
+    permutation lattice on r|G| points, point j|G| + a being element a of
+    copy j (G.elements() numbers the elements).  It is read off
+    G.multiplication_table(), which the cyclic class search has built: a
+    generator x sends element a to a*x, so moves[k], the point
+    permutation of the k-th generator, moves each copy's points by its
+    column.  The coset of each element, in the numbering of I's basis, is
+    `right_transversal`'s coset map, which reads the same table.
+
+    The cover sends point j|G| + g to H*g - H*s_j*g, the row e_u - e_v of
+    the edge ends[j|G| + g] = (u, v) from H*g to H*s_j*g, with the last
+    coset's column dropped (every row sums to 0, so the kernel is the
+    same): its matrix A is the incidence matrix of this coset graph.  K
+    is its cycle lattice, `_cycle_lattice`.
+
+    Self-checks, each the graph form of a check on A:
+    - onto: A's rows span I exactly when the graph is connected
+      (`_connected`);
+    - equivariance, rho(x)*A = A*rho_I(x): the edge at the point p*x is
+      the edge at p with both ends moved by x's coset permutation
+      (`coset_moves`, which `augmentation_ideal` reads too);
+    - K has r|G| - [G:H] + 1 rows, the rank of ker A for an onto A;
+    - K*A = 0: every row of K has zero boundary, the sum of its entries
+      times e_u - e_v over its edges."""
     number, table, _ = G.multiplication_table()
     hgens = [number[h.images] for h in H.generators]
     span = set(closure_idx(table, hgens))
@@ -155,30 +194,87 @@ def _free_cover(G: PermGroup, H: PermGroup):
     # coset[g] numbers the coset H*g as I's basis numbers it
     T, coset_of = right_transversal(G, H)
     coset, d = coset_of.coset, len(T)
-    # e_g in copy j goes to the coset of g minus that of s_j*g, whose
-    # coordinates in I's basis coset_i - coset_last are its first d-1
     ends = [(coset[g], coset[col[s]]) for s in picked for g, col in enumerate(table)]
-    images = []
-    for u, v in ends:
-        row = [0] * d
-        row[u] += 1
-        row[v] -= 1
-        images.append(row[:-1])
-    n, r = len(table), len(picked)
-    free = GLattice(G, r * n, [permutation_matrix([j * n + c for j in range(r) for c in table[x]])
-                               for x in gens])
-    cover = LatticeMap(free, I, IntMatrix(images, I.rank))
-    if hnf_basis(cover.matrix) != IntMatrix.identity(I.rank):
+    if not _connected(ends, d):
         raise InternalCheckError(f"free cover of I over {G.label} is not onto")
+    n, r = len(table), len(picked)
+    moves = [[j * n + c for j in range(r) for c in table[x]] for x in gens]
+    for k, (move, cmove) in enumerate(zip(moves, coset_moves(T, coset_of, G.generators))):
+        # the edge at each point p*x against the edge at p moved by x
+        if [ends[q] for q in move] != [(cmove[u], cmove[v]) for u, v in ends]:
+            raise InternalCheckError(
+                f"free cover of I over {G.label} is not equivariant for generator {k}")
     K = _cycle_lattice(ends, d)
     if K.nrows != r * n - d + 1:
         raise InternalCheckError(
             f"cycle lattice of the free cover over {G.label} has {K.nrows} rows, "
             f"expected r|G| - [G:H] + 1 = {r * n - d + 1}")
-    if not (K * cover.matrix).is_zero():
-        raise InternalCheckError(f"cycle lattice of the free cover over {G.label} "
-                                 "is not in its kernel")
-    return cover, K
+    for row in K.data:
+        if any(_boundary(ends, d, row, compress(range(len(row)), row))):
+            raise InternalCheckError(f"cycle lattice of the free cover over {G.label} "
+                                     "is not in its kernel")
+    return K, ends, moves
+
+
+def _boundary(ends, d, values, points):
+    """The sum of values[p] * (e_u - e_v) over the points p, where
+    ends[p] = (u, v), as a list of d entries."""
+    acc = [0] * d
+    for p in points:
+        c = values[p]
+        u, v = ends[p]
+        acc[u] += c
+        acc[v] -= c
+    return acc
+
+
+def _kernel_action(K, ends, d, moves, label):
+    """The matrix of each point permutation of moves on the lattice that
+    K's rows span, as a list of rows: row i holds the coordinates of
+    K_i*P_x in K.  K is `_free_cover`'s cycle lattice of the coset graph
+    on d vertices with edges ends.
+
+    K must have an identity block at its leading columns, the left-out
+    edges of `_cycle_lattice`: each row leads with a 1, and no other row
+    is nonzero there.  That is checked first, in one pass over K's
+    nonzero entries.  Then a row w of the cover's kernel has its entries
+    at the leading columns as coordinates: w minus that combination of
+    K's rows lies in the kernel and is 0 at every leading column, so it
+    is 0, K's rows spanning the kernel over Q by the row count and
+    connectivity `_free_cover` checks.  An integer w lies in the kernel
+    exactly when its boundary is zero.  So each gathered row K_i*P_x is
+    accepted, with its entries at the leading columns as coordinates,
+    exactly when its boundary is zero: the test a back-substitution
+    against K would make.
+    """
+    support = [list(compress(range(K.ncols), row)) for row in K.data]
+    no_block = (f"cycle lattice of the free cover over {label} has no identity "
+                "block at its leading columns")
+    # lead[p] is i when p is the leading column of row i, else -1
+    lead = [-1] * K.ncols
+    for i, (row, cols) in enumerate(zip(K.data, support)):
+        if not cols or row[cols[0]] != 1 or lead[cols[0]] >= 0:
+            raise InternalCheckError(no_block)
+        lead[cols[0]] = i
+    if any(lead[p] >= 0 for cols in support for p in cols[1:]):
+        raise InternalCheckError(no_block)
+    action = []
+    for k, move in enumerate(moves):
+        # entry p of K_i is entry move[p] of K_i*P_x, on that point's edge
+        edges = [ends[q] for q in move]
+        block = []
+        for row, cols in zip(K.data, support):
+            if any(_boundary(edges, d, row, cols)):
+                raise InternalCheckError(f"cycle lattice of the free cover over {label} "
+                                         f"is not stable under generator {k}")
+            coords = [0] * K.nrows
+            for p in cols:
+                i = lead[move[p]]
+                if i >= 0:
+                    coords[i] = row[p]
+            block.append(coords)
+        action.append(block)
+    return action
 
 
 def _norm_kernel(K: IntMatrix, moves, r) -> IntMatrix:
@@ -246,10 +342,20 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     rho(s) - 1 over the generators s and a basis of each ker(N_C), the
     kernel of K*N_C on Z[G]^r.  `_norm_kernel` takes it of K's columns
     summed over the cosets of C, the distinct columns of K*N_C.  rho(s)
-    is a permutation matrix, so K*rho(s) is a column gather of K.
+    permutes the points, so row i of K*rho(s) is K_i with its entries
+    moved, and its coordinates in K are its entries at K's leading
+    columns (`_kernel_action`).
 
-    Self-checks: the cover is onto; K has r|G| - [G:H] + 1 rows and
-    K*A = 0 for the cover's matrix A.  K^G has rank r, since
+    Self-checks, all on the coset graph's edge list: the graph is
+    connected, so the cover is onto; the cover commutes with the action;
+    K has r|G| - [G:H] + 1 rows, each with zero boundary, so K*A = 0 for
+    the cover's matrix A (`_free_cover`); K has an identity block at its
+    leading columns, and every row of K*rho(s) has zero boundary
+    (`_kernel_action`).  The last two are the membership test of a
+    back-substitution against K: with the row count and connectivity,
+    the identity block makes K's rows a basis of ker A, so a row lies in
+    their span exactly when its boundary is zero, and its coordinates are
+    its entries at the leading columns.  K^G has rank r, since
     (Z[G]^r)^G has rank r and I^G = 0, so the Smith rank, that of
     K*I_G, is rank(K) - r; a ker(N_C) row outside ker(N_G) would raise
     it.  Every
@@ -259,20 +365,25 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     each of its cyclic subgroups, and only the trivial one does), and
     corestriction after restriction to H is multiplication by [G:H].
 
-    H = G is refused first, with the pipeline's UsageError.  class_cap
+    H = G is refused first, with the pipeline's UsageError, then |G| above
+    SHA_ORDER_CAP (`check_sha_order`).  class_cap
     bounds |G| for the cyclic class search, as `subgroup_classes` takes it;
     that search runs next, so the cap stops a call before the free cover or
     the multiplication table is built.
     """
     check_index(G, H)
-    if G.order() > SHA_ORDER_CAP:
-        raise CapExceeded(f"|G|={G.order()} exceeds the sha2 cap {SHA_ORDER_CAP}")
+    check_sha_order(G)
     classes = maximal_cyclic_subgroup_classes(G, class_cap)
-    cover, K = _free_cover(G, H)
-    free = cover.source
-    rows = minus_one_rows(_restricted_action(K, free))
+    K, ends, moves = _free_cover(G, H)
+    index = G.order() // H.order()
+    # rho(s) - 1 for each generator s, in place on the coordinate rows
+    rows = []
+    for block in _kernel_action(K, ends, index, moves, G.label):
+        for i, row in enumerate(block):
+            row[i] -= 1
+        rows += block
     _, table, _ = G.multiplication_table()
-    r = free.rank // G.order()
+    r = K.ncols // G.order()
     for nums in classes:
         rows += _norm_kernel(K, [table[c] for c in nums], r).data
     # IntMatrix shares the norm kernels' row tuples but copies the rho(s) - 1
@@ -285,7 +396,6 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "
             f"{K.nrows - r}: a cyclic norm kernel escapes ker(N_G)")
     torsion = tuple(x for x in d if x > 1)
-    index = G.order() // H.order()
     if any(index % x for x in torsion):
         raise InternalCheckError(
             f"sha2_omega over {G.label} has invariants {torsion} not "

@@ -196,8 +196,7 @@ def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
 def _restricted_action(K: IntMatrix, L: GLattice):
     """Action on the sublattice spanned by the rows of K (must be stable).
 
-    K is a Hermite basis (a kernel brought to it by hnf_basis, or the
-    cycle lattice `sha2_omega` reads off its coset graph), so the
+    K is a Hermite basis (a kernel brought to it by hnf_basis), so the
     coordinates of K*a in it come from back-substitution; K*a for every
     generator a is stacked so one pass serves them all.  The result is
     split into one matrix per generator.

@@ -502,6 +502,24 @@ class TestOtherCommands:
         assert record == {"group": "A6", "sha2_omega": [], "subgroup": "(1 2 3 4 5),(1 2 3)",
                           "version": normone.__version__}
 
+    def test_sha_oracle_cap_comes_before_the_class_search(self, capsys, monkeypatch):
+        # above the sha2 cap, --class does not run the class search the
+        # oracle would refuse afterwards; within it, errors keep their order
+        def refuse(*args, **kwargs):
+            raise AssertionError("sha-oracle ran the class search past the sha2 cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "subgroup_classes", refuse)
+            for argv in (["A7", "--class", "2"], ["A7", "--class", "0"],
+                         ["S6", "--subgroup", "()"]):
+                assert main(["sha-oracle", *argv]) == 3
+                order = parse_group_spec(argv[0]).order()
+                assert capsys.readouterr() == (
+                    "", f"error: |G|={order} exceeds the sha2 cap 360\n")
+        assert main(["sha-oracle", "A5", "--class", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --class must be in 1..")
+
     def test_verify_paper_smallest(self, capsys):
         assert main(["verify-paper", "--max-n", "4"]) == 0
         out = capsys.readouterr()

@@ -11,7 +11,7 @@ import oracles
 from normone.cohomology import sha2_omega, tate_minus1
 from normone.errors import CapExceeded, InternalCheckError, NormOneError
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
+    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
 )
 from normone.lattices import (
     GLattice, _restricted_action, chevalley_module, dual, minus_one_rows, perm_lattice,
@@ -265,9 +265,9 @@ def _literal_norm_kernels(G, H):
     """(free, K, kernels) for sha2_omega's free cover of (G, H): its source,
     the Hermite basis K of its kernel, and for each cyclic class C of G,
     keyed by C's elements, (C, ker(K*N_C)) with N_C the literal sum of
-    rho(c) over C.  K comes from an elimination of the cover's matrix,
-    not from the coset graph."""
-    cover, _ = cohomology._free_cover(G, H)
+    rho(c) over C.  The cover is `free_cover_literal`, and K comes from an
+    elimination of its matrix, not from the coset graph."""
+    cover = free_cover_literal(G, H)
     free = cover.source
     K = hnf_basis(kernel_basis(cover.matrix))
     kernels = {}
@@ -320,8 +320,24 @@ class TestCycleLattice:
         # every oracle pair (A5 and S5 over a point stabilizer among them)
         # and on both A6 rows
         for G, H in _oracle_pairs() + _a6_rows():
-            cover, K = cohomology._free_cover(G, H)
+            K = cohomology._free_cover(G, H)[0]
+            cover = free_cover_literal(G, H)
             assert K == hnf_basis(kernel_basis(cover.matrix)), (G.label, H.describe())
+
+
+class TestConnected:
+    @given(multigraphs())
+    # a loop, a double edge and an isolated vertex; a path; one vertex
+    @example(([(0, 0), (1, 2), (2, 1)], 4))
+    @example(([(2, 1), (0, 2), (3, 2)], 4))
+    @example(([], 1))
+    def test_matches_the_hermite_basis_of_the_incidence_rows(self, graph):
+        # the rows e_u - e_v, last column dropped, span Z^(d-1) exactly
+        # when the walk reaches every vertex
+        ends, d = graph
+        rows = IntMatrix([row[:-1] for row in _incidence(ends, d).data], d - 1)
+        spans = hnf_basis(rows) == IntMatrix.identity(d - 1)
+        assert cohomology._connected(ends, d) == spans
 
 
 class TestSha2Omega:
@@ -372,7 +388,7 @@ class TestSha2Omega:
         pairs = _shift_pairs() + [("A5/A4", A5, A5.point_stabilizer(5))]
         for name, G, H in pairs:
             n, d = G.order(), G.order() // H.order()
-            cover, K = cohomology._free_cover(G, H)
+            K, cover = cohomology._free_cover(G, H)[0], free_cover_literal(G, H)
             r, rank = cover.source.rank // n, kernel_basis(cover.matrix).nrows
             assert cover.source.rank == r * n and cover.target.rank == d - 1, name
             assert K.nrows == rank, name
@@ -385,12 +401,26 @@ class TestSha2Omega:
 
     def test_free_cover_matches_the_permutation_route(self):
         # each copy of Z[G] read off the multiplication table is
-        # perm_lattice(G, 1), and the cover equals the one built from
-        # permutation products, with the same picks
+        # perm_lattice(G, 1), and the coset graph's incidence matrix, last
+        # column dropped, is the cover built from permutation products,
+        # with the same picks
         for G, H in _oracle_pairs():
-            (cover, _), literal = cohomology._free_cover(G, H), free_cover_literal(G, H)
-            assert cover.source.action == literal.source.action, (G.label, H.describe())
-            assert cover.matrix == literal.matrix, (G.label, H.describe())
+            _, ends, moves = cohomology._free_cover(G, H)
+            literal = free_cover_literal(G, H)
+            d = G.order() // H.order()
+            assert [permutation_matrix(m) for m in moves] == list(literal.source.action), (
+                G.label, H.describe())
+            incidence = IntMatrix([row[:-1] for row in _incidence(ends, d).data], d - 1)
+            assert incidence == literal.matrix, (G.label, H.describe())
+
+    def test_action_matches_the_back_substitution(self):
+        # coordinates read at K's leading columns are those hnf_coordinates
+        # finds, on every oracle pair and on both A6 rows
+        for G, H in _oracle_pairs() + _a6_rows():
+            K, ends, moves = cohomology._free_cover(G, H)
+            action = cohomology._kernel_action(K, ends, G.order() // H.order(), moves, G.label)
+            literal = _restricted_action(K, free_cover_literal(G, H).source)
+            assert [IntMatrix(m, K.nrows) for m in action] == literal, (G.label, H.describe())
 
     def test_dropped_cyclic_classes_add_nothing(self):
         # for C <= C', ker(N_C) lies in ker(N_C'), so the rows of K*I_G and
@@ -435,7 +465,7 @@ class TestSha2Omega:
         # one copy of Z[G] does not cover I, of rank 3
         G = product_of_cyclics((2, 2))
         H = G.trivial_subgroup()
-        assert cohomology._free_cover(G, H)[0].source.rank == 2 * G.order()
+        assert cohomology._free_cover(G, H)[0].ncols == 2 * G.order()
         closure = cohomology.closure_idx
 
         def whole_after_a_pick(table, gens):
@@ -444,23 +474,23 @@ class TestSha2Omega:
         with pytest.raises(InternalCheckError, match="free cover of I over C2xC2 is not onto"):
             cohomology._free_cover(G, H)
 
-    def test_equivariance_catches_a_corrupted_regular_action(self, monkeypatch):
-        # two entries of the first generator's column swapped: Z[G] is no
-        # longer the regular module, and the cover map fails LatticeMap's check
-        permutation_matrix = cohomology.permutation_matrix
+    def test_equivariance_catches_a_corrupted_coset_action(self, monkeypatch):
+        # two entries of the first generator's coset permutation swapped:
+        # the cosets no longer move as G moves them, so the edge at a moved
+        # point is no longer the moved edge
+        coset_moves = cohomology.coset_moves
         calls = []
 
-        def corrupted(images):
-            images = list(images)
-            if not calls:
-                images[0], images[1] = images[1], images[0]
-            calls.append(images)
-            return permutation_matrix(images)
-        monkeypatch.setattr(cohomology, "permutation_matrix", corrupted)
+        def corrupted(T, coset_of, xs):
+            moves = coset_moves(T, coset_of, xs)
+            moves[0][0], moves[0][1] = moves[0][1], moves[0][0]
+            calls.append(moves)
+            return moves
+        monkeypatch.setattr(cohomology, "coset_moves", corrupted)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="not equivariant for generator 0"):
             cohomology._free_cover(G, G.point_stabilizer(4))
-        assert len(calls) == len(G.generators)
+        assert len(calls) == 1 and len(calls[0]) == len(G.generators)
 
     def test_kernel_check_catches_a_corrupted_cycle(self, monkeypatch):
         # one more unit at an edge that is not a loop: that cycle's image
@@ -490,6 +520,43 @@ class TestSha2Omega:
         monkeypatch.setattr(cohomology, "_cycle_lattice", dropped)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="has 8 rows, expected .* = 9"):
+            sha2_omega(G, G.point_stabilizer(4))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: [a + b for a, b in zip(rows[0], rows[1])],
+        lambda rows: [-a for a in rows[0]],
+    ], ids=["sum", "negated"])
+    def test_identity_block_check_catches_a_changed_basis(self, corrupt, monkeypatch):
+        # the second cycle added to the first, or the first negated: still
+        # a basis of the kernel, of the right row count, but the first row
+        # is nonzero at the second's leading column, or leads with -1, so
+        # coordinates cannot be read at the leading columns
+        cycle_lattice = cohomology._cycle_lattice
+
+        def changed(ends, d):
+            rows = cycle_lattice(ends, d).tolist()
+            rows[0] = corrupt(rows)
+            return IntMatrix(rows, len(ends))
+        monkeypatch.setattr(cohomology, "_cycle_lattice", changed)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="no identity block"):
+            sha2_omega(G, G.point_stabilizer(4))
+
+    def test_stability_check_catches_a_corrupted_point_action(self, monkeypatch):
+        # the free cover passes its own checks; two points of the first
+        # generator's permutation swapped afterwards move some cycle off
+        # the kernel
+        free_cover = cohomology._free_cover
+
+        def corrupted(G, H):
+            K, ends, moves = free_cover(G, H)
+            move = moves[0]
+            p = next(q for q in range(1, len(ends)) if ends[move[q]] != ends[move[0]])
+            move[0], move[p] = move[p], move[0]
+            return K, ends, moves
+        monkeypatch.setattr(cohomology, "_free_cover", corrupted)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="is not stable under generator 0"):
             sha2_omega(G, G.point_stabilizer(4))
 
     def test_matches_pipeline_on_point_stabilizers(self):
