@@ -29,10 +29,8 @@ from .lattices import (
     fixed_sublattice, perm_lattice,
 )
 from .cohomology import sha2_omega, tate_minus1
-from .fpgroups import (
-    CosetTable, FpGroup, preimage_an, schur_cover_sn, todd_coxeter,
-    verify_commutator_claim,
-)
+# fpgroups is left out: only verify-schur runs it, and that command loads
+# it itself; its names are imported from normone.fpgroups
 from .resolutions import (
     Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
     norm_one_invariant, verdict,

@@ -26,11 +26,10 @@ from .cohomology import check_sha_order, sha2_omega
 from .errors import CapExceeded, InternalCheckError, NormOneError, SpecParseError
 from .intmat import AbelianInvariants
 from .perms import (
-    PermGroup, Permutation, SUBGROUP_CLASS_CAP, alternating,
+    DEFAULT_MAX_COSETS, PermGroup, Permutation, SUBGROUP_CLASS_CAP, alternating,
     are_conjugate_subgroups, cyclic, dihedral, product_of_cyclics,
     subgroup_classes, symmetric,
 )
-from .fpgroups import DEFAULT_MAX_COSETS, preimage_an, verify_commutator_claim
 from .resolutions import Verdict, _pipeline
 
 DEFAULT_MAX_RANK = 4096
@@ -341,6 +340,10 @@ def cmd_classes(args):
 
 
 def cmd_verify_schur(args):
+    # the one command that enumerates cosets loads fpgroups, so the others
+    # start without it
+    from .fpgroups import preimage_an, verify_commutator_claim
+
     n = args.n
     if n < 4:
         raise NormOneError(f"verify-schur needs n >= 4 (got {n})")

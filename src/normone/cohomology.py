@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .errors import CapExceeded, InternalCheckError
-from .intmat import AbelianInvariants, IntMatrix, kernel_basis, snf_invariants
+from .intmat import AbelianInvariants, IntMatrix, kernel_basis, snf_invariants, snf_rows
 from .lattices import GLattice, check_index, minus_one_rows
 from .perms import (
     SUBGROUP_CLASS_CAP, PermGroup, closure_idx, coset_moves, maximal_cyclic_subgroup_classes,
@@ -385,12 +385,9 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     _, table, _ = G.multiplication_table()
     r = K.ncols // G.order()
     for nums in classes:
-        rows += _norm_kernel(K, [table[c] for c in nums], r).data
-    # IntMatrix shares the norm kernels' row tuples but copies the rho(s) - 1
-    # lists, which are dropped before the Smith form makes its working copy
-    A = IntMatrix(rows, K.nrows)
-    del rows
-    d = snf_invariants(A)
+        rows += map(list, _norm_kernel(K, [table[c] for c in nums], r).data)
+    # the Smith form works on these lists themselves, so its input is held once
+    d = snf_rows(rows)
     if len(d) != K.nrows - r:
         raise InternalCheckError(
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "

@@ -9,36 +9,32 @@ subgroup words fixing the first coset), so a bad table cannot escape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, InternalCheckError
-from .perms import Permutation
+from .perms import DEFAULT_MAX_COSETS, Permutation
 
-DEFAULT_MAX_COSETS = 100_000
 # the largest n whose Schur cover of S_n is enumerated
 MAX_SCHUR_N = 6
 
 
-@dataclass(frozen=True)
-class FpGroup:
-    ngens: int
-    relators: tuple
+class FpGroup(namedtuple("FpGroup", "ngens relators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        rels = tuple(tuple(int(x) for x in w) for w in self.relators)
+    def __new__(cls, ngens, relators):
+        rels = tuple(tuple(int(x) for x in w) for w in relators)
         for w in rels:
             for letter in w:
-                if letter == 0 or abs(letter) > self.ngens:
+                if letter == 0 or abs(letter) > ngens:
                     raise ValueError(f"bad letter {letter} in relator {w}")
-        object.__setattr__(self, "relators", rels)
+        return super().__new__(cls, ngens, rels)
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Closed coset table: one permutation of {1..coset_count} per generator."""
+class CosetTable(namedtuple("CosetTable", "coset_count action")):
+    """Closed coset table: one permutation of {1..coset_count} per generator
+    (action, a tuple of Permutations)."""
 
-    coset_count: int
-    action: tuple          # Permutation per generator
+    __slots__ = ()
 
     def word_permutation(self, word):
         p = Permutation.identity(self.coset_count)
@@ -221,14 +217,14 @@ def schur_cover_sn(n) -> FpGroup:
     return FpGroup(n, tuple(rels))
 
 
-@dataclass(frozen=True)
-class PreimageData:
-    """The index-2 preimage of the even part inside the covering group."""
+class PreimageData(namedtuple("PreimageData", "regular index_table v_generators v_order")):
+    """The index-2 preimage of the even part inside the covering group:
+    regular, the CosetTable of the cover's regular representation;
+    index_table, that of the cosets of <z, e_i> in the cover (index 2);
+    v_generators, faithful permutations of z, e_1..e_{n-2} whose degree
+    is the preimage's order, v_order."""
 
-    regular: CosetTable       # the cover's regular representation
-    index_table: CosetTable   # cosets of <z, e_i> in the cover (index 2)
-    v_generators: tuple       # faithful perms of z, e_1..e_{n-2}, degree = order
-    v_order: int
+    __slots__ = ()
 
 
 def preimage_an(n, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: Hermite bases, coordinates against them,
 kernels and Smith invariant factors (`hnf_basis`, `hnf_coordinates`,
-`kernel_basis`, `snf_invariants`).
+`kernel_basis`, `snf_invariants`, and `snf_rows` on row lists it takes
+over).
 
 Everything here is exact: an IntMatrix holds its entries as a tuple of
 rows, each a tuple of Python ints, so no size of entry needs a second
@@ -15,6 +16,7 @@ entries of both factors, unless one is a permutation matrix:
 `permutation_matrix` keeps the index list it was built from, and a
 product with it is an index gather of the other factor's rows (on the
 left) or columns (on the right), with the value of the dense product.
+`snf_rows` runs the Smith passes on the caller's own lists, uncopied.
 
 Row-vector convention throughout: lattice elements are rows, maps act by
 right multiplication, `kernel_basis(A)` solves x*A = 0.
@@ -22,7 +24,7 @@ right multiplication, `kernel_basis(A)` solves x*A = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress
 from math import gcd
 from operator import itemgetter
@@ -139,25 +141,25 @@ def permutation_matrix(images):
     return _unchecked(rows, n, images)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "free_rank torsion")):
     """A finitely generated abelian group Z^free_rank + sum Z/t_i.
 
-    Torsion entries are > 1 and each divides the next.
+    Torsion entries are > 1 and each divides the next.  A named tuple:
+    equal to the plain tuple (free_rank, torsion), and immutable.
     """
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
-        if self.free_rank < 0:
+    def __new__(cls, free_rank, torsion):
+        torsion = tuple(int(t) for t in torsion)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion not in divisibility order: {self.torsion}")
-        if any(t < 2 for t in self.torsion):
+                raise ValueError(f"torsion not in divisibility order: {torsion}")
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion entries must be > 1")
+        return super().__new__(cls, free_rank, torsion)
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -310,7 +312,16 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 
 def snf_invariants(A: IntMatrix):
-    """Invariant factors d1 | d2 | ... of A's row lattice (no transforms).
+    """Invariant factors d1 | d2 | ... of A's row lattice (no transforms),
+    by `snf_rows` on a copy of A's rows."""
+    return snf_rows(A.tolist())
+
+
+def snf_rows(W):
+    """Invariant factors d1 | d2 | ... of the row lattice of W, a list of
+    integer rows as lists, which it takes over: W and its rows are
+    overwritten, so a caller that builds its rows as lists hands them
+    over without a second copy.
 
     Hermite passes alternate on rows and columns: each takes the nonzero
     rows H of `_hermite` (directly: the pass above the pivots changes no
@@ -327,14 +338,13 @@ def snf_invariants(A: IntMatrix):
     picks that row, so the pass clears row t and column t for good.  The diagonal is then put in divisibility
     order by pairwise gcd/lcm over its entries > 1.
     """
-    W = A.tolist()
     while True:
         H = [row for row in _hermite(W, False)[0] if any(row)]
         if all(next(filter(None, row)) == 1 for row in H):
             return [1] * len(H)
         if all(row[i] and row.count(0) == len(row) - 1 for i, row in enumerate(H)):
             break
-        W = [list(col) for col in zip(*H)]
+        W[:] = [list(col) for col in zip(*H)]
     big = [row[i] for i, row in enumerate(H) if row[i] > 1]
     for i in range(len(big)):
         for j in range(i + 1, len(big)):

@@ -26,16 +26,18 @@ module constants.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cache
 from math import lcm
-from typing import NamedTuple
 
 from .errors import CapExceeded, NotASubgroupError, UsageError
 
 DEGREE_CAP = 16
 DEFAULT_MAX_ORDER = 100_000
 SUBGROUP_CLASS_CAP = 2520
+# the coset cap of `fpgroups.todd_coxeter`, kept with the other caps so
+# that the CLI reads its default without importing fpgroups
+DEFAULT_MAX_COSETS = 100_000
 
 
 class Permutation:
@@ -82,13 +84,13 @@ class Permutation:
         si, oi = self.images, other.images
         if len(si) != len(oi):
             raise ValueError("degree mismatch")
-        return Permutation(map(oi.__getitem__, si))
+        return _perm(tuple([oi[i] for i in si]))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return _perm(tuple(inv))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -136,6 +138,18 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.degree}] {self.cycle_string()}"
+
+
+# the setter of the one slot, which Permutation.__setattr__ refuses
+_set_images = Permutation.images.__set__
+
+
+def _perm(images):
+    """The Permutation on images, a tuple of 0-based images, built
+    without the constructor's copy."""
+    p = object.__new__(Permutation)
+    _set_images(p, images)
+    return p
 
 
 def _closure_images(degree, generators, cap):
@@ -202,7 +216,7 @@ class PermGroup:
         """All elements, sorted by their images; the identity comes first."""
         if self._elements is None:
             images = _closure_images(self.degree, self.generators, self.max_order)
-            object.__setattr__(self, "_elements", tuple(map(Permutation, sorted(images))))
+            object.__setattr__(self, "_elements", tuple(map(_perm, sorted(images))))
         return self._elements
 
     def element_set(self):
@@ -354,14 +368,12 @@ def _times(G, number, nums, x):
     return [number[(elems[a] * p).images] for a in nums]
 
 
-class CosetMap(NamedTuple):
+class CosetMap(namedtuple("CosetMap", "group number coset")):
     """The coset map of `right_transversal`: coset[a] is the index of the
     coset of the element numbered a, and number maps the images of each
     element of group to its number, its place in group.elements()."""
 
-    group: PermGroup
-    number: dict
-    coset: list
+    __slots__ = ()
 
 
 def right_transversal(G, H):

@@ -45,7 +45,7 @@ in `tests/oracles.py`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cohomology import tate_minus1
 from .errors import CapExceeded, InternalCheckError
@@ -62,30 +62,26 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(namedtuple("Resolution", "base middle side inject project")):
     """A coflasque cover 0 -> side -> middle -> base -> 0, middle a
     permutation lattice; construction checks that the ranks add up, that
     the composite map is zero and that both maps are saturated."""
 
-    base: GLattice
-    middle: GLattice
-    side: GLattice
-    inject: LatticeMap
-    project: LatticeMap
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.middle.rank != self.base.rank + self.side.rank:
+    def __new__(cls, base, middle, side, inject, project):
+        if middle.rank != base.rank + side.rank:
             raise InternalCheckError("ranks are not additive")
-        if self.inject.matrix.nrows and self.project.matrix.ncols:
-            if not (self.inject.matrix * self.project.matrix).is_zero():
+        if inject.matrix.nrows and project.matrix.ncols:
+            if not (inject.matrix * project.matrix).is_zero():
                 raise InternalCheckError("composite of the two maps is nonzero")
-        inv = snf_invariants(self.project.matrix)
-        if len(inv) != self.project.target.rank or any(x != 1 for x in inv):
+        inv = snf_invariants(project.matrix)
+        if len(inv) != project.target.rank or any(x != 1 for x in inv):
             raise InternalCheckError("middle term does not surject over Z")
-        inv = snf_invariants(self.inject.matrix)
-        if len(inv) != self.inject.source.rank or any(x != 1 for x in inv):
+        inv = snf_invariants(inject.matrix)
+        if len(inv) != inject.source.rank or any(x != 1 for x in inv):
             raise InternalCheckError("injection is not saturated")
+        return super().__new__(cls, base, middle, side, inject, project)
 
 
 def _orbits(moves, n):
@@ -228,12 +224,8 @@ def norm_one_invariant(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None):
     return _pipeline(G, H, class_cap=class_cap, max_rank=max_rank).invariants
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    j_rank: int
-    flasque_rank: int
-    middle_rank: int
-    invariants: object
+class PipelineResult(namedtuple("PipelineResult", "j_rank flasque_rank middle_rank invariants")):
+    __slots__ = ()
 
 
 def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResult:
@@ -276,8 +268,7 @@ def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResu
     return PipelineResult(I.rank, cof.side.rank, cof.middle.rank, inv)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "invariants hnp wa")):
     """What the invariant says about the two local-global properties.
 
     A trivial invariant settles both (they hold); a nontrivial one only
@@ -285,9 +276,7 @@ class Verdict:
     verdict stays undetermined.
     """
 
-    invariants: object
-    hnp: str
-    wa: str
+    __slots__ = ()
 
     @classmethod
     def of(cls, inv):

@@ -645,6 +645,29 @@ class TestSharedParser:
         assert capsys.readouterr().out == wide
 
 
+def test_import_leaves_out_dataclasses_inspect_and_fpgroups():
+    # a fresh process pays for every module the import loads: the records
+    # need neither dataclasses nor the inspect it imports, and only
+    # verify-schur enumerates cosets, so only it loads fpgroups
+    def modules(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return [set(line.split()) for line in proc.stdout.splitlines()]
+
+    listed = "print(' '.join(sys.modules))\n"
+    [bare] = modules("import sys\n" + listed)
+    imported, ran = modules(
+        "import contextlib, io, sys\n"
+        "import normone.cli as cli\n" + listed
+        + "with contextlib.redirect_stdout(io.StringIO()), "
+          "contextlib.redirect_stderr(io.StringIO()):\n"
+          "    assert cli.main(['verify-schur', '4']) == 0\n" + listed)
+    assert "normone.cli" in imported
+    assert not {"dataclasses", "inspect", "normone.fpgroups"} & (imported - bare)
+    assert "normone.fpgroups" in ran
+
+
 def test_readme_compute_example_is_live(capsys):
     # the README's example record is what the command prints, apart from ms
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -590,12 +590,12 @@ class TestSha2Omega:
             if name.split(".")[0] == "normone" and hasattr(module, "todd_coxeter"):
                 monkeypatch.setattr(module, "todd_coxeter", refuse)
         calls = []
-        snf_invariants = cohomology.snf_invariants
+        snf_rows = cohomology.snf_rows
 
-        def counted(A):
-            calls.append(A)
-            return snf_invariants(A)
-        monkeypatch.setattr(cohomology, "snf_invariants", counted)
+        def counted(W):
+            calls.append(W)
+            return snf_rows(W)
+        monkeypatch.setattr(cohomology, "snf_rows", counted)
         A4 = alternating(4)
         assert sha2_omega(V4, V4.trivial_subgroup()) == AbelianInvariants(0, (2,))
         assert sha2_omega(A4, A4.point_stabilizer(4)) == AbelianInvariants(0, (2,))
@@ -604,12 +604,12 @@ class TestSha2Omega:
     def test_divisibility_check_fires(self, monkeypatch):
         # Sha^2_omega(A4, J) over A3 is Z/2; made Z/6, it still divides
         # |G| = 12 but not [G:H] = 4, which kills it
-        snf_invariants = cohomology.snf_invariants
+        snf_rows = cohomology.snf_rows
 
-        def tripled(A):
-            d = snf_invariants(A)
+        def tripled(W):
+            d = snf_rows(W)
             return [*d[:-1], 3 * d[-1]]
-        monkeypatch.setattr(cohomology, "snf_invariants", tripled)
+        monkeypatch.setattr(cohomology, "snf_rows", tripled)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match=r"not dividing \[G:H\]=4"):
             sha2_omega(G, G.point_stabilizer(4))

@@ -194,6 +194,10 @@ def check_elimination(name, args, out):
         A, = args
         D, rank = smith_reference(A.tolist(), A.nrows, A.ncols)
         assert out == [D[i][i] for i in range(rank)]
+    elif name == "snf_rows":
+        W, = args
+        D, rank = smith_reference(W, len(W), len(W[0]) if W else 0)
+        assert out == [D[i][i] for i in range(rank)]
     else:
         H, B = args
         if out is None:
@@ -228,13 +232,14 @@ def test_pipeline_eliminations_match_references(monkeypatch):
         record(intmat, name)
     for module in (cohomology, resolutions):
         record(module, "snf_invariants")
+    record(cohomology, "snf_rows")
     G = product_of_cyclics((2, 2, 3))
     assert sha2_omega(G, G.trivial_subgroup()) == AbelianInvariants(0, (2,))
     for G in (alternating(4), alternating(5)):
         norm_one_invariant(G, G.point_stabilizer(G.degree))
     for name, args, out in runs:
         check_elimination(name, args, out)
-    assert {name for name, _, _ in runs} == {*ELIMINATIONS, "snf_invariants"}
+    assert {name for name, _, _ in runs} == {*ELIMINATIONS, "snf_invariants", "snf_rows"}
     assert any(out is None for name, _, out in runs if name == "_back_substitute")
 
 
@@ -492,6 +497,11 @@ def test_abelian_invariants_validation():
     assert str(AbelianInvariants(0, ())) == "0"
     assert group_order(AbelianInvariants(0, (2, 2))) == 4
     assert group_order(AbelianInvariants(1, ())) is None
+    with pytest.raises(ValueError, match="negative free rank"):
+        AbelianInvariants(-1, ())
+    # a named tuple, with its torsion made a tuple of ints
+    assert AbelianInvariants(0, [2]) == (0, (2,))
+    assert repr(AbelianInvariants(0, (2,))) == "AbelianInvariants(free_rank=0, torsion=(2,))"
 
 
 @st.composite

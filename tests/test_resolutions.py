@@ -13,15 +13,16 @@ from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants,
 )
 from normone.lattices import (
-    GLattice, _restricted_action, augmentation_ideal, chevalley_module, dual,
-    fixed_sublattice, perm_lattice,
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, chevalley_module,
+    dual, fixed_sublattice, perm_lattice,
 )
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
     product_of_cyclics, subgroup_classes, symmetric,
 )
 from normone.resolutions import (
-    coflasque_cover, is_coflasque, is_flasque, norm_one_invariant, verdict,
+    Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
+    norm_one_invariant, verdict,
 )
 from oracles import (
     h1, is_flasque_all_classes, is_normal, presentation_catalog, trivial_lattice,
@@ -535,3 +536,39 @@ class TestVerdict:
             warnings.simplefilter("ignore")
             v = verdict(G, G.trivial_subgroup())
         assert v.hnp == "holds" and v.wa == "holds"
+
+
+class TestRecords:
+    def test_resolution_refuses_each_defect(self):
+        # 0 -> Z -> middle -> Z -> 0 over C2 acting trivially, so every
+        # map is equivariant and only Resolution's own checks can refuse
+        G = cyclic(2)
+        Z, Z2 = (GLattice(G, n, [IntMatrix.identity(n)]) for n in (1, 2))
+
+        def build(middle, inject, project):
+            return Resolution(Z, middle, Z, LatticeMap(Z, middle, IntMatrix(inject)),
+                              LatticeMap(middle, Z, IntMatrix(project)))
+
+        for middle, inject, project, message in (
+                (Z, [[1]], [[1]], "ranks are not additive"),
+                (Z2, [[1, 0]], [[1], [1]], "composite of the two maps is nonzero"),
+                (Z2, [[1, -1]], [[2], [2]], "middle term does not surject over Z"),
+                (Z2, [[2, -2]], [[1], [1]], "injection is not saturated")):
+            with pytest.raises(InternalCheckError, match=message):
+                build(middle, inject, project)
+        assert build(Z2, [[1, -1]], [[1], [1]]).middle is Z2
+
+    def test_records_are_frozen(self):
+        G = alternating(4)
+        H = G.point_stabilizer(4)
+        records = (
+            (Z2, "torsion"),
+            (coflasque_cover(augmentation_ideal(G, H)), "side"),
+            (resolutions._pipeline(G, H), "invariants"),
+            (Verdict.of(Z2), "hnp"),
+        )
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.note = None
