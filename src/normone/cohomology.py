@@ -12,9 +12,14 @@ zero.  The cycle lattice has an identity block at the left-out edges of
 the forest, so the action on it is read there too: a moved row with zero
 boundary lies in the lattice, with its entries at those edges as its
 coordinates, which is what a back-substitution would check and return.
-No presentation of the acting group is needed; the tests' independent
-routes (the bar complex, H^1 from a presentation, the dimension shift)
-live in `tests/oracles.py`.
+The forest also lifts: a vector of I is the boundary of a row on the
+forest's edges, each edge carrying the sum over the subtree below it.
+Each cyclic norm kernel is read that way, from lifts of the vectors of I
+fixed by the cyclic group, since the norm of a cyclic group C kills
+exactly the image of 1 - c on the free module Z[G]^r; no elimination
+runs for it.  No presentation of the acting group is needed; the tests'
+independent routes (the bar complex, H^1 from a presentation, the
+dimension shift, the coset-sum norm kernels) live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -62,11 +67,12 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
-def _cycle_lattice(ends, d) -> IntMatrix:
-    """The Hermite basis of the integer kernel of the incidence matrix of
-    a graph on the vertices 0..d-1 whose edge i runs from ends[i][0] to
-    ends[i][1]: the rows x with x*A = 0, A having row e_u - e_v at edge
-    (u, v).  Loops and parallel edges are allowed, and the graph need not
+def _cycle_lattice(ends, d):
+    """(K, forest): K is the Hermite basis of the integer kernel of the
+    incidence matrix of a graph on the vertices 0..d-1 whose edge i runs
+    from ends[i][0] to ends[i][1], the rows x with x*A = 0, A having row
+    e_u - e_v at edge (u, v); forest is the spanning forest K is read
+    off.  Loops and parallel edges are allowed, and the graph need not
     be connected.  No elimination runs.
 
     A spanning forest is grown greedily from the last edge down, joining
@@ -83,6 +89,12 @@ def _cycle_lattice(ends, d) -> IntMatrix:
     and 0 in every other leading column: they are the reduced row
     echelon form of the kernel, its unique Hermite basis, the rows
     hnf_basis(kernel_basis(A)) returns.
+
+    forest is (order, parent, edge, up).  Each tree hangs from its first
+    vertex, and order lists the vertices tree by tree, breadth-first, so
+    that a parent comes before its children.  parent[x] is -1 at a top;
+    below it, x hangs from parent[x] by the edge edge[x], whose row
+    e_u - e_v is up[x] * (e_x - e_parent[x]) (`_forest_lift`).
     """
     root = list(range(d))
 
@@ -102,9 +114,9 @@ def _cycle_lattice(ends, d) -> IntMatrix:
             root[a] = b
             near[u].append((v, i, 1))
             near[v].append((u, i, -1))
-    # each tree hangs from its first vertex; up[x] is the sign of the
-    # edge from x to its parent when walked upwards
+    # up[x] is the sign of the edge from x to its parent when walked upwards
     parent, edge, up, depth = [-1] * d, [-1] * d, [0] * d, [-1] * d
+    order = []
     for top in range(d):
         if depth[top] < 0:
             depth[top] = 0
@@ -114,6 +126,7 @@ def _cycle_lattice(ends, d) -> IntMatrix:
                     if depth[y] < 0:
                         parent[y], edge[y], up[y], depth[y] = x, i, -sign, depth[x] + 1
                         queue.append(y)
+            order += queue
     rows = []
     for i in reversed(left):
         row = [0] * len(ends)
@@ -129,7 +142,31 @@ def _cycle_lattice(ends, d) -> IntMatrix:
                 row[edge[y]] = -up[y]
                 y = parent[y]
         rows.append(row)
-    return IntMatrix(rows, len(ends))
+    return IntMatrix(rows, len(ends)), (order, parent, edge, up)
+
+
+def _forest_lift(forest, y):
+    """The (edge, value) pairs of a row w carried by the forest's edges
+    whose boundary, the sum of w's entries times e_u - e_v over its
+    edges (u, v), is y: a list of integers, one per vertex, summing to 0
+    on each tree of the forest (as `_cycle_lattice` returns it).  Only
+    the nonzero values are listed.
+
+    The edge above x carries up[x] times the sum of y over x's subtree.
+    Its row is up[x] * (e_x - e_parent[x]), so x's entry in the boundary
+    is its subtree's sum less its children's subtree sums, y[x]; a top's
+    entry is minus its children's sums, y at the top, as its tree sums
+    to 0.  The subtree sums are gathered children first, in reverse
+    breadth-first order."""
+    order, parent, edge, up = forest
+    below = list(y)
+    lift = []
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0 and below[x]:
+            lift.append((edge[x], up[x] * below[x]))
+            below[p] += below[x]
+    return lift
 
 
 def _connected(ends, d) -> bool:
@@ -154,9 +191,10 @@ def _connected(ends, d) -> bool:
 
 
 def _free_cover(G: PermGroup, H: PermGroup):
-    """(K, ends, moves): the free cover Z[G]^r -> I_{G/H} of `sha2_omega`
-    as the edge list of a graph on the cosets, the Hermite basis K of its
-    kernel, and the action of G's generators on Z[G]^r.  Z[G]^r is one
+    """(K, ends, moves, forest): the free cover Z[G]^r -> I_{G/H} of
+    `sha2_omega` as the edge list of a graph on the cosets, the Hermite
+    basis K of its kernel, the action of G's generators on Z[G]^r, and
+    the spanning forest K is read off.  Z[G]^r is one
     permutation lattice on r|G| points, point j|G| + a being element a of
     copy j (G.elements() numbers the elements).  It is read off
     G.multiplication_table(), which the cyclic class search has built: a
@@ -169,7 +207,9 @@ def _free_cover(G: PermGroup, H: PermGroup):
     the edge ends[j|G| + g] = (u, v) from H*g to H*s_j*g, with the last
     coset's column dropped (every row sums to 0, so the kernel is the
     same): its matrix A is the incidence matrix of this coset graph.  K
-    is its cycle lattice, `_cycle_lattice`.
+    is its cycle lattice, and forest the spanning forest it is read off
+    (`_cycle_lattice`).  The edge of copy 0 at element g leaves the
+    coset of g: ends[g][0] is coset[g].
 
     Self-checks, each the graph form of a check on A:
     - onto: A's rows span I exactly when the graph is connected
@@ -204,7 +244,7 @@ def _free_cover(G: PermGroup, H: PermGroup):
         if [ends[q] for q in move] != [(cmove[u], cmove[v]) for u, v in ends]:
             raise InternalCheckError(
                 f"free cover of I over {G.label} is not equivariant for generator {k}")
-    K = _cycle_lattice(ends, d)
+    K, forest = _cycle_lattice(ends, d)
     if K.nrows != r * n - d + 1:
         raise InternalCheckError(
             f"cycle lattice of the free cover over {G.label} has {K.nrows} rows, "
@@ -213,7 +253,7 @@ def _free_cover(G: PermGroup, H: PermGroup):
         if any(_boundary(ends, d, row, compress(range(len(row)), row))):
             raise InternalCheckError(f"cycle lattice of the free cover over {G.label} "
                                      "is not in its kernel")
-    return K, ends, moves
+    return K, ends, moves, forest
 
 
 def _boundary(ends, d, values, points):
@@ -228,29 +268,26 @@ def _boundary(ends, d, values, points):
     return acc
 
 
-def _kernel_action(K, ends, d, moves, label):
-    """The matrix of each point permutation of moves on the lattice that
-    K's rows span, as a list of rows: row i holds the coordinates of
-    K_i*P_x in K.  K is `_free_cover`'s cycle lattice of the coset graph
-    on d vertices with edges ends.
+def _identity_block(K, label):
+    """(support, lead) for `_free_cover`'s cycle lattice K: support[i]
+    lists the columns where row i is nonzero, and lead[p] is i when p is
+    the leading column of row i, else -1.
 
     K must have an identity block at its leading columns, the left-out
     edges of `_cycle_lattice`: each row leads with a 1, and no other row
-    is nonzero there.  That is checked first, in one pass over K's
-    nonzero entries.  Then a row w of the cover's kernel has its entries
-    at the leading columns as coordinates: w minus that combination of
-    K's rows lies in the kernel and is 0 at every leading column, so it
-    is 0, K's rows spanning the kernel over Q by the row count and
-    connectivity `_free_cover` checks.  An integer w lies in the kernel
-    exactly when its boundary is zero.  So each gathered row K_i*P_x is
-    accepted, with its entries at the leading columns as coordinates,
-    exactly when its boundary is zero: the test a back-substitution
-    against K would make.
+    is nonzero there.  That is checked in one pass over K's nonzero
+    entries.  Then a row w of the cover's kernel has its entries at the
+    leading columns as coordinates: w minus that combination of K's rows
+    lies in the kernel and is 0 at every leading column, so it is 0, K's
+    rows spanning the kernel over Q by the row count and connectivity
+    `_free_cover` checks.  An integer w lies in the kernel exactly when
+    its boundary is zero.  So a row is accepted, with its entries at the
+    leading columns as coordinates, exactly when its boundary is zero:
+    the test a back-substitution against K would make.
     """
     support = [list(compress(range(K.ncols), row)) for row in K.data]
     no_block = (f"cycle lattice of the free cover over {label} has no identity "
                 "block at its leading columns")
-    # lead[p] is i when p is the leading column of row i, else -1
     lead = [-1] * K.ncols
     for i, (row, cols) in enumerate(zip(K.data, support)):
         if not cols or row[cols[0]] != 1 or lead[cols[0]] >= 0:
@@ -258,6 +295,18 @@ def _kernel_action(K, ends, d, moves, label):
         lead[cols[0]] = i
     if any(lead[p] >= 0 for cols in support for p in cols[1:]):
         raise InternalCheckError(no_block)
+    return support, lead
+
+
+def _kernel_action(K, support, lead, ends, d, moves, label):
+    """The matrix of each point permutation of moves on the lattice that
+    K's rows span, as a list of rows: row i holds the coordinates of
+    K_i*P_x in K.  K is `_free_cover`'s cycle lattice of the coset graph
+    on d vertices with edges ends, and (support, lead) its
+    `_identity_block`: each gathered row K_i*P_x is accepted when its
+    boundary is zero, with its entries at the leading columns as its
+    coordinates.
+    """
     action = []
     for k, move in enumerate(moves):
         # entry p of K_i is entry move[p] of K_i*P_x, on that point's edge
@@ -277,33 +326,58 @@ def _kernel_action(K, ends, d, moves, label):
     return action
 
 
-def _norm_kernel(K: IntMatrix, moves, r) -> IntMatrix:
-    """A basis of ker(K*N_C) for a cyclic subgroup C of G, the rows of K
-    lying in Z[G]^r numbered as in `_free_cover`, and moves the columns
-    table[c] of G.multiplication_table() over the elements c of C.
+def _norm_lifts(nrows, lead, ends, d, forest, col, label):
+    """The rows that stand for ker(N_C) on the cover's kernel K in the
+    Smith form of `sha2_omega`, for the cyclic group C generated by the
+    element c whose column of G.multiplication_table() is col: the
+    coordinates in K of w_y - w_y*rho(c), for y over a basis of I^C and
+    w_y its `_forest_lift`.  K has nrows rows and the leading columns
+    lead (`_identity_block`); ends, d and forest are the coset graph and
+    its spanning forest (`_free_cover`).
 
-    rho(c) sends e_y to e_(y*c) in each copy of Z[G], so (v*N_C) at y is
-    the sum of v over y's coset {y*c : c in C}: the columns of K*N_C are
-    those of K summed over each copy's C-cosets, each repeated |C|
-    times.  The kernel is taken of the r|G|/|C| coset sums alone, built
-    by adding each entry of K once."""
-    n = len(moves[0])
-    coset = [-1] * n
-    m = 0
-    for y in range(n):
-        if coset[y] < 0:
-            for move in moves:
-                coset[move[y]] = m
-            m += 1
-    # point i, element y of copy j, adds to the sum over y's coset in copy j
-    column = [j * m + c for j in range(r) for c in coset]
-    sums = []
-    for row in K.data:
-        acc = [0] * (r * m)
-        for i in compress(range(K.ncols), row):
-            acc[column[i]] += row[i]
-        sums.append(acc)
-    return kernel_basis(IntMatrix(sums, r * m))
+    I^C is spanned by the indicator vectors of C's orbits on the cosets
+    with coordinate sum 0, so its basis is the integer kernel of the
+    column of orbit sizes, at most [G:H] rows.  The orbits are the
+    cycles of c on the cosets: c moves the coset of g, the tail of copy
+    0's edge at g, to that of g*c, the tail of the edge at col[g].
+    rho(c) sends point j|G| + g to j|G| + col[g], so w_y*rho(c) moves
+    w_y's entries, and its boundary is y moved by c, which is y.  So
+    w_y - w_y*rho(c) has zero boundary; that is checked, and its entries
+    at the leading columns are its coordinates, as in `_kernel_action`.
+    """
+    n = len(col)
+    # an element of each coset
+    rep = [-1] * d
+    for g in range(n):
+        rep[ends[g][0]] = g
+    orbit, sizes = [-1] * d, []
+    for u in range(d):
+        if orbit[u] < 0:
+            x, size = u, 0
+            while orbit[x] < 0:
+                orbit[x] = len(sizes)
+                x = ends[col[rep[x]]][0]
+                size += 1
+            sizes.append(size)
+    if len(sizes) == 1:
+        # C is transitive on the cosets, so I^C = 0
+        return []
+    rows = []
+    for a in kernel_basis(IntMatrix([[s] for s in sizes], 1)).data:
+        row = {}
+        for p, x in _forest_lift(forest, [a[k] for k in orbit]):
+            q = p - p % n + col[p % n]
+            row[p] = row.get(p, 0) + x
+            row[q] = row.get(q, 0) - x
+        if any(_boundary(ends, d, row, row)):
+            raise InternalCheckError(f"a norm row lifted through the forest over {label} "
+                                     "is not in the kernel of the free cover")
+        coords = [0] * nrows
+        for p, x in row.items():
+            if lead[p] >= 0:
+                coords[lead[p]] = x
+        rows.append(coords)
+    return rows
 
 
 def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvariants:
@@ -335,29 +409,40 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     cyclic subgroups alone: for C <= C', N_C' = N_C * sum(C'/C) over a
     transversal, so ker(N_C) lies in ker(N_C'), and every cyclic
     subgroup lies in a maximal one, a conjugate of a kept representative.
-    Each representative comes as its element numbers in
-    G.multiplication_table(), whose columns are its moves.
     Each ker(N_C) lies in ker(N_G), the saturation of K*I_G, so the
     quotient is the torsion of Z^rank(K) modulo the stacked rows of
-    rho(s) - 1 over the generators s and a basis of each ker(N_C), the
-    kernel of K*N_C on Z[G]^r.  `_norm_kernel` takes it of K's columns
-    summed over the cosets of C, the distinct columns of K*N_C.  rho(s)
-    permutes the points, so row i of K*rho(s) is K_i with its entries
-    moved, and its coordinates in K are its entries at K's leading
-    columns (`_kernel_action`).
+    rho(s) - 1 over the generators s, which span K*I_G, and of each
+    K meet ker(N_C).  rho(s) permutes the points, so row i of K*rho(s)
+    is K_i with its entries moved, and its coordinates in K are its
+    entries at K's leading columns (`_kernel_action`).
+
+    K meet ker(N_C) needs no elimination.  Let C = <c>.  Z[G]^r is a
+    free Z[C]-module, on which Tate H^-1(C, -) vanishes (Brown, VI), so
+    there ker(N_C) is the image of 1 - c.  If v = u(1 - c) lies in K,
+    then uA is fixed by C, a y in I^C, and u - w_y lies in K for any
+    lift w_y of y through the cover.  So K meet ker(N_C) is
+    K(1 - c) + {w_y(1 - c) : y in a basis of I^C}, and K(1 - c) lies in
+    K*I_G, whose rows are already stacked: each class adds one row
+    w_y - w_y*rho(c) per basis vector y, one fewer than C's orbits on
+    the cosets.  w_y is read off the forest K came from (`_forest_lift`),
+    and the row's coordinates in K at its leading columns
+    (`_norm_lifts`).  Each kept class comes as a generator c and its
+    element numbers in G.multiplication_table(), where c's column is its
+    move.
 
     Self-checks, all on the coset graph's edge list: the graph is
     connected, so the cover is onto; the cover commutes with the action;
     K has r|G| - [G:H] + 1 rows, each with zero boundary, so K*A = 0 for
     the cover's matrix A (`_free_cover`); K has an identity block at its
-    leading columns, and every row of K*rho(s) has zero boundary
-    (`_kernel_action`).  The last two are the membership test of a
+    leading columns (`_identity_block`), and every row of K*rho(s) and
+    every lifted norm row has zero boundary (`_kernel_action`,
+    `_norm_lifts`).  The last two are the membership test of a
     back-substitution against K: with the row count and connectivity,
     the identity block makes K's rows a basis of ker A, so a row lies in
     their span exactly when its boundary is zero, and its coordinates are
     its entries at the leading columns.  K^G has rank r, since
     (Z[G]^r)^G has rank r and I^G = 0, so the Smith rank, that of
-    K*I_G, is rank(K) - r; a ker(N_C) row outside ker(N_G) would raise
+    K*I_G, is rank(K) - r; a norm row outside ker(N_G) would raise
     it.  Every
     invariant divides [G:H], which kills Sha^2_omega(G, J): restricted to
     H, J is a permutation lattice, on which Sha^2_omega vanishes (by
@@ -374,24 +459,25 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     check_index(G, H)
     check_sha_order(G)
     classes = maximal_cyclic_subgroup_classes(G, class_cap)
-    K, ends, moves = _free_cover(G, H)
+    K, ends, moves, forest = _free_cover(G, H)
     index = G.order() // H.order()
+    support, lead = _identity_block(K, G.label)
     # rho(s) - 1 for each generator s, in place on the coordinate rows
     rows = []
-    for block in _kernel_action(K, ends, index, moves, G.label):
+    for block in _kernel_action(K, support, lead, ends, index, moves, G.label):
         for i, row in enumerate(block):
             row[i] -= 1
         rows += block
     _, table, _ = G.multiplication_table()
+    for c, _ in classes:
+        rows += _norm_lifts(K.nrows, lead, ends, index, forest, table[c], G.label)
     r = K.ncols // G.order()
-    for nums in classes:
-        rows += map(list, _norm_kernel(K, [table[c] for c in nums], r).data)
     # the Smith form works on these lists themselves, so its input is held once
     d = snf_rows(rows)
     if len(d) != K.nrows - r:
         raise InternalCheckError(
             f"sha2_omega over {G.label} has Smith rank {len(d)}, expected "
-            f"{K.nrows - r}: a cyclic norm kernel escapes ker(N_G)")
+            f"{K.nrows - r}: a lifted norm row escapes ker(N_G)")
     torsion = tuple(x for x in d if x > 1)
     if any(index % x for x in torsion):
         raise InternalCheckError(

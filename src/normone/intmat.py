@@ -176,8 +176,16 @@ def _line(row, start):
 
 def _smallest(W, rows, c):
     """The one of rows whose entry in column c of W has the smallest
-    |value|, the first on ties; every such entry is nonzero."""
-    return min(rows, key=lambda i: abs(W[i][c]))
+    |value|, the first on ties; every such entry is nonzero.  The search
+    stops at the first |value| 1, which no entry undercuts."""
+    best, low = rows[0], abs(W[rows[0]][c])
+    for i in rows:
+        if low == 1:
+            break
+        a = abs(W[i][c])
+        if a < low:
+            best, low = i, a
+    return best
 
 
 def _hermite(W, track):
@@ -186,11 +194,13 @@ def _hermite(W, track):
     pivots are positive and the zero rows of H come last.
 
     Each column's pivot is its smallest nonzero |entry|, the first on
-    ties.  A step rewrites only the rows with a nonzero entry in the pivot
-    column, walking the pivot row's nonzero entries from the pivot column
-    on (before it, the row is zero).  Entries above the pivots are left
-    as they are: `kernel_basis` keeps only the rows past the pivots, and
-    `hnf_basis` reduces them with `_reduce_above`.
+    ties; a pivot of 1 or -1 leaves every remainder 0, so its column is
+    not scanned again.  A step rewrites only the rows with a nonzero
+    entry in the pivot column, walking the pivot row's nonzero entries
+    from the pivot column on (before it, the row is zero).  Entries
+    above the pivots are left as they are: `kernel_basis` keeps only the
+    rows past the pivots, and `hnf_basis` reduces them with
+    `_reduce_above`.
     """
     m = len(W)
     ncols = len(W[0]) if m else 0
@@ -217,6 +227,9 @@ def _hermite(W, track):
                 q = row[c] // p
                 for j, x in line:
                     row[j] -= q * x
+            if p == 1 or p == -1:
+                # a unit pivot leaves no remainder: the column is clear
+                break
             rows = [k for k in rows if W[k][c]]
             if rows:
                 # a remainder is smaller than the pivot, so the next pivot is one

@@ -14,7 +14,9 @@ group, which holds |G|^2 entries, so only they build it, behind one cap
 (SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
 Z[G] of its free cover.  The maximal cyclic classes that `sha2_omega`
-needs come as lists of element numbers in that table, not as subgroups.
+needs come as a generator and the list of element numbers in that table,
+not as subgroups: the generator's column moves the lifts that stand for
+each class's norm kernel.
 Transversals, coset moves and generator words read the table once
 the class search has built it, and compose permutations otherwise; both
 routes give the same numbering and the same words.  Caps guard against
@@ -590,13 +592,14 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
 
 def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     """The nontrivial classes of subgroup_classes(G) whose subgroups are
-    maximal cyclic ones, in no larger cyclic subgroup, each as the sorted
-    list of its element numbers in G.multiplication_table(): the same
-    representatives in the same order, by decreasing order and then by
-    those numbers, from its seeding step alone.  <x> lies in a larger
-    cyclic subgroup exactly when x is a power of an element of larger
-    order, so the seeding step's closures of the elements mark every
-    such x."""
+    maximal cyclic ones, in no larger cyclic subgroup, each as a pair
+    (c, nums) in the numbering of G.multiplication_table(): nums, the
+    sorted list of its element numbers, and c, the smallest number among
+    them of a generator.  They are the same representatives in the same
+    order, by decreasing order and then by nums, from its seeding step
+    alone.  <x> lies in a larger cyclic subgroup exactly when x is a
+    power of an element of larger order, so the seeding step's closures
+    of the elements mark every such x."""
     classes, _, cyclics = _cyclic_classes(G, cap)
     # inside[x]: x lies in the cyclic group of an element of larger order
     inside = bytearray(len(cyclics))
@@ -604,8 +607,8 @@ def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         for x in c:
             if len(cyclics[x]) < len(c):
                 inside[x] = 1
-    kept = [sorted(sset) for sset, gens, _ in classes[1:] if not inside[gens[0]]]
-    return sorted(kept, key=lambda nums: (-len(nums), nums))
+    kept = [(gens[0], sorted(sset)) for sset, gens, _ in classes[1:] if not inside[gens[0]]]
+    return sorted(kept, key=lambda pick: (-len(pick[1]), pick[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ never share a code path.  H^1 has two references: `bar_h1`, the bar
 complex on all of G, and `h1`, from a finite presentation of G (the
 catalog of `presentation_catalog`).  The dimension shift through Ind J,
 which the library's `sha2_omega` replaced by a free cover of I_{G/H},
-lives here as `sha2_omega_shift`.  `hnf` exposes the transforms of the
-library's Hermite elimination and `snf` those of the dense
-`smith_reference`, which the program itself never needs.
+lives here as `sha2_omega_shift`, and the coset-sum norm kernel that it
+replaced by lifts through the coset graph as `norm_kernel`.  `hnf`
+exposes the transforms of the library's Hermite elimination and `snf`
+those of the dense `smith_reference`, which the program itself never
+needs.
 """
 
 from dataclasses import dataclass
@@ -521,6 +523,40 @@ def free_cover_literal(G, H):
     for _ in picked[1:]:
         free = direct_sum(free, regular)
     return LatticeMap(free, I, IntMatrix(images, I.rank))
+
+
+def norm_kernel(K, moves, r):
+    """A basis of ker(K*N_D) for a subgroup D of G, the rows of K lying
+    in Z[G]^r numbered as in `sha2_omega`'s free cover (point j|G| + g is
+    element g of copy j), and moves the columns table[x] of
+    G.multiplication_table() over the elements x of D.
+
+    rho(x) sends e_y to e_(y*x) in each copy of Z[G], so (v*N_D) at y is
+    the sum of v over y's coset {y*x : x in D}: the columns of K*N_D are
+    those of K summed over each copy's D-cosets, each repeated |D|
+    times.  The kernel is taken of the r|G|/|D| coset sums alone, by one
+    elimination.  This is the coset-sum route `sha2_omega` took before
+    it lifted each cyclic norm kernel through the coset graph's forest;
+    unlike the lift, it holds for any subgroup D, not only a cyclic one.
+    """
+    n = len(moves[0])
+    coset = [-1] * n
+    m = 0
+    for y in range(n):
+        if coset[y] < 0:
+            for move in moves:
+                coset[move[y]] = m
+            m += 1
+    # point i, element y of copy j, adds to the sum over y's coset in copy j
+    column = [j * m + c for j in range(r) for c in coset]
+    sums = []
+    for row in K.data:
+        acc = [0] * (r * m)
+        for i, x in enumerate(row):
+            if x:
+                acc[column[i]] += x
+        sums.append(acc)
+    return kernel_basis(IntMatrix(sums, r * m))
 
 
 # ---------------------------------------------------------------------------

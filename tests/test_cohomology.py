@@ -22,7 +22,7 @@ from normone.perms import (
 )
 from oracles import (
     bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, elementary_divisors,
-    free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, presentation_catalog,
+    free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, norm_kernel, presentation_catalog,
     sha2_omega_shift, small_catalog, tate_cyclic, tate_minus1_literal, trivial_lattice,
     twist_lattice,
 )
@@ -313,7 +313,8 @@ class TestCycleLattice:
     @example(([], 3))
     def test_matches_the_eliminated_hermite_basis(self, graph):
         ends, d = graph
-        assert cohomology._cycle_lattice(ends, d) == hnf_basis(kernel_basis(_incidence(ends, d)))
+        K, _ = cohomology._cycle_lattice(ends, d)
+        assert K == hnf_basis(kernel_basis(_incidence(ends, d)))
 
     def test_every_free_cover_kernel(self):
         # the Hermite basis an elimination of the cover's matrix gives, on
@@ -323,6 +324,53 @@ class TestCycleLattice:
             K = cohomology._free_cover(G, H)[0]
             cover = free_cover_literal(G, H)
             assert K == hnf_basis(kernel_basis(cover.matrix)), (G.label, H.describe())
+
+
+def _orbits(col, ends, d):
+    """The orbits on the coset graph's vertices of the element whose
+    column of the multiplication table is col, by brute force over the
+    edges of copy 0: the edge at g leaves the coset of g."""
+    n = len(col)
+    orbit = [{u} for u in range(d)]
+    for _ in range(d):
+        for g in range(n):
+            u, v = ends[g][0], ends[col[g]][0]
+            orbit[u] |= orbit[v]
+            orbit[v] |= orbit[u]
+    return orbit
+
+
+class TestForestLift:
+    @given(multigraphs(), st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+    # a loop, a double edge and an isolated vertex; a triangle with a
+    # bridge; no edge
+    @example(([(0, 0), (1, 2), (2, 1), (3, 3)], 5), [4, 1, -2, 7, 3, 0, 0, 0])
+    @example(([(0, 1), (1, 2), (0, 2), (2, 3)], 4), [1, 2, 3, 4, 0, 0, 0, 0])
+    @example(([], 3), [1, 2, 3, 0, 0, 0, 0, 0])
+    def test_boundary_is_the_demand_on_forest_edges(self, graph, values):
+        # a demand summing to 0 on each component (its sum taken off the
+        # component's first vertex) lifts to a row on forest edges, none
+        # a left-out edge of the cycle lattice, whose boundary is the demand
+        ends, d = graph
+        K, forest = cohomology._cycle_lattice(ends, d)
+        component = [{u} for u in range(d)]
+        for _ in range(d):
+            for u, v in ends:
+                component[u] |= component[v]
+                component[v] |= component[u]
+        y = values[:d]
+        for u in range(d):
+            if u == min(component[u]):
+                y[u] -= sum(y[x] for x in component[u])
+        lift = cohomology._forest_lift(forest, y)
+        edges = [p for p, _ in lift]
+        assert len(set(edges)) == len(edges) and all(x for _, x in lift)
+        left_out = {next(i for i, x in enumerate(row) if x) for row in K.data}
+        assert not left_out & set(edges)
+        w = [0] * len(ends)
+        for p, x in lift:
+            w[p] = x
+        assert (IntMatrix([w], len(ends)) * _incidence(ends, d)).data[0] == tuple(y)
 
 
 class TestConnected:
@@ -405,7 +453,7 @@ class TestSha2Omega:
         # column dropped, is the cover built from permutation products,
         # with the same picks
         for G, H in _oracle_pairs():
-            _, ends, moves = cohomology._free_cover(G, H)
+            _, ends, moves, _ = cohomology._free_cover(G, H)
             literal = free_cover_literal(G, H)
             d = G.order() // H.order()
             assert [permutation_matrix(m) for m in moves] == list(literal.source.action), (
@@ -417,8 +465,10 @@ class TestSha2Omega:
         # coordinates read at K's leading columns are those hnf_coordinates
         # finds, on every oracle pair and on both A6 rows
         for G, H in _oracle_pairs() + _a6_rows():
-            K, ends, moves = cohomology._free_cover(G, H)
-            action = cohomology._kernel_action(K, ends, G.order() // H.order(), moves, G.label)
+            K, ends, moves, _ = cohomology._free_cover(G, H)
+            support, lead = cohomology._identity_block(K, G.label)
+            action = cohomology._kernel_action(K, support, lead, ends, G.order() // H.order(),
+                                               moves, G.label)
             literal = _restricted_action(K, free_cover_literal(G, H).source)
             assert [IntMatrix(m, K.nrows) for m in action] == literal, (G.label, H.describe())
 
@@ -428,7 +478,8 @@ class TestSha2Omega:
         for G, H in _oracle_pairs():
             free, K, kernels = _literal_norm_kernels(G, H)
             elems = G.elements()
-            kept = [tuple(elems[i] for i in nums) for nums in maximal_cyclic_subgroup_classes(G)]
+            kept = [tuple(elems[i] for i in nums)
+                    for _, nums in maximal_cyclic_subgroup_classes(G)]
             rows = minus_one_rows(_restricted_action(K, free))
             for key in kept:
                 rows += kernels[key][1].data
@@ -444,20 +495,33 @@ class TestSha2Omega:
         for H in _oracle_subgroups(G):
             assert sha2_omega(G, H) == sha2_omega_shift(G, H), H.describe()
 
-    def test_coset_sums_give_the_literal_norm_kernels(self):
-        # every cyclic class, each as its element numbers; the maximal
-        # ones are among them, as sha2_omega passes them
+    def test_lifts_give_the_literal_norm_kernels(self):
+        # for every cyclic class C = <c>, not only the maximal ones that
+        # sha2_omega passes, the lifted rows and the rows of K*(rho(c) - 1)
+        # span K meet ker(N_C): the literal kernel of K*N_C, which the
+        # coset sums of oracles.norm_kernel find too
         for G, H in _oracle_pairs():
             free, K, kernels = _literal_norm_kernels(G, H)
+            cover, ends, _, forest = cohomology._free_cover(G, H)
+            assert cover == K
+            _, lead = cohomology._identity_block(K, G.label)
             number, table, _ = G.multiplication_table()
-            r = free.rank // G.order()
-            classes = [sorted(number[c.images] for c in cls.elements())
-                       for cls, _ in kernels.values()]
-            assert all(nums in classes for nums in maximal_cyclic_subgroup_classes(G))
-            for nums, (cls, kernel) in zip(classes, kernels.values()):
-                got = cohomology._norm_kernel(K, [table[c] for c in nums], r)
-                assert hnf_basis(got) == hnf_basis(kernel), (
+            d, r = G.order() // H.order(), free.rank // G.order()
+            seen = []
+            for cls, kernel in kernels.values():
+                c = next(x for x in cls.elements() if x.order() == cls.order())
+                col = table[number[c.images]]
+                lifted = cohomology._norm_lifts(K.nrows, lead, ends, d, forest, col, G.label)
+                assert len(lifted) == len(set(map(frozenset, _orbits(col, ends, d)))) - 1
+                moved = minus_one_rows([hnf_coordinates(K, K * free.matrix_of(c))])
+                want = hnf_basis(kernel)
+                assert hnf_basis(IntMatrix(lifted + moved, K.nrows)) == want, (
                     G.label, H.describe(), cls.describe())
+                nums = sorted(number[x.images] for x in cls.elements())
+                assert hnf_basis(norm_kernel(K, [table[x] for x in nums], r)) == want
+                seen.append(nums)
+            # the maximal classes, as sha2_omega passes them, are among them
+            assert all(nums in seen for _, nums in maximal_cyclic_subgroup_classes(G))
 
     def test_onto_check_catches_a_dropped_pick(self, monkeypatch):
         # V4 over 1 needs both generators (r = 2); a closure that reports
@@ -498,9 +562,10 @@ class TestSha2Omega:
         cycle_lattice = cohomology._cycle_lattice
 
         def corrupted(ends, d):
-            rows = cycle_lattice(ends, d).tolist()
+            K, forest = cycle_lattice(ends, d)
+            rows = K.tolist()
             rows[0][next(i for i, (u, v) in enumerate(ends) if u != v)] += 1
-            return IntMatrix(rows, len(ends))
+            return IntMatrix(rows, len(ends)), forest
         monkeypatch.setattr(cohomology, "_cycle_lattice", corrupted)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="is not in its kernel"):
@@ -515,8 +580,8 @@ class TestSha2Omega:
 
         def dropped(ends, d):
             i = max(k for k, (u, v) in enumerate(ends) if u != v)
-            K = cycle_lattice(ends[:i] + ends[i + 1:], d)
-            return IntMatrix([row[:i] + (0,) + row[i:] for row in K.data], len(ends))
+            K, forest = cycle_lattice(ends[:i] + ends[i + 1:], d)
+            return IntMatrix([row[:i] + (0,) + row[i:] for row in K.data], len(ends)), forest
         monkeypatch.setattr(cohomology, "_cycle_lattice", dropped)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="has 8 rows, expected .* = 9"):
@@ -534,9 +599,10 @@ class TestSha2Omega:
         cycle_lattice = cohomology._cycle_lattice
 
         def changed(ends, d):
-            rows = cycle_lattice(ends, d).tolist()
+            K, forest = cycle_lattice(ends, d)
+            rows = K.tolist()
             rows[0] = corrupt(rows)
-            return IntMatrix(rows, len(ends))
+            return IntMatrix(rows, len(ends)), forest
         monkeypatch.setattr(cohomology, "_cycle_lattice", changed)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="no identity block"):
@@ -549,11 +615,11 @@ class TestSha2Omega:
         free_cover = cohomology._free_cover
 
         def corrupted(G, H):
-            K, ends, moves = free_cover(G, H)
+            K, ends, moves, forest = free_cover(G, H)
             move = moves[0]
             p = next(q for q in range(1, len(ends)) if ends[move[q]] != ends[move[0]])
             move[0], move[p] = move[p], move[0]
-            return K, ends, moves
+            return K, ends, moves, forest
         monkeypatch.setattr(cohomology, "_free_cover", corrupted)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="is not stable under generator 0"):
@@ -616,16 +682,61 @@ class TestSha2Omega:
 
     def test_rank_check_catches_a_stray_norm_kernel(self, monkeypatch):
         # rows outside ker(N_C) raise the rank of the stacked matrix above
-        # rank(K) - r
-        kernel_basis = cohomology.kernel_basis
-
-        def stray(A):
-            K = kernel_basis(A)
-            return IntMatrix.identity(A.nrows) if K.nrows else K
-        monkeypatch.setattr(cohomology, "kernel_basis", stray)
+        # rank(K) - r: every class stands for all of K
+        def stray(nrows, *args):
+            return IntMatrix.identity(nrows).tolist()
+        monkeypatch.setattr(cohomology, "_norm_lifts", stray)
         G = alternating(4)
         with pytest.raises(InternalCheckError, match="Smith rank"):
             sha2_omega(G, G.point_stabilizer(4))
+
+    def test_boundary_check_catches_a_corrupted_lift(self, monkeypatch):
+        # one more unit on the first edge of the first lift, A4's C3 over
+        # A3: <c> fixes one coset only, so it moves that forest edge off
+        # its ends, and w_y - w_y*rho(c) gets a nonzero boundary
+        forest_lift = cohomology._forest_lift
+        calls = []
+
+        def corrupted(forest, y):
+            lift = forest_lift(forest, y)
+            if not calls:
+                (p, x), *rest = lift
+                lift = [(p, x + 1), *rest]
+            calls.append(y)
+            return lift
+        monkeypatch.setattr(cohomology, "_forest_lift", corrupted)
+        G = alternating(4)
+        with pytest.raises(InternalCheckError, match="is not in the kernel of the free cover"):
+            sha2_omega(G, G.point_stabilizer(4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("G", [alternating(4), symmetric(4), dihedral(6)],
+                             ids=lambda G: G.label)
+    def test_no_elimination_above_the_index_but_the_smith_form(self, G, monkeypatch):
+        # the cover, its kernel, the action and the norm lifts run no
+        # elimination on more than [G:H] rows; the one Smith form does
+        import normone.intmat as intmat
+        G = PermGroup(G.degree, G.generators, label=G.label)
+        H = G.point_stabilizer(G.degree)
+        hermite, snf_rows = intmat._hermite, cohomology.snf_rows
+        inside, sizes, smith = [], [], []
+
+        def counted_hermite(W, track):
+            (smith if inside else sizes).append(len(W))
+            return hermite(W, track)
+
+        def counted_snf(W):
+            inside.append(W)
+            try:
+                return snf_rows(W)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(intmat, "_hermite", counted_hermite)
+        monkeypatch.setattr(cohomology, "snf_rows", counted_snf)
+        sha2_omega(G, H)
+        index = G.order() // H.order()
+        assert sizes and max(sizes) <= index, sizes
+        assert smith
 
 
 def generator_values(data, row):

@@ -414,7 +414,10 @@ class TestSubgroupClasses:
                   if not any(set(h.elements()) < c for c in cyclics)]
         elems = G.elements()
         got = maximal_cyclic_subgroup_classes(G)
-        assert [tuple(elems[i] for i in nums) for nums in got] == [h.elements() for h in expect]
+        assert [tuple(elems[i] for i in nums) for _, nums in got] == [h.elements() for h in expect]
+        # each comes with its smallest generator, whose powers are its elements
+        for c, nums in got:
+            assert c == min(i for i in nums if sorted(powers(elems[i])) == [elems[k] for k in nums])
 
     @pytest.mark.parametrize("G", [*small_catalog(), alternating(6)], ids=lambda G: G.label)
     def test_handles_match_the_greedy_generating_set(self, G):
@@ -434,10 +437,10 @@ class TestSubgroupClasses:
             assert keys == sorted(keys)
         elems = G.elements()
         classes = maximal_cyclic_subgroup_classes(G)
-        for nums in classes:
+        for _, nums in classes:
             assert nums == sorted(nums)
             assert tuple(elems[i] for i in nums) == _spanned(G, [elems[i] for i in nums]).elements()
-        keys = [(-len(nums), [elems[i].images for i in nums]) for nums in classes]
+        keys = [(-len(nums), [elems[i].images for i in nums]) for _, nums in classes]
         assert keys == sorted(keys)
 
 
