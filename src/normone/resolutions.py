@@ -12,15 +12,17 @@ L^{H'}, the rows of its saturated basis are walked in order, and a row
 becomes a v_k only if it is not yet in the lattice spanned by the images
 of the H'-fixed vectors of the summands so far, those picked for H'
 included; so the cover stays small (the same aim as the low-rank flabby
-resolutions of Hoshi-Yamasaki).  Whatever the greedy pass decides, the
-construction is guarded by an explicit recheck that Q^S -> L^S is onto
-for the classes S it needs.  Q is a permutation lattice, so H^1(S, Q) = 0
-and H^1(S, N) is the cokernel of Q^S -> L^S: the recheck tests exactly
-that the kernel N is coflasque.
+resolutions of Hoshi-Yamasaki).  Q is a permutation lattice, so
+H^1(S, Q) = 0 and H^1(S, N) is the cokernel of Q^S -> L^S.  The greedy
+pass leaves every class's fixed lattice covered, so N is coflasque by
+construction.  The cover still checks the finished kernel once, with
+`is_coflasque` (Tate H^-1 of dual N); unlike a second coverage test over
+the same class list, that check also catches a class the pass never
+visited.
 
-That recheck and the flasque check `is_flasque` run over the classes of
-prime-power order only, by restriction to Sylow subgroups.  H^1(S, N)
-and Tate H^-1(S, L) are killed by |S|.  For each prime p, restriction to
+`is_flasque`, and so that check, run over the classes of prime-power
+order only, by restriction to Sylow subgroups.  H^1(S, N) and Tate
+H^-1(S, L) are killed by |S|.  For each prime p, restriction to
 a Sylow p-subgroup P of S is injective on their p-parts, since
 corestriction after it is multiplication by [S:P], prime to p.  P is
 conjugate to a class representative of prime-power order, and
@@ -112,7 +114,7 @@ def _orbit_sums(orbits, rows):
 
 def _prime_power_order(S):
     """Whether |S| is a power of a prime, the trivial group excluded: the
-    classes on which the flasque check and the cover's recheck run."""
+    classes on which `is_flasque`, and through it `is_coflasque`, run."""
     n = S.order()
     p = next((p for p in range(2, n + 1) if n % p == 0), None)
     if p is None:
@@ -125,15 +127,13 @@ def _prime_power_order(S):
 def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> Resolution:
     """0 -> N -> Q -> L -> 0 with Q permutation and N coflasque.
 
-    The greedy pass adds summands over every class in decreasing order.
-    N is then checked coflasque by the recheck that Q^S -> L^S is onto for
-    every class S of prime-power order (see the module docstring); a
-    failure raises InternalCheckError.  Every input takes this one path,
-    a permutation lattice L included.
+    The greedy pass adds summands over every class in decreasing order,
+    so that Q^S -> L^S is onto for each.  The finished kernel N is then
+    checked once by `is_coflasque` (see the module docstring); a failure
+    raises InternalCheckError naming the witness class.  Every input takes
+    this one path, a permutation lattice L included.
     """
     G = L.group
-    classes = subgroup_classes(G, cap=class_cap)
-    fixed = [fixed_sublattice(L, cls) for cls in classes]
     words = G.elements_with_words()
     # Q's basis points: moves[j][p] is the image of point p under the j-th
     # generator of G, and ev[p] is the image of point p in L
@@ -152,7 +152,8 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
             acts.append(act)
         return hnf_basis(IntMatrix(_orbit_sums(_orbits(acts, len(ev)), ev), L.rank))
 
-    for cls, F in zip(classes, fixed):
+    for cls in subgroup_classes(G, cap=class_cap):
+        F = fixed_sublattice(L, cls)
         if F.nrows == 0:
             continue
         span = fixed_span(cls)
@@ -179,20 +180,17 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         ev += [im[k] for im in images for k in picked]
         if max_rank is not None and len(ev) > max_rank:
             raise CapExceeded(f"cover rank {len(ev)} exceeds --max-rank {max_rank}")
-    # recheck the prime-power classes against the final middle term; this
-    # is the condition that makes the kernel coflasque, so a failure is a bug
-    for cls, F in zip(classes, fixed):
-        if (F.nrows and _prime_power_order(cls)
-                and hnf_coordinates(fixed_span(cls), F) is None):
-            raise InternalCheckError(
-                f"cover misses the fixed lattice of {cls.describe()}")
     Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves])
     project = LatticeMap(Q, L, IntMatrix(ev, L.rank))
     K = hnf_basis(kernel_basis(project.matrix))
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
-    inject = LatticeMap(N, Q, K)
-    return Resolution(L, Q, N, inject, project)
+    res = Resolution(L, Q, N, LatticeMap(N, Q, K), project)
+    ok, witness = is_coflasque(N, class_cap=class_cap)
+    if not ok:
+        raise InternalCheckError(
+            f"flasque term dual(N) is not flasque (witness {witness.describe()})")
+    return res
 
 
 def is_flasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
@@ -252,10 +250,6 @@ def _pipeline(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) -> PipelineResu
     # 0 -> N -> P -> I -> 0 transposes to 0 -> J -> P -> F -> 0, F = dual N
     I = augmentation_ideal(G, H)
     cof = coflasque_cover(I, class_cap=class_cap, max_rank=max_rank)
-    ok, witness = is_coflasque(cof.side, class_cap=class_cap)
-    if not ok:
-        raise InternalCheckError(
-            f"flasque term dual(N) is not flasque (witness {witness.describe()})")
     # dual to H^1(G, F), which [G:H] kills: over H, J is a permutation
     # lattice and F is flasque, so H^1(H, F) embeds in Sha^2_omega(H, J) = 0
     # (as in `sha2_omega`), and corestriction after restriction to H is

@@ -98,8 +98,8 @@ class TestCoflasqueCover:
 
     def test_one_elimination_per_cover(self, monkeypatch):
         # the restricted action back-substitutes against the kernel's
-        # Hermite basis and runs no Hermite elimination of its own, and one
-        # fixed sublattice per class serves the greedy pass and the recheck
+        # Hermite basis and runs no Hermite elimination of its own, and the
+        # greedy pass takes one fixed sublattice per class
         calls = {"_hermite": 0, "fixed_sublattice": 0}
         inside = []
 
@@ -241,7 +241,9 @@ class TestFlasqueCheckers:
             verdicts.append(ok)
         assert True in verdicts and False in verdicts
         # on a flasque lattice every prime-power class is computed, and
-        # nothing else
+        # nothing else; the lattice is built first, since the cover runs
+        # Tate H^-1 on its own kernel
+        F = flasque_side(chevalley_module(S4, S4.point_stabilizer(4)))
         seen = []
         tate = resolutions.tate_minus1
 
@@ -249,8 +251,7 @@ class TestFlasqueCheckers:
             seen.append(S)
             return tate(S, L)
         monkeypatch.setattr(resolutions, "tate_minus1", recorded)
-        assert is_flasque(flasque_side(chevalley_module(S4, S4.point_stabilizer(4)))) \
-            == (True, None)
+        assert is_flasque(F) == (True, None)
         assert seen == [cls for cls in subgroup_classes(S4) if prime_power(cls.order())]
         assert len(seen) < len(subgroup_classes(S4)) - 1
 
@@ -349,10 +350,10 @@ class TestNormOneInvariant:
 
     def test_pipeline_builds_one_exact_sequence(self, monkeypatch):
         # one coflasque cover of I = dual(J) carries everything: one
-        # Resolution, and one dual, taken by the coflasque self-check
-        import sys
+        # Resolution, and one dual, taken by the coflasque self-check, which
+        # runs once, from inside the cover
         import normone.lattices as lattices
-        made, duals, inside = [], [], []
+        made, duals, inside, checked_from = [], [], [], []
         resolution, dual_fn = resolutions.Resolution, lattices.dual
         check = resolutions.is_coflasque
 
@@ -365,6 +366,7 @@ class TestNormOneInvariant:
             return dual_fn(L)
 
         def watched_check(*args, **kwargs):
+            checked_from.append(sys._getframe(1).f_code.co_name)
             inside.append(True)
             try:
                 return check(*args, **kwargs)
@@ -380,6 +382,7 @@ class TestNormOneInvariant:
         assert resolutions._pipeline(G, G.point_stabilizer(4)).invariants == Z2
         assert len(made) == 1
         assert duals == [True]
+        assert checked_from == ["coflasque_cover"]
 
     def test_flasque_self_check_fires(self, monkeypatch):
         G = alternating(4)
@@ -401,9 +404,9 @@ class TestNormOneInvariant:
 
     def test_broken_cover_is_caught_at_a_prime_power_class(self, monkeypatch):
         # hide the class of <(3 4),(1 2)>, of order 4, from the cover's
-        # class list only: the cover misses its fixed lattice, the recheck
-        # runs over the same list, and the flasque check over the
-        # prime-power classes names the hidden class
+        # class list only: the cover misses its fixed lattice, and its
+        # coflasque check, which reads the classes afresh, names the hidden
+        # prime-power class
         G = symmetric(4)
         hidden = next(cls for cls in subgroup_classes(G) if are_conjugate_subgroups(
             G, cls, G.subgroup([P([(3, 4)], 4), P([(1, 2)], 4)])))
@@ -421,15 +424,16 @@ class TestNormOneInvariant:
         monkeypatch.setattr(resolutions, "subgroup_classes", cover_call_hides)
         with pytest.raises(InternalCheckError, match="not flasque") as err:
             resolutions._pipeline(G, G.point_stabilizer(4))
+        assert err.traceback[-1].name == "coflasque_cover"
         assert hidden.order() == 4
         assert f"witness {hidden.describe()})" in str(err.value)
         # the pipeline's own call (the cap check), the cover's, the flasque check's
         assert callers == ["_pipeline", "coflasque_cover", "is_flasque"]
 
-    def test_broken_greedy_pass_is_caught_by_the_recheck(self, monkeypatch):
+    def test_broken_greedy_pass_is_caught_by_the_coflasque_check(self, monkeypatch):
         # the class of <(3 4),(1 2)> looks covered at its first test in the
-        # greedy pass, so no summand is added for it; the recheck against
-        # the final middle term tests it again and names it
+        # greedy pass, so no summand is added for it; the cover's own
+        # coflasque check on the finished kernel names it
         G = symmetric(4)
         hidden = next(cls for cls in subgroup_classes(G) if are_conjugate_subgroups(
             G, cls, G.subgroup([P([(3, 4)], 4), P([(1, 2)], 4)])))
@@ -450,9 +454,11 @@ class TestNormOneInvariant:
 
         monkeypatch.setattr(resolutions, "fixed_sublattice", recording)
         monkeypatch.setattr(resolutions, "hnf_coordinates", first_test_passes)
+        assert hidden.describe() == "(3 4),(1 2)"
         with pytest.raises(InternalCheckError, match=re.escape(
-                f"cover misses the fixed lattice of {hidden.describe()}")):
-            resolutions._pipeline(G, G.point_stabilizer(4))
+                "not flasque (witness (3 4),(1 2))")) as err:
+            coflasque_cover(augmentation_ideal(G, G.point_stabilizer(4)))
+        assert err.traceback[-1].name == "coflasque_cover"
         assert len(faked) == 1
 
     def test_max_rank_cap(self):
