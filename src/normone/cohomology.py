@@ -6,12 +6,13 @@ Smith form by the same duality, over the kernel of a free cover
 Z[G]^r -> I_{G/H} of the augmentation ideal.  The cover's matrix is the
 incidence matrix of a graph on the cosets, so that kernel is read off a
 spanning forest as the graph's cycle lattice, with no elimination, and
-the cover's checks are read off the graph's edge list: it is onto when
-the graph is connected, and a row is in the kernel when its boundary is
-zero.  The cycle lattice has an identity block at the left-out edges of
-the forest, so the action on it is read there too: a moved row with zero
-boundary lies in the lattice, with its entries at those edges as its
-coordinates, which is what a back-substitution would check and return.
+the cover's checks are read off the graph and its forest: it is onto
+when the spanning forest is one tree, and a row is in the kernel when
+its boundary is zero.  The cycle lattice has an identity block at the
+left-out edges of the forest, so the action on it is read there too: a
+moved row with zero boundary lies in the lattice, with its entries at
+those edges as its coordinates, which is what a back-substitution would
+check and return.
 The forest also lifts: a vector of I is the boundary of a row on the
 forest's edges, each edge carrying the sum over the subtree below it.
 Each cyclic norm kernel is read that way, from lifts of the vectors of I
@@ -169,27 +170,6 @@ def _forest_lift(forest, y):
     return lift
 
 
-def _connected(ends, d) -> bool:
-    """Whether the graph on the vertices 0..d-1 whose edge i runs from
-    ends[i][0] to ends[i][1] is connected: a walk from vertex 0 reaches
-    all d.  Exactly then do the incidence rows e_u - e_v span the vectors
-    with coordinate sum 0, since each component's rows span those carried
-    by it."""
-    near = [[] for _ in range(d)]
-    for u, v in ends:
-        near[u].append(v)
-        near[v].append(u)
-    seen = bytearray(d)
-    seen[0] = 1
-    queue = [0]
-    for x in queue:
-        for y in near[x]:
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
-    return len(queue) == d
-
-
 def _free_cover(G: PermGroup, H: PermGroup):
     """(K, ends, moves, forest): the free cover Z[G]^r -> I_{G/H} of
     `sha2_omega` as the edge list of a graph on the cosets, the Hermite
@@ -212,8 +192,8 @@ def _free_cover(G: PermGroup, H: PermGroup):
     coset of g: ends[g][0] is coset[g].
 
     Self-checks, each the graph form of a check on A:
-    - onto: A's rows span I exactly when the graph is connected
-      (`_connected`);
+    - onto: A's rows span I exactly when the graph is connected, that
+      is when the spanning forest is one tree;
     - equivariance, rho(x)*A = A*rho_I(x): the edge at the point p*x is
       the edge at p with both ends moved by x's coset permutation
       (`coset_moves`, which `augmentation_ideal` reads too);
@@ -235,8 +215,6 @@ def _free_cover(G: PermGroup, H: PermGroup):
     T, coset_of = right_transversal(G, H)
     coset, d = coset_of.coset, len(T)
     ends = [(coset[g], coset[col[s]]) for s in picked for g, col in enumerate(table)]
-    if not _connected(ends, d):
-        raise InternalCheckError(f"free cover of I over {G.label} is not onto")
     n, r = len(table), len(picked)
     moves = [[j * n + c for j in range(r) for c in table[x]] for x in gens]
     for k, (move, cmove) in enumerate(zip(moves, coset_moves(T, coset_of, G.generators))):
@@ -245,6 +223,9 @@ def _free_cover(G: PermGroup, H: PermGroup):
             raise InternalCheckError(
                 f"free cover of I over {G.label} is not equivariant for generator {k}")
     K, forest = _cycle_lattice(ends, d)
+    # a forest of one tree spans the graph, and then its rows span I
+    if forest[1].count(-1) != 1:
+        raise InternalCheckError(f"free cover of I over {G.label} is not onto")
     if K.nrows != r * n - d + 1:
         raise InternalCheckError(
             f"cycle lattice of the free cover over {G.label} has {K.nrows} rows, "
@@ -430,17 +411,17 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
     element numbers in G.multiplication_table(), where c's column is its
     move.
 
-    Self-checks, all on the coset graph's edge list: the graph is
-    connected, so the cover is onto; the cover commutes with the action;
-    K has r|G| - [G:H] + 1 rows, each with zero boundary, so K*A = 0 for
-    the cover's matrix A (`_free_cover`); K has an identity block at its
-    leading columns (`_identity_block`), and every row of K*rho(s) and
-    every lifted norm row has zero boundary (`_kernel_action`,
-    `_norm_lifts`).  The last two are the membership test of a
-    back-substitution against K: with the row count and connectivity,
-    the identity block makes K's rows a basis of ker A, so a row lies in
-    their span exactly when its boundary is zero, and its coordinates are
-    its entries at the leading columns.  K^G has rank r, since
+    Self-checks, all on the coset graph's edge list and its forest: the
+    spanning forest is one tree, so the cover is onto; the cover
+    commutes with the action; K has r|G| - [G:H] + 1 rows, each with
+    zero boundary, so K*A = 0 for the cover's matrix A (`_free_cover`);
+    K has an identity block at its leading columns (`_identity_block`),
+    and every row of K*rho(s) and every lifted norm row has zero
+    boundary (`_kernel_action`, `_norm_lifts`).  The last two are the
+    membership test of a back-substitution against K: with the row
+    count and the one tree, the identity block makes K's rows a basis of
+    ker A, so a row lies in their span exactly when its boundary is
+    zero, and its coordinates are its entries at the leading columns.  K^G has rank r, since
     (Z[G]^r)^G has rank r and I^G = 0, so the Smith rank, that of
     K*I_G, is rank(K) - r; a norm row outside ker(N_G) would raise
     it.  Every

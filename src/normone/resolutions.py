@@ -3,10 +3,13 @@
 A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
 Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
 (coset H'g, e_k) |-> v_k * rho(g) for f vectors v_k fixed by H'.  Q is
-held as one G-set of basis points, the pairs (coset, k) of every summand:
-an index list per generator of G gives the image of each point, and a
-list of rows gives each point's image in L.  The H'-fixed vectors of Q
-are the sums over the orbits of H' on the points.  Classes are visited in
+held as its list of summands, each the transversal of H', its coset map
+and, at each coset, the images in L of the summand's f points there.
+The points are the pairs (coset, k), and G moves only the coset, so the
+vectors of Q fixed by a class S have a basis of orbit sums: for each
+summand, each k and each orbit of S on the summand's cosets, the sum of
+the points (coset, k) over the orbit.  Their images in L are read off
+the coset orbits, with no action on Q built.  Classes are visited in
 decreasing order.  When the summands so far do not cover
 L^{H'}, the rows of its saturated basis are walked in order, and a row
 becomes a v_k only if it is not yet in the lattice spanned by the images
@@ -107,9 +110,15 @@ def _orbits(moves, n):
     return orbits
 
 
-def _orbit_sums(orbits, rows):
-    """For each orbit, the sum of the rows at its points."""
-    return [list(map(sum, zip(*[rows[p] for p in orbit]))) for orbit in orbits]
+def _fixed_images(summand, gens):
+    """The images in L of the vectors of a summand (T, coset_of, rows) of
+    Q fixed by the group gens generate: for each orbit of that group on
+    the summand's cosets and each picked vector k, the sum of rows[i][k]
+    over the orbit's cosets i."""
+    T, coset_of, rows = summand
+    orbits = _orbits(coset_moves(T, coset_of, gens), len(T))
+    return [list(map(sum, zip(*[rows[i][k] for i in orbit])))
+            for orbit in orbits for k in range(len(rows[0]))]
 
 
 def _prime_power_order(S):
@@ -128,58 +137,52 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     """0 -> N -> Q -> L -> 0 with Q permutation and N coflasque.
 
     The greedy pass adds summands over every class in decreasing order,
-    so that Q^S -> L^S is onto for each.  The finished kernel N is then
+    so that Q^S -> L^S is onto for each; the image of Q^S is spanned by
+    the orbit sums of S on each summand's cosets (`_fixed_images`).  Q's
+    generator permutations and its map to L are built once, from the
+    summands, after the pass.  The finished kernel N is then
     checked once by `is_coflasque` (see the module docstring); a failure
     raises InternalCheckError naming the witness class.  Every input takes
     this one path, a permutation lattice L included.
     """
     G = L.group
-    words = G.elements_with_words()
-    # Q's basis points: moves[j][p] is the image of point p under the j-th
-    # generator of G, and ev[p] is the image of point p in L
-    moves = [[] for _ in G.generators]
-    ev = []
-
-    def fixed_span(cls):
-        """Hermite basis of the images in L of Q's cls-fixed vectors, the
-        sums over the orbits of cls on the points."""
-        acts = []
-        for g in cls.generators:
-            act = range(len(ev))
-            for k in words[g]:
-                move = moves[k - 1]
-                act = [move[p] for p in act]
-            acts.append(act)
-        return hnf_basis(IntMatrix(_orbit_sums(_orbits(acts, len(ev)), ev), L.rank))
-
+    # Q's summands (T, coset_of, rows): the summand's points are (coset i,
+    # picked vector k), and rows[i][k] is the image in L of point (i, k)
+    summands = []
+    rank = 0
     for cls in subgroup_classes(G, cap=class_cap):
         F = fixed_sublattice(L, cls)
         if F.nrows == 0:
             continue
-        span = fixed_span(cls)
+        span = hnf_basis(IntMatrix(
+            [v for s in summands for v in _fixed_images(s, cls.generators)], L.rank))
         if hnf_coordinates(span, F) is not None:
             continue
         # walk the rows of F; a row outside the span so far is picked, and
-        # its cls-orbit sums join the span, so afterwards F lies in it
+        # its cls-fixed images join the span, so afterwards F lies in it
         T, coset_of = right_transversal(G, cls)
-        own = _orbits(coset_moves(T, coset_of, cls.generators), len(T))
         # images[i][k] = F[k] * rho(T[i])
         images = [(F * L.matrix_of(t)).data for t in T]
         picked = []
         for k, row in enumerate(F.data):
             if hnf_coordinates(span, IntMatrix([row])) is not None:
                 continue
-            span = hnf_basis(IntMatrix(
-                [*span.data, *_orbit_sums(own, [im[k] for im in images])], L.rank))
+            own = (T, coset_of, [[im[k]] for im in images])
+            span = hnf_basis(IntMatrix([*span.data, *_fixed_images(own, cls.generators)], L.rank))
             picked.append(k)
-        # the summand's points are (coset i, picked vector k), i-major, and
-        # g sends (i, k) to (coset of T[i]*g, k)
-        f = len(picked)
+        summands.append((T, coset_of, [[im[k] for k in picked] for im in images]))
+        rank += len(T) * len(picked)
+        if max_rank is not None and rank > max_rank:
+            raise CapExceeded(f"cover rank {rank} exceeds --max-rank {max_rank}")
+    # the points are numbered summand by summand, (i, k) i-major within
+    # each, and g sends (i, k) to (coset of T[i]*g, k)
+    moves = [[] for _ in G.generators]
+    ev = []
+    for T, coset_of, rows in summands:
+        f = len(rows[0])
         for j, m in enumerate(coset_moves(T, coset_of, G.generators)):
             moves[j] += [len(ev) + i * f + k for i in m for k in range(f)]
-        ev += [im[k] for im in images for k in picked]
-        if max_rank is not None and len(ev) > max_rank:
-            raise CapExceeded(f"cover rank {len(ev)} exceeds --max-rank {max_rank}")
+        ev += [v for vs in rows for v in vs]
     Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves])
     project = LatticeMap(Q, L, IntMatrix(ev, L.rank))
     K = hnf_basis(kernel_basis(project.matrix))

@@ -60,7 +60,8 @@ class TestCover:
 
 class TestEvenPreimage:
     def test_index_two_and_orders(self):
-        for n in (4, 5):
+        # 6 is MAX_SCHUR_N
+        for n in (4, 5, 6):
             data = preimage_an(n)
             assert data.index_table.coset_count == 2
             assert data.v_order == math.factorial(n)
@@ -76,6 +77,7 @@ class TestEvenPreimage:
         # the abstract derivation from the defining relations
         assert verify_commutator_claim(preimage_an(4))
         assert verify_commutator_claim(preimage_an(5))
+        assert verify_commutator_claim(preimage_an(6))
 
     def test_trivial_commutator_sanity(self):
         # [e2, e2] is the identity, not the central involution

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import time
@@ -18,7 +19,7 @@ from normone.lattices import (
 )
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
-    product_of_cyclics, subgroup_classes, symmetric,
+    product_of_cyclics, right_transversal, subgroup_classes, symmetric,
 )
 from normone.resolutions import (
     Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
@@ -167,6 +168,26 @@ class TestCoflasqueCover:
         # a permutation lattice is its own dual, so Q is also the middle
         # term of the transposed resolution 0 -> J -> Q -> F -> 0
         assert dual(Q).action == Q.action
+
+    @pytest.mark.parametrize("make, n", [
+        (alternating, 4), (symmetric, 4), (alternating, 5), (dihedral, 6),
+    ], ids=["A4", "S4", "A5", "D6"])
+    def test_orbit_sums_match_the_fixed_sublattice(self, make, n):
+        # one summand Z[G/H'] (x) Z^2 over a point stabilizer H', with rows
+        # drawn at random: the orbit sums on its cosets span the image of
+        # its fixed sublattice, taken as a kernel, for every class S
+        G = make(n)
+        H = G.point_stabilizer(n)
+        T, coset_of = right_transversal(G, H)
+        rng = random.Random(n)
+        rows = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)] for _ in T]
+        for cls in subgroup_classes(G):
+            sums = resolutions._fixed_images((T, coset_of, rows), cls.generators)
+            fixed = fixed_sublattice(perm_lattice(G, H), cls)
+            want = [v for k in range(2)
+                    for v in (fixed * IntMatrix([vs[k] for vs in rows], 3)).data]
+            assert hnf_basis(IntMatrix(sums, 3)) == hnf_basis(IntMatrix(want, 3)), (
+                G.label, cls.describe())
 
 
 class TestFlasqueResolution:
