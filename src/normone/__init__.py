@@ -25,13 +25,13 @@ from .perms import (
     right_transversal, subgroup_classes, symmetric,
 )
 from .lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module,
     fixed_sublattice, perm_lattice,
 )
 from .cohomology import sha2_omega, tate_minus1
 # fpgroups is left out: only verify-schur runs it, and that command loads
 # it itself; its names are imported from normone.fpgroups
 from .resolutions import (
-    Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
+    Resolution, Verdict, coflasque_cover, is_coflasque,
     norm_one_invariant, verdict,
 )

@@ -89,7 +89,7 @@ def _cycle_lattice(ends, d):
     In the order of i, the cycles therefore have a leading 1 at column i
     and 0 in every other leading column: they are the reduced row
     echelon form of the kernel, its unique Hermite basis, the rows
-    hnf_basis(kernel_basis(A)) returns.
+    kernel_basis(A) returns.
 
     forest is (order, parent, edge, up).  Each tree hangs from its first
     vertex, and order lists the vertices tree by tree, breadth-first, so

@@ -65,10 +65,6 @@ class IntMatrix:
     def tolist(self):
         return [list(row) for row in self.data]
 
-    def transpose(self):
-        # with no rows there is nothing to zip, but ncols empty columns
-        return IntMatrix(zip(*self.data) if self.data else [()] * self.ncols, self.nrows)
-
     def is_zero(self):
         return not any(map(any, self.data))
 
@@ -188,26 +184,21 @@ def _smallest(W, rows, c):
     return best
 
 
-def _hermite(W, track):
-    """Row echelon elimination of the list W of m integer rows, in place,
-    on [W | I_m] when track.  Returns (H, U or None) as lists of rows; the
-    pivots are positive and the zero rows of H come last.
+def _hermite(W):
+    """Row echelon elimination of the list W of integer rows, in place,
+    across all its columns; returns W.  The pivots are positive and the
+    zero rows come last.
 
     Each column's pivot is its smallest nonzero |entry|, the first on
     ties; a pivot of 1 or -1 leaves every remainder 0, so its column is
     not scanned again.  A step rewrites only the rows with a nonzero
     entry in the pivot column, walking the pivot row's nonzero entries
     from the pivot column on (before it, the row is zero).  Entries
-    above the pivots are left as they are: `kernel_basis` keeps only the
-    rows past the pivots, and `hnf_basis` reduces them with
-    `_reduce_above`.
+    above the pivots are left as they are: `_reduce_above` reduces them
+    where a Hermite basis is wanted (`hnf_basis`, `kernel_basis`).
     """
     m = len(W)
     ncols = len(W[0]) if m else 0
-    if track:
-        for i, row in enumerate(W):
-            row.extend([0] * m)
-            row[ncols + i] = 1
     r = 0
     for c in range(ncols):
         if r == m:
@@ -239,9 +230,7 @@ def _hermite(W, track):
         if W[r][c] < 0:
             W[r] = [-x for x in W[r]]
         r += 1
-    if not track:
-        return W, None
-    return [row[:ncols] for row in W], [row[ncols:] for row in W]
+    return W
 
 
 def _reduce_above(W):
@@ -267,8 +256,7 @@ def _reduce_above(W):
 
 def hnf_basis(A: IntMatrix) -> IntMatrix:
     """Nonzero rows of the Hermite form: a canonical basis of A's row lattice."""
-    H, _ = _hermite(A.tolist(), False)
-    return IntMatrix(_reduce_above([row for row in H if any(row)]), A.ncols)
+    return IntMatrix(_reduce_above([row for row in _hermite(A.tolist()) if any(row)]), A.ncols)
 
 
 def _back_substitute(H, B):
@@ -312,16 +300,23 @@ def hnf_coordinates(H: IntMatrix, B: IntMatrix):
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the left integer kernel {x : x*A = 0}, as rows.
+    """Hermite basis of the left integer kernel {x : x*A = 0}, as rows.
 
-    The basis is saturated: every integer solution is an integer
-    combination of the rows.  They are U's rows at the zero rows of one
-    tracked echelon form U*A = H, not a Hermite basis (take hnf_basis);
-    the pass above the pivots would rewrite only the other rows, so it is
-    not run.
+    One elimination of [A | I] across all its columns: its rows with a
+    zero A-part hold, in their I-part, the rows x of a unimodular U with
+    x*A = 0 past A's rank, which span the whole kernel (the basis is
+    saturated), already in row echelon form; reducing above their pivots
+    makes them the kernel's Hermite basis, the rows hnf_basis would give.
     """
-    H, U = _hermite(A.tolist(), True)
-    return IntMatrix([u for h, u in zip(H, U) if not any(h)], A.nrows)
+    n, m = A.ncols, A.nrows
+    zero = (0,) * m
+    W = []
+    for i, row in enumerate(A.data):
+        w = [*row, *zero]
+        w[n + i] = 1
+        W.append(w)
+    K = [row[n:] for row in _hermite(W) if not any(row[:n])]
+    return IntMatrix(_reduce_above(K), m)
 
 
 def snf_invariants(A: IntMatrix):
@@ -337,7 +332,7 @@ def snf_rows(W):
     over without a second copy.
 
     Hermite passes alternate on rows and columns: each takes the nonzero
-    rows H of `_hermite` (directly: the pass above the pivots changes no
+    rows H of `_hermite` (with no pass above the pivots, which changes no
     pivot) and hands H's transpose to the next, until H is diagonal.  If
     every pivot of a pass is 1, the pivot columns hold a unit-triangular
     minor of full rank, and every invariant is 1.
@@ -352,7 +347,7 @@ def snf_rows(W):
     order by pairwise gcd/lcm over its entries > 1.
     """
     while True:
-        H = [row for row in _hermite(W, False)[0] if any(row)]
+        H = [row for row in _hermite(W) if any(row)]
         if all(next(filter(None, row)) == 1 for row in H):
             return [1] * len(H)
         if all(row[i] and row.count(0) == len(row) - 1 for i, row in enumerate(H)):

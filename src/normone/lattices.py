@@ -3,8 +3,8 @@
 Actions are stored as one unimodular matrix per group generator; a row
 vector v transforms as v * rho(g).  All the modules the pipeline needs
 live here: coset permutation modules Z[G/H], the augmentation ideal, the
-Chevalley module J_{G/H} (cokernel of 1 -> N_{G/H}), duals, fixed
-sublattices, and the action on a stable sublattice.  A permutation
+Chevalley module J_{G/H} (cokernel of 1 -> N_{G/H}), fixed sublattices,
+and the action on a stable sublattice.  A permutation
 lattice is one whose generator matrices are permutation matrices, built
 from index lists (`intmat.permutation_matrix`); no tag marks it.
 
@@ -18,9 +18,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InternalCheckError, UsageError
-from .intmat import (
-    IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
-)
+from .intmat import IntMatrix, hnf_coordinates, kernel_basis, permutation_matrix
 from .perms import PermGroup, coset_moves, right_transversal
 
 
@@ -162,12 +160,6 @@ def augmentation_ideal(G: PermGroup, H: PermGroup) -> GLattice:
     return GLattice(G, d - 1, mats, label=f"I[{G.label}/{H.describe()}]")
 
 
-def dual(L: GLattice) -> GLattice:
-    """Hom(L, Z) with the contragredient action transpose(rho(g^-1))."""
-    mats = [L.matrix_of(g.inverse()).transpose() for g in L.group.generators]
-    return GLattice(L.group, L.rank, mats, label=f"dual({L.label})" if L.label else None)
-
-
 def minus_one_rows(mats):
     """The rows of rho - 1 for each square matrix rho of mats, one matrix
     after the other, as lists of Python ints."""
@@ -180,23 +172,28 @@ def minus_one_rows(mats):
     return rows
 
 
+def minus_one_columns(L: GLattice, gens):
+    """W = [rho(s) - 1 for s in gens, side by side], the rank x
+    rank*len(gens) matrix whose left kernel is the sublattice fixed by
+    gens, as lists of Python ints: row i of W is row i of each rho(s) - 1."""
+    n = L.rank
+    rows = minus_one_rows([L.matrix_of(s) for s in gens])
+    return [list(chain.from_iterable(rows[i::n])) for i in range(n)]
+
+
 def fixed_sublattice(L: GLattice, S: PermGroup) -> IntMatrix:
     """Hermite basis of the vectors fixed by every element of S: the
     kernel of the matrices rho(s) - 1 over S's generators side by side."""
     gens = S.generators
-    n = L.rank
     if not gens:
-        return IntMatrix.identity(n)
-    rows = minus_one_rows([L.matrix_of(s) for s in gens])
-    # row i of the side-by-side block is row i of each rho(s) - 1
-    return hnf_basis(kernel_basis(IntMatrix(
-        [list(chain.from_iterable(rows[i::n])) for i in range(n)], n * len(gens))))
+        return IntMatrix.identity(L.rank)
+    return kernel_basis(IntMatrix(minus_one_columns(L, gens), L.rank * len(gens)))
 
 
 def _restricted_action(K: IntMatrix, L: GLattice):
     """Action on the sublattice spanned by the rows of K (must be stable).
 
-    K is a Hermite basis (a kernel brought to it by hnf_basis), so the
+    K is a Hermite basis (as kernel_basis returns it), so the
     coordinates of K*a in it come from back-substitution; K*a for every
     generator a is stacked so one pass serves them all.  The result is
     split into one matrix per generator.

@@ -11,7 +11,10 @@ breadth-first over image tuples, and only the enumerated elements of a
 group are wrapped as Permutation objects.  The subgroup
 class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
-(SUBGROUP_CLASS_CAP).  Once built, it is also where the class search
+(SUBGROUP_CLASS_CAP).  The class search reads conjugation off it: each
+class it finds is stored with every conjugate, so it never tests two
+subgroups for conjugacy; only `are_conjugate_subgroups` does, by brute
+force.  Once built, the table is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
 Z[G] of its free cover.  The maximal cyclic classes that `sha2_omega`
 needs come as a generator and the list of element numbers in that table,
@@ -479,36 +482,63 @@ def _cyclic_classes(G, cap):
     """Seed the subgroup class search of G with the trivial class, then
     one class per conjugacy class of cyclic subgroups, in element order.
     Returns (classes, register, cyclics) on the numbers of
-    G.multiplication_table(); register(sset, gens) -> (index, new), and
-    cyclics[i] lists the numbers of the cyclic group element i generates."""
+    G.multiplication_table(): classes lists each class's representative
+    as (frozenset of numbers, generator numbers), the first one
+    registered; register(sset, gens) -> (index, new); and cyclics[i]
+    lists the numbers of the cyclic group element i generates.
+
+    A new class enters the set map with its whole conjugacy orbit, found
+    breadth-first by conjugating with G's generators, so any later
+    subgroup of the class is a lookup there, with no conjugacy test.
+    Once <i> is registered, every generator of every conjugate of <i> is
+    marked, and the seeding step skips the marked elements."""
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
-    _, table, inv = G.multiplication_table()
+    number, table, inv = G.multiplication_table()
+    # conj[j][x] is the number of g^-1 x g, for g the j-th generator of G
+    conj = []
+    for g in G.generators:
+        gnum = number[g.images]
+        col, ig = table[gnum], inv[gnum]
+        conj.append([col[xcol[ig]] for xcol in table])
 
-    classes = []  # (frozenset, gens tuple, fingerprint)
+    classes = []
     setmap = {}
+
+    def add(sset, gens):
+        """Open a class whose representative is sset, and put sset's
+        conjugates in setmap under its index; returns them, sset first."""
+        ci = len(classes)
+        classes.append((sset, tuple(gens)))
+        setmap[sset] = ci
+        found = [sset]
+        for X in found:
+            for c in conj:
+                Y = frozenset(map(c.__getitem__, X))
+                if Y not in setmap:
+                    setmap[Y] = ci
+                    found.append(Y)
+        return found
 
     def register(sset, gens):
         hit = setmap.get(sset)
         if hit is not None:
             return hit, False
-        fp = _fingerprint(eorder[i] for i in sset)
-        for ci, (_, cgens, cfp) in enumerate(classes):
-            if cfp == fp and _conjugates_into(table, inv, cgens, sset):
-                setmap[sset] = ci
-                return ci, False
-        classes.append((sset, tuple(gens), fp))
-        ci = len(classes) - 1
-        setmap[sset] = ci
-        return ci, True
+        add(sset, gens)
+        return len(classes) - 1, True
 
-    # the order of an element is the size of the cyclic group it generates
     cyclics = [closure_idx(table, [i]) for i in range(n)]
-    eorder = [len(c) for c in cyclics]
-    register(frozenset([0]), ())
+    add(frozenset([0]), ())
+    # the generators of a cyclic group X are its elements x with |<x>| = |X|
+    marked = bytearray(n)
     for i in range(1, n):
-        register(frozenset(cyclics[i]), (i,))
+        if not marked[i]:
+            for X in add(frozenset(cyclics[i]), (i,)):
+                size = len(X)
+                for x in X:
+                    if len(cyclics[x]) == size:
+                        marked[x] = 1
     return classes, register, cyclics
 
 
@@ -523,7 +553,7 @@ def _class_handles(G, classes):
     elems = G.elements()
     _, table, _ = G.multiplication_table()
     picks = []
-    for sset, _, _ in classes:
+    for sset, _ in classes:
         nums = sorted(sset)
         gens, have = [], {0}
         for i in nums:
@@ -544,8 +574,10 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
 
     Breadth-first cyclic extension: seed with the classes of cyclic
     subgroups, then repeatedly extend each known class rep S by single
-    elements, deduplicating by brute-force conjugacy.  Extensions only
-    run over (double) coset representatives since <S, s1*g*s2> = <S, g>.
+    elements.  Each class enters a set map with all its conjugates when
+    it is found, so a subgroup is deduplicated by one lookup, with no
+    conjugacy test.  Extensions only run over (double) coset
+    representatives since <S, s1*g*s2> = <S, g>.
     The result includes the trivial subgroup and G, sorted by decreasing
     order with ties broken by the sorted element tuple.
     """
@@ -561,7 +593,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     while qi < len(queue):
         ci = queue[qi]
         qi += 1
-        sset, sgens, _ = classes[ci]
+        sset, sgens = classes[ci]
         slist = sorted(sset)
         scols = [table[s] for s in slist]
         covered = bytearray(n)
@@ -607,7 +639,7 @@ def maximal_cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
         for x in c:
             if len(cyclics[x]) < len(c):
                 inside[x] = 1
-    kept = [(gens[0], sorted(sset)) for sset, gens, _ in classes[1:] if not inside[gens[0]]]
+    kept = [(gens[0], sorted(sset)) for sset, gens in classes[1:] if not inside[gens[0]]]
     return sorted(kept, key=lambda pick: (-len(pick[1]), pick[1]))
 
 

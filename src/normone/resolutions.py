@@ -1,4 +1,4 @@
-"""Coflasque covers, the flasque/coflasque checks, and the end-to-end invariant.
+"""Coflasque covers, the coflasque check, and the end-to-end invariant.
 
 A coflasque cover 0 -> N -> Q -> L -> 0 is built from summands
 Z[G/H'] (x) Z^f over subgroup class representatives H', evaluated by
@@ -19,22 +19,23 @@ resolutions of Hoshi-Yamasaki).  Q is a permutation lattice, so
 H^1(S, Q) = 0 and H^1(S, N) is the cokernel of Q^S -> L^S.  The greedy
 pass leaves every class's fixed lattice covered, so N is coflasque by
 construction.  The cover still checks the finished kernel once, with
-`is_coflasque` (Tate H^-1 of dual N); unlike a second coverage test over
-the same class list, that check also catches a class the pass never
-visited.
+`is_coflasque`, one Smith form per class: H^1(S, N) is dual to Tate
+H^-1(S, dual N), whose invariants are those of the matrix of N's
+rho(s) - 1 side by side, so no dual lattice is built.  Unlike a second
+coverage test over the same class list, that check also catches a class
+the pass never visited.
 
-`is_flasque`, and so that check, run over the classes of prime-power
-order only, by restriction to Sylow subgroups.  H^1(S, N) and Tate
-H^-1(S, L) are killed by |S|.  For each prime p, restriction to
-a Sylow p-subgroup P of S is injective on their p-parts, since
-corestriction after it is multiplication by [S:P], prime to p.  P is
-conjugate to a class representative of prime-power order, and
-conjugation carries the groups of one onto those of the other.  So both
-vanish on every subgroup once they vanish on those classes.  The trivial
-class needs no check: Tate H^-1 of the trivial group is 0, and
-H^1(1, N) = 0 says that Q -> L is onto, which `Resolution` checks at
-construction.  The cover itself still visits every class; covering only
-the prime-power ones makes it far larger (S6: flasque rank 66 -> 450).
+`is_coflasque` runs over the classes of prime-power order only, by
+restriction to Sylow subgroups.  H^1(S, N) is killed by |S|.  For each
+prime p, restriction to a Sylow p-subgroup P of S is injective on its
+p-part, since corestriction after it is multiplication by [S:P], prime
+to p.  P is conjugate to a class representative of prime-power order,
+and conjugation carries the group of one onto that of the other.  So it
+vanishes on every subgroup once it vanishes on those classes.  The
+trivial class needs no check: H^1(1, N) = 0 says that Q -> L is onto,
+which `Resolution` checks at construction.  The cover itself still
+visits every class; covering only the prime-power ones makes it far
+larger (S6: flasque rank 66 -> 450).
 
 The headline computation is H^1(G, F) for the flasque term F of a
 resolution 0 -> J -> P -> F -> 0 of the Chevalley module J of (G, H).
@@ -56,11 +57,11 @@ from .cohomology import tate_minus1
 from .errors import CapExceeded, InternalCheckError
 from .intmat import (
     IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
-    snf_invariants,
+    snf_invariants, snf_rows,
 )
 from .lattices import (
-    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index, dual,
-    fixed_sublattice,
+    GLattice, LatticeMap, _restricted_action, augmentation_ideal, check_index,
+    fixed_sublattice, minus_one_columns,
 )
 from .perms import (
     SUBGROUP_CLASS_CAP, coset_moves, right_transversal, subgroup_classes,
@@ -123,7 +124,7 @@ def _fixed_images(summand, gens):
 
 def _prime_power_order(S):
     """Whether |S| is a power of a prime, the trivial group excluded: the
-    classes on which `is_flasque`, and through it `is_coflasque`, run."""
+    classes on which `is_coflasque` runs."""
     n = S.order()
     p = next((p for p in range(2, n + 1) if n % p == 0), None)
     if p is None:
@@ -185,7 +186,7 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
         ev += [v for vs in rows for v in vs]
     Q = GLattice(G, len(ev), [permutation_matrix(m) for m in moves])
     project = LatticeMap(Q, L, IntMatrix(ev, L.rank))
-    K = hnf_basis(kernel_basis(project.matrix))
+    K = kernel_basis(project.matrix)
     nmats = _restricted_action(K, Q)
     N = GLattice(G, K.nrows, nmats)
     res = Resolution(L, Q, N, LatticeMap(N, Q, K), project)
@@ -196,24 +197,26 @@ def coflasque_cover(L: GLattice, class_cap=SUBGROUP_CLASS_CAP, max_rank=None) ->
     return res
 
 
-def is_flasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
-    """(True, None) when Tate H^-1 vanishes for every subgroup, else
+def is_coflasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
+    """(True, None) when H^1(S, L) vanishes for every subgroup S, else
     (False, offending class).
 
-    Only the classes of prime-power order are computed: Tate H^-1(S, L)
-    vanishes for every S once it does on them, by restriction to the
-    Sylow subgroups of S (see the module docstring).  The offending class
-    is the first, in decreasing order, of prime-power order.
+    For each class S of prime-power order (enough, by restriction to the
+    Sylow subgroups; see the module docstring), H^1(S, L) is dual to
+    Tate H^-1(S, dual L), which is the torsion of the Smith form of
+    W_S = [rho(s) - 1, side by side] over S's generators s, the matrix
+    whose kernel `fixed_sublattice` takes.  For Tate H^-1 of dual L
+    stacks the rows of its generators' rho*(s) - 1, with
+    rho*(s) = rho(s^-1)^T, and the transpose of that stack is W_S times
+    the unimodular blocks -rho(s^-1) on the diagonal, since
+    rho(s^-1) - 1 = (rho(s) - 1) * -rho(s^-1).  So no dual lattice is
+    built.  The offending class is the first, in decreasing order, of
+    prime-power order.
     """
     for cls in filter(_prime_power_order, subgroup_classes(L.group, cap=class_cap)):
-        if not tate_minus1(cls, L).is_trivial():
+        if any(d > 1 for d in snf_rows(minus_one_columns(L, cls.generators))):
             return False, cls
     return True, None
-
-
-def is_coflasque(L: GLattice, class_cap=SUBGROUP_CLASS_CAP):
-    """Via duality: H^1(S, L) vanishes iff Tate H^-1(S, dual L) does."""
-    return is_flasque(dual(L), class_cap=class_cap)
 
 
 def norm_one_invariant(G, H, class_cap=SUBGROUP_CLASS_CAP, max_rank=None):

@@ -10,31 +10,38 @@ lives here as `sha2_omega_shift`, and the coset-sum norm kernel that it
 replaced by lifts through the coset graph as `norm_kernel`.  `hnf`
 exposes the transforms of the library's Hermite elimination and `snf`
 those of the dense `smith_reference`, which the program itself never
-needs.
+needs.  The dual lattice and the flasque check by Tate H^-1 (`dual`,
+`is_flasque`) are the literal route of the library's `is_coflasque`,
+which reads Tate H^-1 of the dual off the lattice's own matrices, and
+`subgroup_classes_pairwise` is the class search that tested each new
+subgroup for conjugacy with every class found, which the library's
+orbit-keyed registry replaced.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial, prod
 from typing import NamedTuple
 
 import numpy as np
 
 import normone.intmat as intmat
-from normone.errors import InternalCheckError, NormOneError
+from normone.cohomology import tate_minus1
+from normone.errors import CapExceeded, InternalCheckError, NormOneError
 from normone.fpgroups import CosetTable, FpGroup, todd_coxeter
 from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis,
     snf_invariants,
 )
 from normone.lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
-    perm_lattice,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module, perm_lattice,
 )
 from normone.perms import (
-    SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _cyclic_classes, _spanned,
-    alternating, coset_moves, cyclic, dihedral, product_of_cyclics, right_transversal,
-    subgroup_classes, symmetric,
+    DEGREE_CAP, SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _conjugates_into,
+    _cyclic_classes, _fingerprint, _spanned, alternating, closure_idx, coset_moves, cyclic,
+    dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
 )
+from normone.resolutions import _prime_power_order
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +50,13 @@ from normone.perms import (
 def hnf(A):
     """Row Hermite normal form (H, U): U unimodular, U*A = H, H in
     row-echelon form with positive pivots and the entries above each
-    pivot reduced into [0, pivot).  The library's tracked echelon
-    elimination, then its pass above the pivots on the rows of [H | U]
-    with a pivot."""
+    pivot reduced into [0, pivot).  [H | U] is the Hermite form of
+    [A | I], by the library's elimination across all its columns and its
+    pass above the pivots, so U's rows at the zero rows of H are
+    `kernel_basis(A)`."""
     n = A.ncols
-    H, U = intmat._hermite(A.tolist(), True)
-    r = sum(1 for h in H if any(h))
-    W = intmat._reduce_above([h + u for h, u in zip(H[:r], U[:r])])
-    return (IntMatrix([w[:n] for w in W] + H[r:], n),
-            IntMatrix([w[n:] for w in W] + U[r:], A.nrows))
+    W = intmat._reduce_above(intmat._hermite(bordered_identity(A.tolist())))
+    return IntMatrix([w[:n] for w in W], n), IntMatrix([w[n:] for w in W], A.nrows)
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,12 @@ def subtract(A, B):
                      A.ncols)
 
 
+def transpose(A):
+    """A's transpose; with no rows there is nothing to zip, but ncols
+    empty columns."""
+    return IntMatrix(zip(*A.data) if A.data else [()] * A.ncols, A.nrows)
+
+
 def zeros(m, n):
     return IntMatrix([[0] * n for _ in range(m)], n)
 
@@ -230,6 +241,14 @@ def direct_sum(L1, L2):
     return GLattice(L1.group, r1 + r2, mats)
 
 
+def dual(L):
+    """Hom(L, Z) with the contragredient action transpose(rho(g^-1)),
+    which the library never builds: its coflasque check reads Tate H^-1
+    of the dual off L's own matrices."""
+    mats = [transpose(L.matrix_of(g.inverse())) for g in L.group.generators]
+    return GLattice(L.group, L.rank, mats, label=f"dual({L.label})" if L.label else None)
+
+
 def small_catalog():
     """The catalog groups of order at most 24 that the tests pin the
     table-read class handles and free cover against: the groups of the
@@ -239,11 +258,95 @@ def small_catalog():
             + [product_of_cyclics(p) for p in ((2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6))])
 
 
+def catalog_groups(max_order):
+    """Every catalog group of order at most max_order: A_n, S_n, C_n and
+    D_n up to the degree cap, and each product of two or more cyclic
+    groups of order >= 2, their orders in nondecreasing order."""
+    groups = [make(n) for make in (alternating, symmetric, cyclic, dihedral)
+              for n in range(1, DEGREE_CAP + 1) if _catalog_order(make, n) <= max_order]
+
+    def products(parts, low, room):
+        # nondecreasing continuations of parts within the degree cap
+        if len(parts) >= 2 and prod(parts) <= max_order:
+            groups.append(product_of_cyclics(parts))
+        for p in range(low, room + 1):
+            if prod(parts) * p <= max_order:
+                products(parts + (p,), p, room - p)
+    products((), 2, DEGREE_CAP)
+    return groups
+
+
+def _catalog_order(make, n):
+    """The order of make(n), without building it."""
+    if make is cyclic:
+        return n
+    if make is dihedral:
+        return 2 * n
+    return factorial(n) // (2 if make is alternating and n > 1 else 1)
+
+
 def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     """The nontrivial cyclic classes of subgroup_classes(G), the same
     representatives in the same order, from its seeding step alone: every
     cyclic class, where `sha2_omega` keeps only the maximal ones."""
     return _class_handles(G, _cyclic_classes(G, cap)[0][1:])
+
+
+def subgroup_classes_pairwise(G, cap=SUBGROUP_CLASS_CAP):
+    """subgroup_classes(G) by the search the library ran before it kept
+    each class's conjugates: the same seeding and the same extensions,
+    but each new subgroup is compared, by its size and element-order
+    counts and then by the brute-force conjugacy test, with every class
+    found so far.  The reference for the orbit-keyed registry."""
+    n = G.order()
+    if n > cap:
+        raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
+    _, table, inv = G.multiplication_table()
+    cyclics = [closure_idx(table, [i]) for i in range(n)]
+    classes, fingerprints, setmap = [], [], {}
+
+    def register(sset, gens):
+        hit = setmap.get(sset)
+        if hit is not None:
+            return hit, False
+        fp = _fingerprint(len(cyclics[i]) for i in sset)
+        for ci, (_, cgens) in enumerate(classes):
+            if fingerprints[ci] == fp and _conjugates_into(table, inv, cgens, sset):
+                setmap[sset] = ci
+                return ci, False
+        classes.append((sset, tuple(gens)))
+        fingerprints.append(fp)
+        setmap[sset] = len(classes) - 1
+        return len(classes) - 1, True
+
+    register(frozenset([0]), ())
+    for i in range(1, n):
+        register(frozenset(cyclics[i]), (i,))
+    queue = list(range(1, len(classes)))
+    for ci in queue:
+        sset, sgens = classes[ci]
+        slist = sorted(sset)
+        scols = [table[s] for s in slist]
+        covered = bytearray(n)
+        for s in slist:
+            covered[s] = 1
+        mark_double = len(sset) * len(sset) <= 8 * n
+        for g in range(n):
+            if covered[g]:
+                continue
+            # the coset S*g, or the double coset S*g*S, gives one <S, g>
+            col = table[g]
+            for s1 in slist:
+                x = col[s1]
+                if mark_double:
+                    for scol in scols:
+                        covered[scol[x]] = 1
+                else:
+                    covered[x] = 1
+            ti, new = register(frozenset(closure_idx(table, [*sgens, g])), (*sgens, g))
+            if new:
+                queue.append(ti)
+    return _class_handles(G, classes)
 
 
 def brute_closure(degree, gens):
@@ -777,6 +880,18 @@ def tate_minus1_literal(S, L):
     return quotient_invariants(kernel_basis(N), denom)
 
 
+def is_flasque(L, class_cap=SUBGROUP_CLASS_CAP):
+    """The literal Tate route of the flasque check: (True, None) when Tate
+    H^-1(S, L) vanishes on every class S of prime-power order (enough, by
+    Sylow restriction), else (False, the first such class in decreasing
+    order on which it does not).  `is_flasque(dual(L))` is the check the
+    library's `is_coflasque` makes without building the dual."""
+    for cls in filter(_prime_power_order, subgroup_classes(L.group, cap=class_cap)):
+        if not tate_minus1(cls, L).is_trivial():
+            return False, cls
+    return True, None
+
+
 def is_flasque_all_classes(L):
     """The flasque check over every subgroup class, the trivial one
     included, with no Sylow restriction and Tate H^-1 by its definition
@@ -901,17 +1016,18 @@ def _smallest_below(W, rows, col):
     return min(nonzero, key=lambda i: abs(W[i][col])) if nonzero else None
 
 
-def hermite_reference(rows, track, reduced=True):
-    """Row Hermite form by the dense elimination, on Python-int lists: each
-    Euclid step rewrites every row below the pivot, whether or not its
-    entry in the pivot column is zero.  Same pivot rule as the library
-    (smallest nonzero |entry| of the column, first on ties), and when
-    reduced the same final reduction above the pivots, from the top (the
-    library's `_hermite` stops before it, `_reduce_above` runs it).
-    Returns (H, U or None)."""
-    m, ncols = len(rows), len(rows[0])
-    W = [list(row) + ([int(i == j) for j in range(m)] if track else [])
-         for i, row in enumerate(rows)]
+def hermite_reference(rows, reduced=True, columns=None):
+    """Row Hermite form by the dense elimination, on Python-int lists,
+    across all the columns, or the first `columns` of them: each Euclid
+    step rewrites every row below the pivot, whether or not its entry in
+    the pivot column is zero.  Same pivot rule as the library (smallest
+    nonzero |entry| of the column, first on ties), and when reduced the
+    same final reduction above the pivots, from the top (the library's
+    `_hermite` stops before it, `_reduce_above` runs it).  Pass [A | I]
+    for the transform."""
+    m = len(rows)
+    ncols = len(rows[0]) if columns is None else columns
+    W = [list(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -936,8 +1052,22 @@ def hermite_reference(rows, track, reduced=True):
         for i in range(r):
             q = W[i][c] // W[r][c]
             W[i] = [x - q * y for x, y in zip(W[i], W[r])]
-    H = [row[:ncols] for row in W]
-    return H, ([row[ncols:] for row in W] if track else None)
+    return W
+
+
+def bordered_identity(rows):
+    """[A | I] as lists of rows, for the rows of A."""
+    m = len(rows)
+    return [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+
+
+def tracked_kernel(A):
+    """A saturated basis of the left kernel of A, not in Hermite form:
+    the rows of U at the zero rows of H, for a dense elimination
+    U*A = H of A's columns alone, with U carried along in [A | I]."""
+    n = A.ncols
+    W = hermite_reference(bordered_identity(A.tolist()), reduced=False, columns=n)
+    return IntMatrix([w[n:] for w in W if not any(w[:n])], A.nrows)
 
 
 def smith_reference(W, m, n):

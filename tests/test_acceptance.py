@@ -18,14 +18,15 @@ import pytest
 from normone.cohomology import sha2_omega
 from normone.errors import CapExceeded
 from normone.intmat import AbelianInvariants, IntMatrix, snf_invariants
-from normone.lattices import chevalley_module, dual
+from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
     product_of_cyclics, subgroup_classes, symmetric,
 )
-from normone.resolutions import coflasque_cover, is_flasque, norm_one_invariant
+from normone.resolutions import coflasque_cover, norm_one_invariant
 from oracles import (
-    bar_h1, det, h1, lattice_pool, presentation_catalog, snf, twist_lattice,
+    bar_h1, det, dual, h1, is_flasque, lattice_pool, presentation_catalog, snf,
+    twist_lattice,
 )
 
 P = Permutation.from_cycles

@@ -14,14 +14,14 @@ from normone.intmat import (
     AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, kernel_basis, permutation_matrix,
 )
 from normone.lattices import (
-    GLattice, _restricted_action, chevalley_module, dual, minus_one_rows, perm_lattice,
+    GLattice, _restricted_action, chevalley_module, minus_one_rows, perm_lattice,
 )
 from normone.perms import (
     PermGroup, Permutation, alternating, cyclic, dihedral, maximal_cyclic_subgroup_classes,
     product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, elementary_divisors,
+    bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, dual, elementary_divisors,
     free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, norm_kernel, presentation_catalog,
     sha2_omega_shift, small_catalog, tate_cyclic, tate_minus1_literal, trivial_lattice,
     twist_lattice,
@@ -722,9 +722,9 @@ class TestSha2Omega:
         hermite, snf_rows = intmat._hermite, cohomology.snf_rows
         inside, sizes, smith = [], [], []
 
-        def counted_hermite(W, track):
+        def counted_hermite(W):
             (smith if inside else sizes).append(len(W))
-            return hermite(W, track)
+            return hermite(W)
 
         def counted_snf(W):
             inside.append(W)

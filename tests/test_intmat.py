@@ -20,9 +20,9 @@ from normone.perms import (
 )
 from normone.resolutions import norm_one_invariant
 from oracles import (
-    det, group_order, hermite_reference, hnf, hstack, inverse_unimodular,
+    bordered_identity, det, group_order, hermite_reference, hnf, hstack, inverse_unimodular,
     minors_gcd, quotient_invariants, random_unimodular, smith_reference, snf,
-    subtract, vstack, zeros,
+    subtract, tracked_kernel, transpose, vstack, zeros,
 )
 
 
@@ -138,8 +138,8 @@ class TestHNF:
         H, U = hnf(zeros(2, 0))
         assert H == zeros(2, 0) and U == IntMatrix.identity(2)
         assert kernel_basis(zeros(2, 0)) == IntMatrix.identity(2)
-        assert mat([], ncols=3).transpose() == zeros(3, 0)
-        assert zeros(2, 0).transpose() == mat([], ncols=2)
+        assert transpose(mat([], ncols=3)) == zeros(3, 0)
+        assert transpose(zeros(2, 0)) == mat([], ncols=2)
         assert hnf_coordinates(hnf_basis(mat([], ncols=2)), mat([[0, 0]])) == mat([[]])
         assert snf_invariants(mat([], ncols=2)) == []
         A = mat([[6, 4, 2], [2, 8, 9], [0, 0, 5]])
@@ -164,18 +164,19 @@ class TestHNF:
 def test_eliminations_match_dense_reference(rows):
     # the eliminations touch only the rows a pivot line reaches and walk
     # only that line's nonzero entries; the dense eliminations must give
-    # the same H and U, pivot for pivot, and the same Smith invariants,
-    # huge entries included
+    # the same echelon forms of A and of [A | I], pivot for pivot, the
+    # same Hermite forms and kernels, and the same Smith invariants, huge
+    # entries included
     m, n = len(rows), len(rows[0])
-    H, U = hermite_reference(rows, track=True)
+    bordered = bordered_identity(rows)
+    W = hermite_reference(bordered)
     D, rank = smith_reference(rows, m, n)
-    assert (intmat._hermite(copy.deepcopy(rows), True)
-            == hermite_reference(rows, True, reduced=False))
-    assert (intmat._hermite(copy.deepcopy(rows), False)
-            == hermite_reference(rows, False, reduced=False))
+    assert intmat._hermite(copy.deepcopy(rows)) == hermite_reference(rows, reduced=False)
+    assert intmat._hermite(copy.deepcopy(bordered)) == hermite_reference(bordered, reduced=False)
     A = mat(rows)
-    assert hnf(A) == (mat(H), mat(U))
-    assert hnf_basis(A) == mat([row for row in H if any(row)], n)
+    assert hnf(A) == (mat([w[:n] for w in W], n), mat([w[n:] for w in W], m))
+    assert hnf_basis(A) == mat([w[:n] for w in W if any(w[:n])], n)
+    assert kernel_basis(A) == mat([w[n:] for w in W if not any(w[:n])], m)
     assert snf_invariants(A) == [D[i][i] for i in range(rank)]
 
 
@@ -184,12 +185,11 @@ def check_elimination(name, args, out):
     dense references; coordinates by X*H = B, and a None by B leaving
     H's lattice."""
     if name == "_hermite":
-        rows, track = args
-        assert out == (hermite_reference(rows, track, reduced=False) if rows
-                       else ([], [] if track else None))
+        rows, = args
+        assert out == (hermite_reference(rows, reduced=False) if rows else [])
     elif name == "_reduce_above":
         rows, = args
-        assert out == (hermite_reference(rows, False)[0] if rows else [])
+        assert out == (hermite_reference(rows) if rows else [])
     elif name == "snf_invariants":
         A, = args
         D, rank = smith_reference(A.tolist(), A.nrows, A.ncols)
@@ -201,7 +201,7 @@ def check_elimination(name, args, out):
     else:
         H, B = args
         if out is None:
-            widened, _ = hermite_reference(H + B, False)
+            widened = hermite_reference(H + B)
             assert [row for row in widened if any(row)] != H
         else:
             assert [[sum(x * h[j] for x, h in zip(xs, H)) for j in range(len(b))]
@@ -243,12 +243,19 @@ def test_pipeline_eliminations_match_references(monkeypatch):
     assert any(out is None for name, _, out in runs if name == "_back_substitute")
 
 
-def test_kernel_rows_need_no_pass_above_the_pivots(monkeypatch):
-    # kernel_basis keeps U's rows past the pivots, which the pass above
-    # the pivots never rewrites, so it skips that pass: every kernel the
-    # pipeline and sha2_omega take over the pairs of order <= 24 and index
-    # 2..8 (fixed sublattices, the cover's kernel, the free cover's kernel,
-    # the cyclic norm kernels) has the rows of the fully reduced form
+@given(reference_inputs)
+def test_kernel_is_the_hermite_basis_of_a_tracked_kernel(rows):
+    # one elimination of [A | I] gives the Hermite basis of the kernel
+    # that a tracked elimination of A's columns alone spans
+    A = mat(rows)
+    assert kernel_basis(A) == hnf_basis(tracked_kernel(A))
+
+
+def test_pool_kernels_are_hermite_bases_of_tracked_kernels(monkeypatch):
+    # every kernel the pipeline and sha2_omega take over the pairs of
+    # order <= 24 and index 2..8 (fixed sublattices, the cover's kernel,
+    # the cyclic norm kernels) is the Hermite basis of the tracked
+    # kernel, in one elimination
     inputs = []
     for module in (lattices, resolutions, cohomology):
         def recorded(A, kernel=module.kernel_basis):
@@ -268,10 +275,9 @@ def test_kernel_rows_need_no_pass_above_the_pivots(monkeypatch):
                     sha2_omega(G, H)
                     pairs += 1
     assert pairs == 121
+    assert len(inputs) > 121
     for A in inputs:
-        H, U = hnf(A)
-        assert kernel_basis(A) == mat(
-            [u for h, u in zip(H.data, U.data) if not any(h)], A.nrows)
+        assert kernel_basis(A) == hnf_basis(tracked_kernel(A))
 
 
 def hermite_passes(monkeypatch, A):
@@ -363,13 +369,12 @@ class TestKernel:
         assert K == mat([[1, 1]])
 
     def test_primitive_solution(self):
-        # the basis is saturated, not Hermite: compare Hermite forms
-        K = kernel_basis(mat([[2], [4]]))
-        assert hnf_basis(K) == mat([[2, -1]])
+        # the basis is saturated and in Hermite form
+        assert kernel_basis(mat([[2], [4]])) == mat([[2, -1]])
 
     def test_one_elimination(self, monkeypatch):
-        # the kernel rows come from the tracked elimination as they are,
-        # with no second, canonicalizing Hermite pass
+        # the kernel's Hermite basis comes from one elimination of
+        # [A | I], with no second, canonicalizing Hermite pass
         calls = []
         hermite = intmat._hermite
 
@@ -379,8 +384,9 @@ class TestKernel:
         monkeypatch.setattr(intmat, "_hermite", counted)
         A = mat([[1, 2], [3, 4], [5, 6], [7, 8]])
         K = kernel_basis(A)
-        assert K.nrows == 2 and (K * A).is_zero()
         assert len(calls) == 1
+        assert K.nrows == 2 and (K * A).is_zero()
+        assert K == hnf_basis(K)
 
     @given(small_matrices)
     def test_kernel_saturated(self, rows):
@@ -579,7 +585,7 @@ def test_storage_matches_python_ints(a, data):
     for M, rows in ((A, a), (B, b), (C, c)):
         assert_stored(M, rows)
     assert_stored(subtract(A, B), [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
-    assert_stored(A.transpose(), [list(col) for col in zip(*a)])
+    assert_stored(transpose(A), [list(col) for col in zip(*a)])
     assert_stored(vstack(A, B), a + b)
     assert_stored(hstack(A, B), [r + s for r, s in zip(a, b)])
     assert_stored(A * C, [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)]

@@ -5,15 +5,15 @@ import pytest
 from normone.errors import InternalCheckError
 from normone.intmat import IntMatrix, kernel_basis, snf_invariants
 from normone.lattices import (
-    GLattice, LatticeMap, augmentation_ideal, chevalley_module, dual,
+    GLattice, LatticeMap, augmentation_ideal, chevalley_module,
     fixed_sublattice, perm_lattice,
 )
 from normone.perms import (
     Permutation, alternating, cyclic, product_of_cyclics, symmetric,
 )
 from oracles import (
-    core, det, direct_sum, induced, inverse_unimodular, presentation_catalog,
-    tate_cyclic, trivial_lattice,
+    core, det, direct_sum, dual, induced, inverse_unimodular, presentation_catalog,
+    tate_cyclic, transpose, trivial_lattice,
 )
 
 P = Permutation.from_cycles
@@ -47,7 +47,7 @@ class TestPermLattice:
         for m in L.action:
             for row in m.data:
                 assert sorted(row) == [0] * 5 + [1]
-            for col in m.transpose().data:
+            for col in transpose(m).data:
                 assert sorted(col) == [0] * 5 + [1]
 
     def test_action_is_homomorphism(self):
@@ -156,7 +156,7 @@ class TestDual:
             for L in (perm_lattice(G, H), middle, J, dual(J)):
                 D = dual(L)
                 for j, a in enumerate(L.action):
-                    assert D.action[j] == inverse_unimodular(a).transpose()
+                    assert D.action[j] == transpose(inverse_unimodular(a))
 
     def test_involution(self):
         G = alternating(4)
@@ -177,8 +177,8 @@ class TestDual:
         H = G.subgroup([P([(1, 2, 3)], 4)])
         inc = inclusion(G, H)
         # the transpose of an equivariant map is one between the duals
-        dm = LatticeMap(dual(inc.target), dual(inc.source), inc.matrix.transpose())
-        assert dm.matrix == inc.matrix.transpose()
+        dm = LatticeMap(dual(inc.target), dual(inc.source), transpose(inc.matrix))
+        assert dm.matrix == transpose(inc.matrix)
 
 
 class TestDirectSum:
@@ -209,9 +209,9 @@ class TestInduced:
         # projecting onto the identity-element block undoes the embedding
         elems = G.elements()
         e_pos = elems.index(Permutation.identity(G.degree))
-        block = IntMatrix([[1 if (i == e_pos * L.rank + j) else 0
-                            for j in range(L.rank)] for i in range(I.rank)]).transpose()
-        assert emb.matrix * block.transpose() == IntMatrix.identity(L.rank)
+        block = transpose(IntMatrix([[1 if (i == e_pos * L.rank + j) else 0
+                                      for j in range(L.rank)] for i in range(I.rank)]))
+        assert emb.matrix * transpose(block) == IntMatrix.identity(L.rank)
 
     def test_induced_is_cohomologically_trivial_for_c2(self):
         G = cyclic(2)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import normone.perms as perms
 from normone.cli import main
 from normone.errors import CapExceeded, NotASubgroupError
 from normone.lattices import chevalley_module
@@ -11,8 +12,9 @@ from normone.perms import (
     _spanned, right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
 from oracles import (
-    all_subgroups_brute, brute_closure, conjugacy_class_count_brute, core,
+    all_subgroups_brute, brute_closure, catalog_groups, conjugacy_class_count_brute, core,
     coset_position, cyclic_subgroup_classes, is_normal, small_catalog,
+    subgroup_classes_pairwise,
 )
 
 P = Permutation.from_cycles
@@ -373,6 +375,40 @@ class TestSubgroupClasses:
         assert subgroup_classes(G) is classes
         with pytest.raises(CapExceeded):
             subgroup_classes(G, cap=59)
+
+    @pytest.mark.parametrize("G", [
+        G for G in catalog_groups(120) if G.label != "C2xC2xC2xC2xC2xC2"
+    ] + [alternating(6)], ids=lambda G: G.label)
+    def test_orbit_registry_matches_the_pairwise_search(self, G):
+        # the same representatives, generators and order as the search
+        # that compared each new subgroup with every class found so far
+        fresh = PermGroup(G.degree, G.generators, label=G.label)
+        got = subgroup_classes(PermGroup(G.degree, G.generators, label=G.label))
+        want = subgroup_classes_pairwise(fresh)
+        assert [(h.generators, h.elements()) for h in got] == [
+            (h.generators, h.elements()) for h in want]
+
+    def test_elementary_abelian_of_order_64(self):
+        # the one catalog group of order <= 120 left to the count, where the
+        # pairwise search takes seconds: in an abelian group each subgroup
+        # is its own class, and F_2^6 has sum_k [6 choose k]_2 subspaces
+        G = product_of_cyclics((2,) * 6)
+        assert G.order() == 64
+        assert len(subgroup_classes(G)) == 1 + 63 + 651 + 1395 + 651 + 63 + 1
+
+    @pytest.mark.parametrize("G, count", [
+        (alternating(4), 5), (symmetric(4), 11), (alternating(5), 9),
+        (symmetric(5), 19), (alternating(6), 22), (symmetric(6), 56),
+    ], ids=lambda x: getattr(x, "label", str(x)))
+    def test_class_counts(self, G, count, monkeypatch):
+        # a search runs no conjugacy test: each class is stored with all
+        # its conjugates, so a subgroup is a set lookup
+        def refuse(*args):
+            raise AssertionError("the class search tested conjugacy")
+        monkeypatch.setattr(perms, "_conjugates_into", refuse)
+        monkeypatch.setattr(perms, "_fingerprint", refuse)
+        G = PermGroup(G.degree, G.generators, label=G.label)
+        assert len(subgroup_classes(G)) == count
 
     def test_cyclic_classes(self):
         G = alternating(4)

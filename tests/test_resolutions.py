@@ -8,25 +8,26 @@ import pytest
 
 import normone.intmat as intmat
 import normone.resolutions as resolutions
+import oracles
 from normone.cohomology import sha2_omega, tate_minus1
 from normone.errors import CapExceeded, InternalCheckError
 from normone.intmat import (
-    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants,
+    AbelianInvariants, IntMatrix, hnf_basis, hnf_coordinates, snf_invariants, snf_rows,
 )
 from normone.lattices import (
     GLattice, LatticeMap, _restricted_action, augmentation_ideal, chevalley_module,
-    dual, fixed_sublattice, perm_lattice,
+    fixed_sublattice, minus_one_columns, perm_lattice,
 )
 from normone.perms import (
     Permutation, alternating, are_conjugate_subgroups, cyclic, dihedral,
     product_of_cyclics, right_transversal, subgroup_classes, symmetric,
 )
 from normone.resolutions import (
-    Resolution, Verdict, coflasque_cover, is_coflasque, is_flasque,
-    norm_one_invariant, verdict,
+    Resolution, Verdict, coflasque_cover, is_coflasque, norm_one_invariant, verdict,
 )
 from oracles import (
-    h1, is_flasque_all_classes, is_normal, presentation_catalog, trivial_lattice,
+    dual, h1, is_flasque, is_flasque_all_classes, is_normal, presentation_catalog,
+    small_catalog, trivial_lattice,
 )
 
 P = Permutation.from_cycles
@@ -132,9 +133,9 @@ class TestCoflasqueCover:
     @pytest.mark.parametrize("make, n", [(alternating, 4), (symmetric, 4)],
                              ids=["A4", "S4"])
     def test_fixed_lattices_and_kernel_are_hermite(self, make, n):
-        # kernel_basis returns a saturated basis only; the cover's greedy
-        # walk over each fixed lattice and its back-substitution against
-        # the kernel K both need the Hermite basis, which they take
+        # the cover's greedy walk over each fixed lattice and its
+        # back-substitution against the kernel K both need the Hermite
+        # basis, which kernel_basis returns
         G = make(n)
         for L in (chevalley_module(G, G.point_stabilizer(n)),
                   augmentation_ideal(G, G.point_stabilizer(n))):
@@ -262,19 +263,46 @@ class TestFlasqueCheckers:
             verdicts.append(ok)
         assert True in verdicts and False in verdicts
         # on a flasque lattice every prime-power class is computed, and
-        # nothing else; the lattice is built first, since the cover runs
-        # Tate H^-1 on its own kernel
+        # nothing else
         F = flasque_side(chevalley_module(S4, S4.point_stabilizer(4)))
         seen = []
-        tate = resolutions.tate_minus1
+        tate = oracles.tate_minus1
 
         def recorded(S, L):
             seen.append(S)
             return tate(S, L)
-        monkeypatch.setattr(resolutions, "tate_minus1", recorded)
+        monkeypatch.setattr(oracles, "tate_minus1", recorded)
         assert is_flasque(F) == (True, None)
         assert seen == [cls for cls in subgroup_classes(S4) if prime_power(cls.order())]
         assert len(seen) < len(subgroup_classes(S4)) - 1
+
+    def test_minus_one_columns_give_tate_of_the_dual(self):
+        # the coflasque check's Smith form of W_S = [rho(s) - 1, side by
+        # side] has the torsion of Tate H^-1(S, dual L), taken literally
+        # on the dual, for I, J and Z[G/H] over every pair (G, H) of the
+        # sweep pool and A5's, and every nontrivial class S
+        counts = {}
+        pool = [G for G in small_catalog() if G.label not in ("C1", "D1", "D2")]
+        for G in pool + [alternating(5)]:
+            classes = subgroup_classes(G)
+            compared = nontrivial = 0
+            for H in classes:
+                if not 2 <= G.order() // H.order() <= 8:
+                    continue
+                for L in (augmentation_ideal(G, H), chevalley_module(G, H),
+                          perm_lattice(G, H)):
+                    D = dual(L)
+                    for S in classes[:-1]:
+                        got = [d for d in snf_rows(minus_one_columns(L, S.generators))
+                               if d > 1]
+                        assert tuple(got) == tate_minus1(S, D).torsion, (
+                            G.label, H.describe(), L.label, S.describe())
+                        compared += 1
+                        nontrivial += bool(got)
+            counts[G.label] = (compared, nontrivial)
+        a5 = counts.pop("A5")
+        assert tuple(map(sum, zip(*counts.values()))) == (2961, 1453)
+        assert a5[1] > 0
 
     def test_chevalley_of_klein_four_not_flasque(self):
         # classes are scanned in decreasing order, so the witness is the
@@ -371,45 +399,57 @@ class TestNormOneInvariant:
 
     def test_pipeline_builds_one_exact_sequence(self, monkeypatch):
         # one coflasque cover of I = dual(J) carries everything: one
-        # Resolution, and one dual, taken by the coflasque self-check, which
-        # runs once, from inside the cover
+        # Resolution, and the coflasque self-check runs once, on the call
+        # chain _pipeline -> coflasque_cover -> is_coflasque.  No dual is
+        # built: the library holds no `dual`, and the only lattices made
+        # are Z[G/H], I, the cover's middle term Q and its kernel N
+        import normone
         import normone.lattices as lattices
-        made, duals, inside, checked_from = [], [], [], []
-        resolution, dual_fn = resolutions.Resolution, lattices.dual
-        check = resolutions.is_coflasque
+        made, built, chain = [], [], []
+        resolution, check, cover = (resolutions.Resolution, resolutions.is_coflasque,
+                                    resolutions.coflasque_cover)
+        init = lattices.GLattice.__init__
 
         def counted_resolution(*args):
             made.append(args)
             return resolution(*args)
 
-        def counted_dual(L):
-            duals.append(bool(inside))
-            return dual_fn(L)
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
 
-        def watched_check(*args, **kwargs):
-            checked_from.append(sys._getframe(1).f_code.co_name)
-            inside.append(True)
-            try:
-                return check(*args, **kwargs)
-            finally:
-                inside.pop()
+        def watched(fn):
+            def call(*args, **kwargs):
+                chain.append((sys._getframe(1).f_code.co_name, fn.__name__))
+                return fn(*args, **kwargs)
+            return call
 
         monkeypatch.setattr(resolutions, "Resolution", counted_resolution)
-        monkeypatch.setattr(resolutions, "is_coflasque", watched_check)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "normone" and getattr(module, "dual", None) is dual_fn:
-                monkeypatch.setattr(module, "dual", counted_dual)
+        monkeypatch.setattr(resolutions, "is_coflasque", watched(check))
+        monkeypatch.setattr(resolutions, "coflasque_cover", watched(cover))
+        monkeypatch.setattr(lattices.GLattice, "__init__", counted_init)
         G = alternating(4)
-        assert resolutions._pipeline(G, G.point_stabilizer(4)).invariants == Z2
+        H = G.point_stabilizer(4)
+        assert resolutions._pipeline(G, H).invariants == Z2
         assert len(made) == 1
-        assert duals == [True]
-        assert checked_from == ["coflasque_cover"]
+        assert chain == [("_pipeline", "coflasque_cover"), ("coflasque_cover", "is_coflasque")]
+        res = made[0]
+        assert [L.label for L in built] == [f"Z[A4/{H.describe()}]", f"I[A4/{H.describe()}]",
+                                            None, None]
+        assert built[2:] == [res[1], res[2]]
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "normone":
+                assert not hasattr(module, "dual") and not hasattr(module, "is_flasque"), name
+        assert normone.is_coflasque is check
 
     def test_flasque_self_check_fires(self, monkeypatch):
+        # _pipeline -> coflasque_cover -> is_coflasque: a failing check
+        # stops the pipeline inside the cover
         G = alternating(4)
-        monkeypatch.setattr(resolutions, "is_flasque", lambda *a, **k: (False, G))
-        with pytest.raises(InternalCheckError, match="not flasque"):
+        monkeypatch.setattr(resolutions, "is_coflasque", lambda *a, **k: (False, G))
+        with pytest.raises(InternalCheckError, match="not flasque") as err:
             resolutions._pipeline(G, G.point_stabilizer(4))
+        assert err.traceback[-1].name == "coflasque_cover"
 
     def test_divisibility_check_fires(self, monkeypatch):
         # 3 divides |G| = 12 but not [G:H] = 4, which kills H^1(G, F)
@@ -448,8 +488,8 @@ class TestNormOneInvariant:
         assert err.traceback[-1].name == "coflasque_cover"
         assert hidden.order() == 4
         assert f"witness {hidden.describe()})" in str(err.value)
-        # the pipeline's own call (the cap check), the cover's, the flasque check's
-        assert callers == ["_pipeline", "coflasque_cover", "is_flasque"]
+        # the pipeline's own call (the cap check), the cover's, its check's
+        assert callers == ["_pipeline", "coflasque_cover", "is_coflasque"]
 
     def test_broken_greedy_pass_is_caught_by_the_coflasque_check(self, monkeypatch):
         # the class of <(3 4),(1 2)> looks covered at its first test in the
