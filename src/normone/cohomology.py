@@ -28,11 +28,11 @@ from __future__ import annotations
 from itertools import compress
 
 from .errors import CapExceeded, InternalCheckError
-from .intmat import AbelianInvariants, IntMatrix, kernel_basis, snf_invariants, snf_rows
+from .intmat import AbelianInvariants, IntMatrix, kernel_basis, snf_rows
 from .lattices import GLattice, check_index, minus_one_rows
 from .perms import (
     SUBGROUP_CLASS_CAP, PermGroup, closure_idx, coset_moves, maximal_cyclic_subgroup_classes,
-    right_transversal,
+    orbits, right_transversal,
 )
 
 SHA_ORDER_CAP = 360
@@ -64,7 +64,7 @@ def tate_minus1(S, L: GLattice) -> AbelianInvariants:
     gens = S.generators
     if not gens or L.rank == 0:
         return AbelianInvariants(0, ())
-    d = snf_invariants(IntMatrix(minus_one_rows([L.matrix_of(s) for s in gens]), L.rank))
+    d = snf_rows(minus_one_rows([L.matrix_of(s) for s in gens]))
     return AbelianInvariants(0, tuple(x for x in d if x > 1))
 
 
@@ -200,7 +200,7 @@ def _free_cover(G: PermGroup, H: PermGroup):
     - K has r|G| - [G:H] + 1 rows, the rank of ker A for an onto A;
     - K*A = 0: every row of K has zero boundary, the sum of its entries
       times e_u - e_v over its edges."""
-    number, table, _ = G.multiplication_table()
+    number, table = G.multiplication_table()
     hgens = [number[h.images] for h in H.generators]
     span = set(closure_idx(table, hgens))
     gens = [number[x.images] for x in G.generators]
@@ -319,32 +319,28 @@ def _norm_lifts(nrows, lead, ends, d, forest, col, label):
     I^C is spanned by the indicator vectors of C's orbits on the cosets
     with coordinate sum 0, so its basis is the integer kernel of the
     column of orbit sizes, at most [G:H] rows.  The orbits are the
-    cycles of c on the cosets: c moves the coset of g, the tail of copy
-    0's edge at g, to that of g*c, the tail of the edge at col[g].
+    cycles of c on the cosets, the `orbits` of its move: c moves the
+    coset of g, the tail of copy 0's edge at g, to that of g*c, the tail
+    of the edge at col[g].
     rho(c) sends point j|G| + g to j|G| + col[g], so w_y*rho(c) moves
     w_y's entries, and its boundary is y moved by c, which is y.  So
     w_y - w_y*rho(c) has zero boundary; that is checked, and its entries
     at the leading columns are its coordinates, as in `_kernel_action`.
     """
     n = len(col)
-    # an element of each coset
-    rep = [-1] * d
+    move = [0] * d
     for g in range(n):
-        rep[ends[g][0]] = g
-    orbit, sizes = [-1] * d, []
-    for u in range(d):
-        if orbit[u] < 0:
-            x, size = u, 0
-            while orbit[x] < 0:
-                orbit[x] = len(sizes)
-                x = ends[col[rep[x]]][0]
-                size += 1
-            sizes.append(size)
-    if len(sizes) == 1:
+        move[ends[g][0]] = ends[col[g]][0]
+    cycles = orbits([move], d)
+    if len(cycles) == 1:
         # C is transitive on the cosets, so I^C = 0
         return []
+    orbit = [0] * d
+    for k, cycle in enumerate(cycles):
+        for u in cycle:
+            orbit[u] = k
     rows = []
-    for a in kernel_basis(IntMatrix([[s] for s in sizes], 1)).data:
+    for a in kernel_basis(IntMatrix([[len(c)] for c in cycles], 1)).data:
         row = {}
         for p, x in _forest_lift(forest, [a[k] for k in orbit]):
             q = p - p % n + col[p % n]
@@ -449,7 +445,7 @@ def sha2_omega(G: PermGroup, H, class_cap=SUBGROUP_CLASS_CAP) -> AbelianInvarian
         for i, row in enumerate(block):
             row[i] -= 1
         rows += block
-    _, table, _ = G.multiplication_table()
+    _, table = G.multiplication_table()
     for c, _ in classes:
         rows += _norm_lifts(K.nrows, lead, ends, index, forest, table[c], G.label)
     r = K.ncols // G.order()

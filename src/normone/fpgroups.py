@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CapExceeded, InternalCheckError
-from .perms import DEFAULT_MAX_COSETS, Permutation
+from .perms import DEFAULT_MAX_COSETS, Permutation, orbits
 
 # the largest n whose Schur cover of S_n is enumerated
 MAX_SCHUR_N = 6
@@ -246,15 +246,7 @@ def preimage_an(n, max_cosets=DEFAULT_MAX_COSETS) -> PreimageData:
 
     # orbit of the base point under the subgroup = a free orbit; restricting
     # gives the subgroup's regular representation
-    orbit = [0]
-    seen = {0}
-    for pt in orbit:
-        for g in gens:
-            q = g.images[pt]
-            if q not in seen:
-                seen.add(q)
-                orbit.append(q)
-    orbit.sort()
+    orbit = sorted(orbits([g.images for g in gens], regular.coset_count)[0])
     pos = {p: i for i, p in enumerate(orbit)}
     restricted = tuple(
         Permutation(tuple(pos[g.images[p]] for p in orbit)) for g in gens

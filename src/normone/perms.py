@@ -11,10 +11,13 @@ breadth-first over image tuples, and only the enumerated elements of a
 group are wrapped as Permutation objects.  The subgroup
 class search and the conjugacy test share one multiplication table per
 group, which holds |G|^2 entries, so only they build it, behind one cap
-(SUBGROUP_CLASS_CAP).  The class search reads conjugation off it: each
-class it finds is stored with every conjugate, so it never tests two
-subgroups for conjugacy; only `are_conjugate_subgroups` does, by brute
-force.  Once built, the table is also where the class search
+(SUBGROUP_CLASS_CAP).  Both read conjugation off it as the conjugation
+orbit of a set of element numbers (`_orbit`): the class search stores
+each class it finds with every conjugate, so it never tests two
+subgroups for conjugacy, and `are_conjugate_subgroups` asks whether one
+subgroup lies in the orbit of the other.  Point orbits, of the index
+lists that move cosets or points, are `orbits`, the one walk the other
+modules call.  Once built, the table is also where the class search
 takes each class's generators and `sha2_omega` takes the regular module
 Z[G] of its free cover.  The maximal cyclic classes that `sha2_omega`
 needs come as a generator and the list of element numbers in that table,
@@ -23,17 +26,15 @@ each class's norm kernel.
 Transversals, coset moves and generator words read the table once
 the class search has built it, and compose permutations otherwise; both
 routes give the same numbering and the same words.  Caps guard against
-accidental blowups.  The two that callers set, a group's
-`max_order` and the `cap=` of `subgroup_classes` and
-`are_conjugate_subgroups`, are keyword arguments; the others are the
-module constants.
+accidental blowups.  The two that callers set, a group's `max_order`
+and the `cap=` on |G| that the class search and the conjugacy test
+share, are keyword arguments; the others are the module constants.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cache
-from math import lcm
 
 from .errors import CapExceeded, NotASubgroupError, UsageError
 
@@ -99,10 +100,6 @@ class Permutation:
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
-
-    def order(self):
-        cyc = self.cycles()
-        return lcm(*(len(c) for c in cyc)) if cyc else 1
 
     def cycles(self):
         """Disjoint cycles as 1-based tuples, each starting at its minimum."""
@@ -271,14 +268,14 @@ class PermGroup:
         return words
 
     def multiplication_table(self):
-        """(number, table, inv), built on first use.
+        """(number, table), built on first use.
 
-        number maps the images of each element to its place in elements();
-        table[c][a] is the number of elements()[a] * elements()[c], and
-        inv[c] that of the inverse of elements()[c].  Each list table[c] is
-        the list of c's breadth-first parent composed with one generator's
-        move, so the table costs |G| * k permutation products for k
-        generators.
+        number maps the images of each element to its place in elements(),
+        and table[c][a] is the number of elements()[a] * elements()[c], so
+        the inverse of elements()[c] is numbered table[c].index(0).  Each
+        list table[c] is the list of c's breadth-first parent composed
+        with one generator's move, so the table costs |G| * k permutation
+        products for k generators.
         """
         if self._table is None:
             elems = self.elements()
@@ -295,8 +292,7 @@ class PermGroup:
                     if table[d] is None:
                         table[d] = [move[a] for a in col]
                         queue.append(d)
-            inv = [col.index(0) for col in table]
-            object.__setattr__(self, "_table", (number, table, inv))
+            object.__setattr__(self, "_table", (number, table))
         return self._table
 
     def subgroup(self, generators):
@@ -417,43 +413,77 @@ def coset_moves(transversal, coset_of, xs):
     return [[coset[b] for b in _times(G, number, reps, number[x.images])] for x in xs]
 
 
-def _fingerprint(orders):
-    """Size and element-order counts of a subgroup, from the orders of its
-    elements; conjugate subgroups share it."""
-    counts = Counter(orders)
-    return sum(counts.values()), tuple(sorted(counts.items()))
+def orbits(moves, n):
+    """The orbits on the points 0..n-1 of the group generated by the index
+    lists in moves (moves[j][p] is the image of point p), each a list of
+    its points, in order of their least point."""
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for p in orbit:
+            for m in moves:
+                q = m[p]
+                if not seen[q]:
+                    seen[q] = True
+                    orbit.append(q)
+        out.append(orbit)
+    return out
 
 
-def _conjugates_into(table, inv, gens, target):
-    """Whether some g has g^-1 h g in target for every h in gens, all
-    elements given by their numbers in the multiplication table."""
-    cols = [table[h] for h in gens]
-    for g, ig in enumerate(inv):
-        col = table[g]
-        for hcol in cols:
-            if col[hcol[ig]] not in target:
-                break
-        else:
-            return True
-    return False
+def _check_class_cap(G, cap):
+    """Refuse a group of order above cap before its multiplication table
+    is built: the cap of the class search and the conjugacy test."""
+    if G.order() > cap:
+        raise CapExceeded(f"|G|={G.order()} exceeds subgroup enumeration cap {cap}")
+
+
+def _conjugation(G):
+    """(number, table, conj) on G.multiplication_table(): conj[j][x] is
+    the number of g^-1 x g, for g the j-th generator of G, whose inverse
+    is the element its column sends to the identity."""
+    number, table = G.multiplication_table()
+    conj = []
+    for g in G.generators:
+        col = table[number[g.images]]
+        ig = col.index(0)
+        conj.append([col[xcol[ig]] for xcol in table])
+    return number, table, conj
+
+
+def _orbit(conj, sset):
+    """The conjugates of the frozenset of element numbers sset, found
+    breadth-first by the conjugation tables conj of `_conjugation`, sset
+    first."""
+    found = [sset]
+    seen = {sset}
+    for X in found:
+        for c in conj:
+            Y = frozenset(map(c.__getitem__, X))
+            if Y not in seen:
+                seen.add(Y)
+                found.append(Y)
+    return found
 
 
 def are_conjugate_subgroups(G, H1, H2, cap=SUBGROUP_CLASS_CAP):
-    """Brute-force subgroup conjugacy test: exists g with g^-1 H1 g = H2.
+    """Whether some g in G has g^-1 H1 g = H2: whether H1's elements are
+    a set in the conjugation orbit of H2's (`_orbit`).
 
-    cap bounds |G| as `subgroup_classes` takes it, before the
-    multiplication table is built."""
-    if G.order() > cap:
-        raise CapExceeded(f"|G|={G.order()} too large for brute-force conjugacy "
-                          f"(cap {cap})")
+    cap bounds |G| as `subgroup_classes` takes it, and is checked first,
+    so past it the multiplication table is never built; nor is it for two
+    subgroups of different orders, which are not conjugate."""
+    _check_class_cap(G, cap)
     _check_subgroup(G, H1)
     _check_subgroup(G, H2)
-    if (_fingerprint(p.order() for p in H1.elements())
-            != _fingerprint(p.order() for p in H2.elements())):
+    if H1.order() != H2.order():
         return False
-    number, table, inv = G.multiplication_table()
-    return _conjugates_into(table, inv, [number[h.images] for h in H1.generators],
-                            {number[p.images] for p in H2.elements()})
+    number, _, conj = _conjugation(G)
+    s1, s2 = (frozenset(number[p.images] for p in H.elements()) for H in (H1, H2))
+    return s1 in _orbit(conj, s2)
 
 
 def closure_idx(table, gens):
@@ -487,38 +517,23 @@ def _cyclic_classes(G, cap):
     registered; register(sset, gens) -> (index, new); and cyclics[i]
     lists the numbers of the cyclic group element i generates.
 
-    A new class enters the set map with its whole conjugacy orbit, found
-    breadth-first by conjugating with G's generators, so any later
-    subgroup of the class is a lookup there, with no conjugacy test.
+    A new class enters the set map with its whole conjugacy orbit
+    (`_orbit`), so any later subgroup of the class is a lookup there,
+    with no conjugacy test.
     Once <i> is registered, every generator of every conjugate of <i> is
     marked, and the seeding step skips the marked elements."""
+    _check_class_cap(G, cap)
     n = G.order()
-    if n > cap:
-        raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
-    number, table, inv = G.multiplication_table()
-    # conj[j][x] is the number of g^-1 x g, for g the j-th generator of G
-    conj = []
-    for g in G.generators:
-        gnum = number[g.images]
-        col, ig = table[gnum], inv[gnum]
-        conj.append([col[xcol[ig]] for xcol in table])
-
+    _, table, conj = _conjugation(G)
     classes = []
     setmap = {}
 
     def add(sset, gens):
         """Open a class whose representative is sset, and put sset's
         conjugates in setmap under its index; returns them, sset first."""
-        ci = len(classes)
+        found = _orbit(conj, sset)
+        setmap.update(dict.fromkeys(found, len(classes)))
         classes.append((sset, tuple(gens)))
-        setmap[sset] = ci
-        found = [sset]
-        for X in found:
-            for c in conj:
-                Y = frozenset(map(c.__getitem__, X))
-                if Y not in setmap:
-                    setmap[Y] = ci
-                    found.append(Y)
         return found
 
     def register(sset, gens):
@@ -551,7 +566,7 @@ def _class_handles(G, classes):
     and sorting by the sorted numbers sorts by the sorted elements.
     """
     elems = G.elements()
-    _, table, _ = G.multiplication_table()
+    _, table = G.multiplication_table()
     picks = []
     for sset, _ in classes:
         nums = sorted(sset)
@@ -586,7 +601,7 @@ def subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     if G._class_cache is not None and n <= cap:
         return G._class_cache
     classes, register, _ = _cyclic_classes(G, cap)
-    _, table, _ = G.multiplication_table()
+    _, table = G.multiplication_table()
     # every class but the trivial one is extended
     queue = list(range(1, len(classes)))
     qi = 0

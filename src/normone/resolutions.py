@@ -64,7 +64,7 @@ from .lattices import (
     fixed_sublattice, minus_one_columns,
 )
 from .perms import (
-    SUBGROUP_CLASS_CAP, coset_moves, right_transversal, subgroup_classes,
+    SUBGROUP_CLASS_CAP, coset_moves, orbits, right_transversal, subgroup_classes,
 )
 
 
@@ -90,36 +90,15 @@ class Resolution(namedtuple("Resolution", "base middle side inject project")):
         return super().__new__(cls, base, middle, side, inject, project)
 
 
-def _orbits(moves, n):
-    """The orbits on the points 0..n-1 of the group generated by the index
-    lists in moves (moves[j][p] is the image of point p), each a list of
-    its points, in order of their least point."""
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for p in orbit:
-            for m in moves:
-                q = m[p]
-                if not seen[q]:
-                    seen[q] = True
-                    orbit.append(q)
-        orbits.append(orbit)
-    return orbits
-
-
 def _fixed_images(summand, gens):
     """The images in L of the vectors of a summand (T, coset_of, rows) of
     Q fixed by the group gens generate: for each orbit of that group on
     the summand's cosets and each picked vector k, the sum of rows[i][k]
     over the orbit's cosets i."""
     T, coset_of, rows = summand
-    orbits = _orbits(coset_moves(T, coset_of, gens), len(T))
     return [list(map(sum, zip(*[rows[i][k] for i in orbit])))
-            for orbit in orbits for k in range(len(rows[0]))]
+            for orbit in orbits(coset_moves(T, coset_of, gens), len(T))
+            for k in range(len(rows[0]))]
 
 
 def _prime_power_order(S):

@@ -15,9 +15,12 @@ needs.  The dual lattice and the flasque check by Tate H^-1 (`dual`,
 which reads Tate H^-1 of the dual off the lattice's own matrices, and
 `subgroup_classes_pairwise` is the class search that tested each new
 subgroup for conjugacy with every class found, which the library's
-orbit-keyed registry replaced.
+orbit-keyed registry replaced; its brute-force conjugacy test, which
+`are_conjugate_subgroups` replaced by a conjugation orbit, is
+`conjugates_pairwise`.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
@@ -37,9 +40,9 @@ from normone.lattices import (
     GLattice, LatticeMap, augmentation_ideal, chevalley_module, perm_lattice,
 )
 from normone.perms import (
-    DEGREE_CAP, SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _conjugates_into,
-    _cyclic_classes, _fingerprint, _spanned, alternating, closure_idx, coset_moves, cyclic,
-    dihedral, product_of_cyclics, right_transversal, subgroup_classes, symmetric,
+    DEGREE_CAP, SUBGROUP_CLASS_CAP, Permutation, PermGroup, _class_handles, _cyclic_classes,
+    _spanned, alternating, closure_idx, coset_moves, cyclic, dihedral, product_of_cyclics,
+    right_transversal, subgroup_classes, symmetric,
 )
 from normone.resolutions import _prime_power_order
 
@@ -292,6 +295,56 @@ def cyclic_subgroup_classes(G, cap=SUBGROUP_CLASS_CAP):
     return _class_handles(G, _cyclic_classes(G, cap)[0][1:])
 
 
+def element_order(p):
+    """The order of the permutation p: the least k >= 1 with p^k = 1,
+    found by multiplying."""
+    k, q = 1, p
+    while not q.is_identity():
+        k, q = k + 1, q * p
+    return k
+
+
+def _fingerprint(orders):
+    """Size and element-order counts of a subgroup, from the orders of its
+    elements; conjugate subgroups share it."""
+    counts = Counter(orders)
+    return sum(counts.values()), tuple(sorted(counts.items()))
+
+
+def _conjugates_into(table, inv, gens, target):
+    """Whether some g has g^-1 h g in target for every h in gens, all
+    elements given by their numbers in a multiplication table as
+    PermGroup.multiplication_table returns it, with inv[g] the number of
+    g's inverse: the brute-force conjugacy test, one g at a time."""
+    cols = [table[h] for h in gens]
+    for g, ig in enumerate(inv):
+        col = table[g]
+        for hcol in cols:
+            if col[hcol[ig]] not in target:
+                break
+        else:
+            return True
+    return False
+
+
+def conjugates_pairwise(G, H1, H2):
+    """Whether H1 and H2 are conjugate in G, by the brute-force test:
+    the same order, and some g with g^-1 h g in H2 for every generator h
+    of H1.  The reference for `are_conjugate_subgroups`."""
+    if H1.order() != H2.order():
+        return False
+    number, table = G.multiplication_table()
+    return _conjugates_into(table, _inverses(G), [number[h.images] for h in H1.generators],
+                            {number[p.images] for p in H2.elements()})
+
+
+def _inverses(G):
+    """inv[c], the number of the inverse of element c of G, from the
+    permutations themselves."""
+    number = G.multiplication_table()[0]
+    return [number[p.inverse().images] for p in G.elements()]
+
+
 def subgroup_classes_pairwise(G, cap=SUBGROUP_CLASS_CAP):
     """subgroup_classes(G) by the search the library ran before it kept
     each class's conjugates: the same seeding and the same extensions,
@@ -301,7 +354,8 @@ def subgroup_classes_pairwise(G, cap=SUBGROUP_CLASS_CAP):
     n = G.order()
     if n > cap:
         raise CapExceeded(f"|G|={n} exceeds subgroup enumeration cap {cap}")
-    _, table, inv = G.multiplication_table()
+    _, table = G.multiplication_table()
+    inv = _inverses(G)
     cyclics = [closure_idx(table, [i]) for i in range(n)]
     classes, fingerprints, setmap = [], [], {}
 
@@ -860,7 +914,7 @@ def tate_cyclic(c, L):
         return AbelianInvariants(0, ()), AbelianInvariants(0, ())
     rho = L.matrix_of(c)
     powers = [IntMatrix.identity(L.rank)]
-    for _ in range(c.order() - 1):
+    for _ in range(element_order(c) - 1):
         powers.append(powers[-1] * rho)
     N = matrix_sum(powers, L.rank)
     diff = subtract(rho, IntMatrix.identity(L.rank))

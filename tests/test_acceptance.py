@@ -25,7 +25,7 @@ from normone.perms import (
 )
 from normone.resolutions import coflasque_cover, norm_one_invariant
 from oracles import (
-    bar_h1, det, dual, h1, is_flasque, lattice_pool, presentation_catalog, snf,
+    bar_h1, det, dual, element_order, h1, is_flasque, lattice_pool, presentation_catalog, snf,
     twist_lattice,
 )
 
@@ -335,7 +335,7 @@ def test_criterion_10_published_classifications():
             for G in groups:
                 H = G.point_stabilizer(1)
                 inv = norm_one_invariant(G, H)
-                orders = dict(Counter(p.order() for p in G.elements()))
+                orders = dict(Counter(element_order(p) for p in G.elements()))
                 name = next((k for k, v in nontrivial.items() if v == orders), None)
                 if inv != (Z2 if name else TRIVIAL):
                     problems.append(f"degree {n}, order {G.order()}: h1={inv}")

@@ -527,8 +527,8 @@ class TestOtherCommands:
 
     def test_verify_paper_reads_max_order(self, capsys, monkeypatch):
         # the class cap stops the A6 conjugacy line before A6's
-        # multiplication table is built, as it stops the A6 rows; the
-        # default cap leaves the line a PASS
+        # multiplication table is built, as it stops the A6 rows, with the
+        # class search's cap text; the default cap leaves the line a PASS
         argv = ["verify-paper", "--max-n", "6"]
         line = "A6: the two A5 classes are non-conjugate"
         table = normone.perms.PermGroup.multiplication_table
@@ -543,7 +543,7 @@ class TestOtherCommands:
             assert main(argv + ["--max-order", "60"]) == 0
         err = capsys.readouterr().err
         assert err.count("SKIPPED A6") == 3
-        assert f"SKIPPED {line} (|G|=360 too large for brute-force conjugacy (cap 60))" in err
+        assert f"SKIPPED {line} (|G|=360 exceeds subgroup enumeration cap 60)" in err
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert f"PASS {line}\n" in err

@@ -21,10 +21,10 @@ from normone.perms import (
     product_of_cyclics, subgroup_classes, symmetric,
 )
 from oracles import (
-    bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, dual, elementary_divisors,
-    free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, norm_kernel, presentation_catalog,
-    sha2_omega_shift, small_catalog, tate_cyclic, tate_minus1_literal, trivial_lattice,
-    twist_lattice,
+    bar_h1, cyclic_subgroup_classes, dimension_shift, direct_sum, dual, element_order,
+    elementary_divisors, free_cover_literal, h1, h1_data, lattice_pool, matrix_sum, norm_kernel,
+    presentation_catalog, sha2_omega_shift, small_catalog, tate_cyclic, tate_minus1_literal,
+    trivial_lattice, twist_lattice,
 )
 
 P = Permutation.from_cycles
@@ -152,7 +152,7 @@ class TestTateCyclic:
             for H in (G.trivial_subgroup(), G.point_stabilizer(G.degree)):
                 L = perm_lattice(G, H)
                 for cls in cyclic_subgroup_classes(G):
-                    c = next(e for e in cls.elements() if e.order() == cls.order())
+                    c = next(e for e in cls.elements() if element_order(e) == cls.order())
                     _, h1_ = tate_cyclic(c, L)
                     assert h1_.is_trivial()
                     assert tate_minus1(cls, L).is_trivial()
@@ -225,7 +225,7 @@ class TestDimensionShift:
             for L in pool:
                 shift = dimension_shift(L)
                 for cls in cyclic_subgroup_classes(G):
-                    c = next(e for e in cls.elements() if e.order() == cls.order())
+                    c = next(e for e in cls.elements() if element_order(e) == cls.order())
                     h0_L, _ = tate_cyclic(c, L)
                     _, h1_shift = tate_cyclic(c, shift.shifted)
                     assert h0_L == h1_shift, f"{G.label} rank {L.rank}"
@@ -506,11 +506,11 @@ class TestSha2Omega:
             cover, ends, _, forest = cohomology._free_cover(G, H)
             assert cover == K
             _, lead = cohomology._identity_block(K, G.label)
-            number, table, _ = G.multiplication_table()
+            number, table = G.multiplication_table()
             d, r = G.order() // H.order(), free.rank // G.order()
             seen = []
             for cls, kernel in kernels.values():
-                c = next(x for x in cls.elements() if x.order() == cls.order())
+                c = next(x for x in cls.elements() if element_order(x) == cls.order())
                 col = table[number[c.images]]
                 lifted = cohomology._norm_lifts(K.nrows, lead, ends, d, forest, col, G.label)
                 assert len(lifted) == len(set(map(frozenset, _orbits(col, ends, d)))) - 1

@@ -12,8 +12,8 @@ from normone.perms import (
     Permutation, alternating, cyclic, product_of_cyclics, symmetric,
 )
 from oracles import (
-    core, det, direct_sum, dual, induced, inverse_unimodular, presentation_catalog,
-    tate_cyclic, transpose, trivial_lattice,
+    core, det, direct_sum, dual, element_order, induced, inverse_unimodular,
+    presentation_catalog, tate_cyclic, transpose, trivial_lattice,
 )
 
 P = Permutation.from_cycles
@@ -233,7 +233,7 @@ class TestInduced:
             L = chevalley_module(G, G.trivial_subgroup())
             I, _ = induced(L)
             for cls in cyclic_subgroup_classes(G):
-                c = next(e for e in cls.elements() if e.order() == cls.order())
+                c = next(e for e in cls.elements() if element_order(e) == cls.order())
                 h0, h1 = tate_cyclic(c, I)
                 assert h0.is_trivial() and h1.is_trivial()
                 assert tate_minus1(cls, I).is_trivial()

@@ -1,6 +1,8 @@
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 import normone.perms as perms
 from normone.cli import main
@@ -8,13 +10,13 @@ from normone.errors import CapExceeded, NotASubgroupError
 from normone.lattices import chevalley_module
 from normone.perms import (
     Permutation, PermGroup, alternating, are_conjugate_subgroups,
-    coset_moves, cyclic, dihedral, maximal_cyclic_subgroup_classes, product_of_cyclics,
+    coset_moves, cyclic, dihedral, maximal_cyclic_subgroup_classes, orbits, product_of_cyclics,
     _spanned, right_transversal, small_generating_set, subgroup_classes, symmetric,
 )
 from oracles import (
-    all_subgroups_brute, brute_closure, catalog_groups, conjugacy_class_count_brute, core,
-    coset_position, cyclic_subgroup_classes, is_normal, small_catalog,
-    subgroup_classes_pairwise,
+    all_subgroups_brute, brute_closure, catalog_groups, conjugacy_class_count_brute,
+    conjugates_pairwise, core, coset_position, cyclic_subgroup_classes, element_order, is_normal,
+    small_catalog, subgroup_classes_pairwise,
 )
 
 P = Permutation.from_cycles
@@ -34,8 +36,10 @@ class TestPermutation:
         assert (g * g).inverse() == g.inverse() * g.inverse()
 
     def test_order(self):
-        assert P([(1, 2), (3, 4, 5)], 5).order() == 6
-        assert Permutation.identity(4).order() == 1
+        # the order by repeated products is the lcm of the cycle lengths
+        for g, order in ((P([(1, 2), (3, 4, 5)], 5), 6), (P([(1, 2, 3, 4)], 6), 4),
+                         (Permutation.identity(4), 1)):
+            assert element_order(g) == lcm(*map(len, g.cycles())) == order
 
     def test_cycle_string_round_trip(self):
         g = P([(1, 2, 3), (4, 5)], 6)
@@ -143,12 +147,12 @@ class TestMultiplicationTable:
     @pytest.mark.parametrize("G", [symmetric(4), alternating(5), product_of_cyclics((2, 6))],
                              ids=lambda G: G.label)
     def test_entries_are_permutation_products(self, G):
-        number, table, inv = G.multiplication_table()
+        number, table = G.multiplication_table()
         elems = G.elements()
         assert [number[p.images] for p in elems] == list(range(len(elems)))
         for c, pc in enumerate(elems):
             assert table[c] == [number[(pa * pc).images] for pa in elems]
-            assert inv[c] == number[pc.inverse().images]
+            assert table[c].index(0) == number[pc.inverse().images]
 
     def test_only_the_class_search_builds_it(self, monkeypatch, capsys):
         def refuse(G):
@@ -285,6 +289,30 @@ class TestCore:
         assert is_normal(c)
 
 
+class TestOrbits:
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), max_size=3)
+        .map(lambda moves: (n, moves))))
+    def test_orbits_match_brute_closure(self, case):
+        # the orbit of each point is its closure under the moves, grown
+        # until stable; the orbits come in order of their least point,
+        # each listed from that point
+        n, moves = case
+        closures = []
+        for p in range(n):
+            reach = {p}
+            while True:
+                more = reach | {m[q] for m in moves for q in reach}
+                if more == reach:
+                    break
+                reach = more
+            if reach not in closures:
+                closures.append(reach)
+        got = orbits(moves, n)
+        assert [set(o) for o in got] == closures
+        assert all(o[0] == min(o) and len(o) == len(set(o)) for o in got)
+
+
 class TestConjugacy:
     def test_the_two_a5_classes_of_a6(self):
         G = alternating(6)
@@ -320,6 +348,36 @@ class TestConjugacy:
             are_conjugate_subgroups(alternating(8),
                                     alternating(8).trivial_subgroup(),
                                     alternating(8).trivial_subgroup())
+
+    def test_matches_the_pairwise_test(self):
+        # every ordered pair of class representatives and a seeded random
+        # conjugate of each, over every catalog group of order <= 60 with
+        # at most 40 classes and A6, against the brute-force test
+        rng = random.Random(35)
+        groups = found = pairs = same_order = conjugate = 0
+        for G in catalog_groups(60) + [alternating(6)]:
+            classes = subgroup_classes(G)
+            if len(classes) > 40:
+                continue
+            groups += 1
+            found += len(classes)
+            elems = G.elements()
+            subs = list(classes)
+            for H in classes:
+                g = rng.choice(elems)
+                subs.append(G.subgroup([g.inverse() * h * g for h in H.generators]))
+            for a in subs:
+                for b in subs:
+                    got = are_conjugate_subgroups(G, a, b)
+                    assert got == conjugates_pairwise(G, a, b), (G.label, a, b)
+                    pairs += 1
+                    same_order += a.order() == b.order()
+                    conjugate += got
+        # no two classes are conjugate, and each representative and its
+        # conjugate make 4 conjugate ordered pairs
+        assert (groups, pairs) == (121, 98680)
+        assert conjugate == 4 * found
+        assert same_order > conjugate
 
 
 class TestSubgroupClasses:
@@ -402,13 +460,18 @@ class TestSubgroupClasses:
     ], ids=lambda x: getattr(x, "label", str(x)))
     def test_class_counts(self, G, count, monkeypatch):
         # a search runs no conjugacy test: each class is stored with all
-        # its conjugates, so a subgroup is a set lookup
-        def refuse(*args):
-            raise AssertionError("the class search tested conjugacy")
-        monkeypatch.setattr(perms, "_conjugates_into", refuse)
-        monkeypatch.setattr(perms, "_fingerprint", refuse)
+        # its conjugates when it is found, one orbit per class, so a
+        # subgroup is a set lookup
+        walked = []
+        orbit = perms._orbit
+
+        def counting(conj, sset):
+            walked.append(sset)
+            return orbit(conj, sset)
+        monkeypatch.setattr(perms, "_orbit", counting)
         G = PermGroup(G.degree, G.generators, label=G.label)
         assert len(subgroup_classes(G)) == count
+        assert len(walked) == count
 
     def test_cyclic_classes(self):
         G = alternating(4)
@@ -426,7 +489,7 @@ class TestSubgroupClasses:
         # full search: the same representatives, generators and order
         G = PermGroup(G.degree, G.generators, label=G.label)
         full = [h for h in subgroup_classes(G) if h.order() > 1
-                and any(e.order() == h.order() for e in h.elements())]
+                and any(element_order(e) == h.order() for e in h.elements())]
         cyc = cyclic_subgroup_classes(G)
         assert [h.elements() for h in cyc] == [h.elements() for h in full]
         assert [h.generators for h in cyc] == [h.generators for h in full]
